@@ -21,7 +21,6 @@ import sys
 from . import __version__
 from .fock import (
     DivergenceError,
-    FockOverflowError,
     FockPolynomial,
     cubic_projection,
     fixed_point_solve,
@@ -37,7 +36,6 @@ from .hyperbolic import (
 )
 from .numerics import RngStream, resolve_threads
 from .planar import (
-    TruncationError,
     density_curve,
     planar_gaf_mc,
     planar_gaf_truncation,
@@ -415,13 +413,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        StepCollapseError,
-        DivergenceError,
-        FockOverflowError,
-        TruncationError,
-        ArithmeticError,
-    ) as exc:
+    except (StepCollapseError, DivergenceError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

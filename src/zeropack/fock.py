@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEGREE_CAP = 64
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(2 * DEGREE_CAP + 1)])
 
 
 class FockOverflowError(OverflowError):
@@ -82,30 +83,28 @@ def cubic_projection(f: FockPolynomial) -> FockPolynomial:
     N = len(c) - 1
     if N > DEGREE_CAP:
         raise ValueError(f"cubic_projection input degree {N} exceeds cap {DEGREE_CAP}")
-    # P_s = sum_{a+b=s} c_a c_b, then g_m = sum_s P_s conj(c_{s-m}) s!/(2^{s+1} m!).
+    # P_s = sum_{a+b=s} c_a c_b, then g_m = sum_{k=0..N, m+k<=2N} P_{m+k} conj(c_k) W(m+k, m)
+    # with W(s, m) = s!/(2^{s+1} m!), on the (2N+1) x (N+1) grid of (m, k).
     P = np.convolve(c, c)
-    out = np.zeros(2 * N + 1, dtype=complex)
-    for m in range(2 * N + 1):
-        lo = max(m, 0)
-        hi = min(2 * N, m + N)
-        for s in range(lo, hi + 1):
-            cc = c[s - m].conjugate()
-            if cc == 0 or P[s] == 0:
-                continue
-            w = math.exp(math.lgamma(s + 1.0) - (s + 1.0) * math.log(2.0) - math.lgamma(m + 1.0))
-            out[m] += P[s] * cc * w
-    return FockPolynomial(tuple(out))
+    m = np.arange(2 * N + 1)[:, None]
+    s = m + np.arange(N + 1)
+    inside = s <= 2 * N
+    s = np.where(inside, s, 0)
+    w = np.exp(_LOG_FACTORIAL[s] - (s + 1.0) * math.log(2.0) - _LOG_FACTORIAL[m])
+    terms = P[s] * c.conj() * w
+    return FockPolynomial(tuple(np.where(inside, terms, 0.0).sum(axis=1)))
+
+
+def _defect_norm(g: np.ndarray, c: np.ndarray, omega: float) -> float:
+    """||g - omega c|| in the weighted norm; g, a projection of c, is never shorter than c."""
+    d = g.copy()
+    d[: len(c)] -= omega * c
+    return fock_norm(FockPolynomial(tuple(d)))
 
 
 def stationary_residual(f: FockPolynomial, omega: float) -> float:
     """||projection(f) - omega f|| in the weighted norm."""
-    g = cubic_projection(f).array()
-    c = f.array()
-    n = max(len(g), len(c))
-    d = np.zeros(n, dtype=complex)
-    d[: len(g)] = g
-    d[: len(c)] -= omega * c
-    return fock_norm(FockPolynomial(tuple(d)))
+    return _defect_norm(cubic_projection(f).array(), f.array(), omega)
 
 
 def _truncate(coeffs: np.ndarray, cap: int) -> np.ndarray:
@@ -138,7 +137,8 @@ def fixed_point_solve(
     cur = FockPolynomial(tuple(_truncate(f0.array() / norm0, degree_cap)))
     history: list[float] = []
     for _ in range(max_iters):
-        res = stationary_residual(cur, omega)
+        g = cubic_projection(cur).array()
+        res = _defect_norm(g, cur.array(), omega)
         history.append(res)
         if res < tol:
             return cur, history
@@ -146,7 +146,7 @@ def fixed_point_solve(
             raise DivergenceError(
                 f"residual {res:.3e} grew 10x from its minimum {min(history):.3e}", history
             )
-        nxt = _truncate(cubic_projection(cur).array() / omega, degree_cap)
+        nxt = _truncate(g / omega, degree_cap)
         nn = fock_norm(FockPolynomial(tuple(nxt)))
         if nn == 0.0:
             raise DivergenceError("iterate collapsed to zero", history)

@@ -72,16 +72,21 @@ def profile_value(p: TriangularProfile, z: complex) -> float:
     return float(np.exp(log_profile(p, complex(z))))
 
 
-def _rhombus_means(p: TriangularProfile, beta: float, m: int, profile_fn=None):
-    """(mean P^beta, mean P^{2 beta}) over the m x m midpoint grid of the rhombus."""
+def _rhombus_blocks(p: TriangularProfile, m: int):
+    """The m x m midpoint grid of the rhombus, _BLOCK_ROWS grid rows at a time."""
     p1 = 2.0 * p.ctx.omega1
     p2 = 2.0 * p.ctx.omega2
     s = (np.arange(m) + 0.5) / m
-    acc1 = 0.0
-    acc2 = 0.0
     for start in range(0, m, _BLOCK_ROWS):
         t = s[start:start + _BLOCK_ROWS]
-        Z = p1 * s[None, :] + p2 * t[:, None]
+        yield p1 * s[None, :] + p2 * t[:, None]
+
+
+def _rhombus_means(p: TriangularProfile, beta: float, m: int, profile_fn=None):
+    """(mean P^beta, mean P^{2 beta}) over the m x m midpoint grid of the rhombus."""
+    acc1 = 0.0
+    acc2 = 0.0
+    for Z in _rhombus_blocks(p, m):
         if profile_fn is not None:
             vals = np.asarray(profile_fn(Z), dtype=float)
             lp = np.log(vals, out=np.full_like(vals, -np.inf), where=vals > 0)
@@ -229,12 +234,7 @@ def torus_monopole(p: TriangularProfile, z: complex, w: complex, grid_m: int = 2
 
 @functools.lru_cache(maxsize=16)
 def _log_profile_mean(p: TriangularProfile, m: int) -> float:
-    p1 = 2.0 * p.ctx.omega1
-    p2 = 2.0 * p.ctx.omega2
-    s = (np.arange(m) + 0.5) / m
     total = 0.0
-    for start in range(0, m, _BLOCK_ROWS):
-        t = s[start:start + _BLOCK_ROWS]
-        Z = p1 * s[None, :] + p2 * t[:, None]
+    for Z in _rhombus_blocks(p, m):
         total += float(np.sum(log_profile(p, Z)))
     return total / (m * m)

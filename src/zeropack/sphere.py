@@ -38,6 +38,15 @@ class StepCollapseError(RuntimeError):
     """Two flow points merged below the supported pairwise distance."""
 
 
+def _min_pair_distance(pts: np.ndarray) -> float:
+    """Smallest chordal distance between two rows of pts (inf below two rows)."""
+    if pts.shape[0] < 2:
+        return math.inf
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return math.sqrt(d2.min())
+
+
 @dataclass(frozen=True)
 class SphereConfiguration:
     """n pairwise-distinct unit vectors on the 2-sphere."""
@@ -51,13 +60,9 @@ class SphereConfiguration:
         norms = np.linalg.norm(pts, axis=1)
         if pts.shape[0] and not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("all points must be unit vectors (within 1e-12)")
-        if pts.shape[0] >= 2:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            if d2.min() < _MIN_PAIR_DIST**2:
-                raise ValueError(
-                    f"points must be pairwise distinct (min chordal distance {math.sqrt(d2.min()):.2e})"
-                )
+        dmin = _min_pair_distance(pts)
+        if dmin < _MIN_PAIR_DIST:
+            raise ValueError(f"points must be pairwise distinct (min chordal distance {dmin:.2e})")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -154,14 +159,14 @@ def _frame_points(config: SphereConfiguration, quad: SphereQuadrature):
     return pts, np.eye(3)
 
 
-def _log_weight_sums(pts_f: np.ndarray, quad: SphereQuadrature) -> np.ndarray:
-    """sum_j log(d_j / 2) at every node (frame coordinates)."""
-    if pts_f.shape[0] == 0:
-        return np.zeros(quad.nodes.shape[0])
+def _geometry(config: SphereConfiguration, quad: SphereQuadrature):
+    """(pts_f, R, d2, s): points in grid coordinates, rotation back to world
+    rows, (M, n) squared node-to-point distances, s = sum_j log(d_j / 2)."""
+    pts_f, R = _frame_points(config, quad)
     d2 = np.clip(2.0 - 2.0 * (quad.nodes @ pts_f.T), 0.0, 4.0)
     with np.errstate(divide="ignore"):
-        logd = 0.5 * np.log(d2)
-    return logd.sum(axis=1) - pts_f.shape[0] * math.log(2.0)
+        s = 0.5 * np.log(d2).sum(axis=1) - pts_f.shape[0] * math.log(2.0)
+    return pts_f, R, d2, s
 
 
 def partition_function(config: SphereConfiguration, gamma: float, quad: SphereQuadrature) -> float:
@@ -170,15 +175,15 @@ def partition_function(config: SphereConfiguration, gamma: float, quad: SphereQu
         raise ValueError(f"gamma must be positive, got {gamma}")
     if config.n == 0:
         return 1.0
-    pts_f, _ = _frame_points(config, quad)
-    s = _log_weight_sums(pts_f, quad)
+    _, _, _, s = _geometry(config, quad)
     return float(np.dot(quad.weights, np.exp(gamma * s)))
 
 
 def _z_pair(config: SphereConfiguration, beta: float, quad: SphereQuadrature):
-    """(Z_beta, Z_{2 beta}) sharing one geometry pass."""
-    pts_f, _ = _frame_points(config, quad)
-    s = _log_weight_sums(pts_f, quad)
+    """(Z_beta, Z_{2 beta}) sharing one geometry pass ((1, 1) for an empty configuration)."""
+    if config.n == 0:
+        return 1.0, 1.0
+    _, _, _, s = _geometry(config, quad)
     e = np.exp(beta * s)
     zb = float(np.dot(quad.weights, e))
     z2b = float(np.dot(quad.weights, e * e))
@@ -188,25 +193,27 @@ def _z_pair(config: SphereConfiguration, beta: float, quad: SphereQuadrature):
 def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
     """For each gamma: (Z_gamma, E^gamma[g_j] rows in world coordinates).
 
-    Shares the node-to-point geometry across the gammas.  g_j is the
-    tangential component at p_j of (p_j - x) / ||p_j - x||^2.
+    Shares one geometry pass across the gammas.  g_j is the tangential
+    component at p_j of (p_j - x) / d^2, d = ||p_j - x||, and 0 at x = p_j.
+    On the unit sphere the radial component of that vector is exactly 1/2
+    whenever d > 0, so g_j = (p_j - x) / d^2 - p_j / 2.  For gamma > 0 the
+    weight w = weights * e^{gamma s} vanishes wherever some d = 0 (s = -inf
+    there), so the p_j / 2 term averages to itself and
+
+        E^gamma[g_j] = (a_j p_j - A_j) / Z_gamma - p_j / 2,
+        a_j = sum w / d^2,  A_j = sum w x / d^2,
+
+    sums over the nodes with 1/d^2 read as 0 where d = 0.
     """
-    pts_f, R = _frame_points(config, quad)
-    n = pts_f.shape[0]
-    d2 = np.clip(2.0 - 2.0 * (quad.nodes @ pts_f.T), 0.0, 4.0)
-    with np.errstate(divide="ignore"):
-        s = 0.5 * np.log(d2).sum(axis=1) - n * math.log(2.0)
-    diff = pts_f[None, :, :] - quad.nodes[:, None, :]          # (M, n, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vec = diff / d2[:, :, None]
-    vec = np.nan_to_num(vec, nan=0.0, posinf=0.0, neginf=0.0)
-    radial = np.einsum("mnk,nk->mn", vec, pts_f)
-    tang = vec - radial[:, :, None] * pts_f[None, :, :]
+    pts_f, R, d2, s = _geometry(config, quad)
+    inv = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
     out = []
     for gamma in gammas:
         w = quad.weights * np.exp(gamma * s)
         Z = float(w.sum())
-        G_f = np.einsum("m,mnk->nk", w, tang) / Z
+        a = np.einsum("m,mn->n", w, inv)
+        A = np.einsum("m,mn,mk->nk", w, inv, quad.nodes)
+        G_f = (a[:, None] * pts_f - A) / Z - 0.5 * pts_f
         out.append((Z, G_f @ R))
     return out
 
@@ -215,18 +222,16 @@ def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQ
     """max_j || E^beta[g_j] - E^{2 beta}[g_j] ||; zero exactly at equilibria."""
     if config.n < 1:
         raise ValueError("configuration must have at least one point")
-    (z1, g1), (z2, g2) = _moments(config, (beta, 2.0 * beta), quad)
-    del z1, z2
+    (_, g1), (_, g2) = _moments(config, (beta, 2.0 * beta), quad)
     return float(np.max(np.linalg.norm(g1 - g2, axis=1)))
 
 
 def discrepancy(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> DiscrepancyReport:
     """Amplitude-optimized discrepancy 1 - Z_beta^2 / Z_{2 beta} at this configuration."""
-    zb = partition_function(config, beta, quad)
-    z2b = partition_function(config, 2.0 * beta, quad)
-    half = quad.half_resolution()
-    hb = partition_function(config, beta, half)
-    h2b = partition_function(config, 2.0 * beta, half)
+    if not (beta > 0.0):
+        raise ValueError(f"beta must be positive, got {beta}")
+    zb, z2b = _z_pair(config, beta, quad)
+    hb, h2b = _z_pair(config, beta, quad.half_resolution())
     rho_half = 1.0 - hb * hb / h2b
     return make_report(m1=zb, m2=z2b, error_estimate=abs((1.0 - zb * zb / z2b) - rho_half))
 
@@ -309,13 +314,9 @@ def gradient_flow(
                 # stationary to machine precision and no further ascent exists.
                 stationary = True
                 break
-            if n >= 2:
-                d2 = np.sum((trial_pts[:, None, :] - trial_pts[None, :, :]) ** 2, axis=-1)
-                np.fill_diagonal(d2, np.inf)
-                if d2.min() < _MIN_PAIR_DIST**2:
-                    raise StepCollapseError(
-                        f"points merged during flow (distance {math.sqrt(d2.min()):.2e})"
-                    )
+            dmin = _min_pair_distance(trial_pts)
+            if dmin < _MIN_PAIR_DIST:
+                raise StepCollapseError(f"points merged during flow (distance {dmin:.2e})")
             trial = SphereConfiguration(points=trial_pts)
             trial_obj = objective_of(trial)
             # Absolute slack: near the optimum the true increase per step falls

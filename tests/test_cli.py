@@ -207,6 +207,14 @@ class TestGafCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_planar_without_admissible_truncation_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            ["gaf", "--mode", "planar", "--b", "1", "--R", "1000", "--trials", "4", "--seed", "1"],
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestSphereCommand:
     def test_static_configuration(self, capsys):
@@ -233,6 +241,11 @@ class TestSphereCommand:
         dot = sum(a * b for a, b in zip(p, q))
         assert dot == pytest.approx(-1.0, abs=1e-6)
         assert payload["provenance"]["parameters"]["flow"] is True
+
+    def test_nonpositive_beta_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, ["sphere", "--n", "3", "--beta", "-1", "--seed", "1"])
+        assert code == 2
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("flag", [("--step", "2.0"), ("--iters", "50"), ("--tol", "1e-6")])
     def test_flow_flags_require_flow(self, capsys, flag):

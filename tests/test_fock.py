@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestCubicProjection:
         assert abs(g[1] - 0.25) < 1e-15
         assert np.all(np.abs(np.delete(g, 1)) < 1e-16)
         assert stationary_residual(poly(0.0, 1.0), 0.25) < 1e-14
+
+    @pytest.mark.parametrize("k", [0, 7, 33, 64])
+    def test_monomial_closed_form(self, k):
+        # z^k maps to (2k)! / (2^{2k+1} k!) z^k; k = 64 is the degree cap.
+        g = cubic_projection(poly(*([0.0] * k + [1.0]))).array()
+        exact = Fraction(math.factorial(2 * k), 2 ** (2 * k + 1) * math.factorial(k))
+        assert len(g) == 2 * k + 1
+        assert g[k] == pytest.approx(float(exact), rel=1e-12)
+        assert np.all(np.delete(g, k) == 0.0)
 
     def test_constant_closed_form(self):
         for c in (1.0, 2.0 - 1.0j, 0.3j):

@@ -208,6 +208,30 @@ def test_moment_gradient_matches_finite_differences(world_quad):
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-9)
 
 
+def test_moments_with_a_point_on_a_quadrature_node(world_quad):
+    # d^2 = 0 at one node: g_j is taken as 0 there, and the moments stay
+    # finite and equal to the direct tangential projection at every node.
+    k = 777
+    points = np.vstack([world_quad.nodes[k], random_configuration(1, RngStream(seed=5)).points])
+    config = SphereConfiguration(points=points)
+    d2 = np.clip(2.0 - 2.0 * (world_quad.nodes @ points.T), 0.0, 4.0)
+    assert d2[k, 0] == 0.0
+    with np.errstate(divide="ignore"):
+        s = 0.5 * np.log(d2).sum(axis=1) - 2.0 * math.log(2.0)
+    for gamma, (Z, G) in zip((1.0, 2.0), _moments(config, (1.0, 2.0), world_quad)):
+        w = world_quad.weights * np.exp(gamma * s)
+        ref = np.empty((2, 3))
+        for j, p in enumerate(points):
+            hit = d2[:, j] > 0.0
+            vec = np.zeros_like(world_quad.nodes)
+            vec[hit] = (p - world_quad.nodes[hit]) / d2[hit, j, None]
+            tang = vec - (vec @ p)[:, None] * p
+            ref[j] = np.sum(w[:, None] * tang, axis=0) / w.sum()
+        assert np.all(np.isfinite(G))
+        assert Z == pytest.approx(w.sum(), rel=1e-14)
+        np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-12)
+
+
 class TestGradientFlow:
     def test_converges_from_perturbed_antipodal(self, sphere_quad):
         start = config_of(
@@ -275,3 +299,14 @@ def test_discrepancy_error_estimate_reflects_resolution(sphere_quad):
     rep = discrepancy(config_of(NORTH, SOUTH), 1.0, sphere_quad)
     assert rep.error_estimate < 1e-6
     assert rep.b_opt == pytest.approx(rep.m1 / rep.m2, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0])
+def test_discrepancy_rejects_nonpositive_beta(sphere_quad, beta):
+    with pytest.raises(ValueError):
+        discrepancy(config_of(NORTH, SOUTH), beta, sphere_quad)
+
+
+def test_discrepancy_of_empty_configuration_is_zero(sphere_quad):
+    rep = discrepancy(SphereConfiguration(points=np.zeros((0, 3))), 1.0, sphere_quad)
+    assert (rep.m1, rep.m2, rep.rho, rep.error_estimate) == (1.0, 1.0, 0.0, 0.0)
