@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -99,8 +100,22 @@ def _provenance(command: str, parameters: dict, seed=None, threads=None) -> dict
     return block
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: inf and nan are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ArithmeticError(f"report holds a non-finite value: {exc}") from exc
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -172,6 +187,8 @@ def _cmd_curve(ns) -> int:
         raise CliError(f"--betas must be a comma-separated float list: {exc}")
     if not betas:
         raise CliError("--betas is empty")
+    if not all(math.isfinite(b) for b in betas):
+        raise CliError("--betas must be finite")
     rows = density_curve(betas, ns.grid)
     emit_curve(rows, ns.out)
     return 0
@@ -341,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("planar", help="triangular-lattice profile density")
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_planar)
@@ -354,9 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaf", help="Gaussian analytic function Monte Carlo")
     p.add_argument("--mode", choices=("planar", "hyperbolic"), required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--R", type=float, default=None, help="planar radius")
-    p.add_argument("--r", type=float, default=None, help="hyperbolic radius")
+    p.add_argument("--b", type=_finite_float, required=True)
+    p.add_argument("--R", type=_finite_float, default=None, help="planar radius")
+    p.add_argument("--r", type=_finite_float, default=None, help="hyperbolic radius")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=None)
@@ -365,11 +382,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sphere", help="monopole configuration discrepancy")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--flow", action="store_true")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=_finite_float, default=None)
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_sphere)
@@ -378,9 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--coeffs", required=True, help="JSON array: numbers or [re, im] pairs"
     )
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--r", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_finite_float, default=None)
+    p.add_argument("--beta", type=_finite_float, default=None)
     p.add_argument("--tight", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_hyperbolic)
@@ -389,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--coeffs", required=True, help="JSON array: numbers or [re, im] pairs"
     )
-    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--omega", type=_finite_float, required=True)
     p.add_argument("--solve", action="store_true")
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import RngStream, gauss_legendre, map_indexed, sample_complex_gaussians
+from .numerics import RngStream, _polar_values, gauss_legendre, map_indexed, sample_complex_gaussians
 from .planar import TruncationError
 
 DEGREE_CAP = 4096
@@ -61,7 +61,7 @@ class DiskFunction:
         return np.asarray(self.coeffs, dtype=complex)
 
     def values(self, z) -> np.ndarray:
-        """Evaluate the series at z (any array shape) by Horner's scheme."""
+        """Evaluate the series at z (any array shape); polar grids use _abs_on_circles."""
         return npoly.polyval(np.asarray(z, dtype=complex), self.array())
 
     def derivative(self) -> "DiskFunction":
@@ -71,6 +71,12 @@ class DiskFunction:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+
+def _abs_on_circles(f: DiskFunction, radii, n_angular: int) -> np.ndarray:
+    """|f| at n_angular uniform angles on each circle |z| = radii[i]."""
+    c = f.array()
+    return np.abs(_polar_values(c, np.zeros(c.size), radii, n_angular))
 
 
 def weighted_square_mass(f: DiskFunction, radius: float) -> float:
@@ -101,23 +107,23 @@ class DiskQuadrature:
     the 1/(1-u) weight, so a Gauss-Legendre rule in t integrates smooth
     radial profiles accurately even as radius -> 1 where the hyperbolic
     measure concentrates.  The weights sum to log(1/(1-radius^2)) exactly
-    up to rounding.  Angular nodes are uniform, equal-weight.
+    up to rounding.  Angular nodes are n_angular uniform, equal-weight angles
+    2 pi k / n_angular by construction, so polynomials on the grid are one FFT.
     """
 
     radius: float
     u_nodes: np.ndarray
     hyperbolic_weights: np.ndarray
-    angles: np.ndarray
+    n_angular: int
 
     def __post_init__(self):
         if not (0.0 < self.radius < 1.0):
             raise ValueError(f"radius must lie in (0, 1), got {self.radius}")
         u = np.asarray(self.u_nodes, dtype=float)
         w = np.asarray(self.hyperbolic_weights, dtype=float)
-        a = np.asarray(self.angles, dtype=float)
         if u.ndim != 1 or w.shape != u.shape:
             raise ValueError("radial nodes and weights must be 1-D of equal length")
-        if u.size < 4 or a.size < 4:
+        if u.size < 4 or self.n_angular < 4:
             raise ValueError("need at least 4 radial and 4 angular nodes")
         if np.any(w <= 0.0):
             raise ValueError("hyperbolic weights must be positive")
@@ -128,15 +134,14 @@ class DiskQuadrature:
             raise ValueError("weights do not reproduce the measure of the disk")
         object.__setattr__(self, "u_nodes", u)
         object.__setattr__(self, "hyperbolic_weights", w)
-        object.__setattr__(self, "angles", a)
 
     @property
     def n_radial(self) -> int:
         return self.u_nodes.size
 
     @property
-    def n_angular(self) -> int:
-        return self.angles.size
+    def angles(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
 
     @property
     def normalization(self) -> float:
@@ -185,12 +190,11 @@ def make_disk_quadrature(
     total = -math.log1p(-radius * radius)
     rule = gauss_legendre(n_radial, 0.0, total)
     u = -np.expm1(-rule.nodes)
-    angles = 2.0 * np.pi * np.arange(n_angular) / n_angular
     return DiskQuadrature(
         radius=radius,
         u_nodes=u,
         hyperbolic_weights=rule.weights.copy(),
-        angles=angles,
+        n_angular=n_angular,
     )
 
 
@@ -235,7 +239,7 @@ def hyperbolic_discrepancy(
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
     quad = _quadrature_for(r, quad)
-    modulus = np.abs(f.values(quad.grid()))
+    modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
     weight = (1.0 - quad.u_nodes)[:, None] ** alpha
     mismatch = (weight * modulus**beta - 1.0) ** 2
     return quad.integrate_hyperbolic(mismatch) / quad.normalization
@@ -259,7 +263,7 @@ def tight_discrepancy(
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
     quad = _quadrature_for(r, quad)
-    modulus = np.abs(f.values(quad.grid()))
+    modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
     inner_weight = (1.0 - quad.u_nodes)[:, None]
     inner = quad.integrate_hyperbolic((inner_weight * modulus - 1.0) ** 2)
 
@@ -269,12 +273,8 @@ def tight_discrepancy(
     t_hi = -math.log(_ANNULUS_EDGE)
     rule = gauss_legendre(quad.n_radial, t_lo, t_hi)
     u = -np.expm1(-rule.nodes)
-    ring = np.sqrt(u)[:, None] * np.exp(1j * quad.angles)[None, :]
-    ring_sq = np.abs(f.values(ring)) ** 2
-    one_minus_u = (1.0 - u)[:, None]
-    annulus = float(
-        (rule.weights * (1.0 - u)) @ (one_minus_u * ring_sq).mean(axis=1)
-    )
+    ring_sq = _abs_on_circles(f, np.sqrt(u), quad.n_angular) ** 2
+    annulus = float((rule.weights * (1.0 - u) ** 2) @ ring_sq.mean(axis=1))
 
     peak_sq = float(np.sum(np.abs(f.array()))) ** 2
     tail_bound = peak_sq * _ANNULUS_EDGE**2 / 2.0
@@ -365,14 +365,14 @@ def hyperbolic_gaf_mc(
             f"truncation_N={truncation_N} leaves tail variance {tail:.2e} >= 1e-6"
         )
     quad = make_disk_quadrature(r, n_radial=n_radial, n_angular=n_angular)
-    grid = quad.grid()
+    radii = np.sqrt(quad.u_nodes)
     weight = (1.0 - quad.u_nodes)[:, None]
-    scale = np.sqrt(np.arange(1, truncation_N + 2, dtype=float))
+    log_scales = 0.5 * np.log(np.arange(1, truncation_N + 2, dtype=float))
     norm = quad.normalization
 
     def one_trial(i: int) -> float:
         eta = sample_complex_gaussians(rng.substream(i), truncation_N + 1)
-        modulus = np.abs(npoly.polyval(grid, eta * scale))
+        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular))
         mismatch = (b * weight * modulus - 1.0) ** 2
         return quad.integrate_hyperbolic(mismatch) / norm
 
@@ -400,11 +400,8 @@ def halfdisk_identity_check(
     if f.is_zero():
         raise ValueError("candidate must be nonzero")
     mass = weighted_square_mass(f, 0.5)
-    scaled = DiskFunction(
-        coeffs=tuple(c / math.sqrt(mass) for c in f.coeffs)
-    )
     quad = _quadrature_for(0.5, quad)
-    modulus = np.abs(scaled.values(quad.grid()))
+    modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular) / math.sqrt(mass)
     b_f = quad.integrate_area(modulus)
     weight = (1.0 - quad.u_nodes)[:, None]
     lhs = quad.integrate_hyperbolic((b_f * weight * modulus - 1.0) ** 2)
@@ -532,9 +529,8 @@ def inequality_suite(
     # Dilational estimate: quadrature for the area integral of |f(r w)| over
     # the unit disk (plain Gauss-Legendre in u = |w|^2; no hyperbolic weight).
     rule = gauss_legendre(512, 0.0, 1.0)
-    angles = 2.0 * np.pi * np.arange(256) / 256
-    w_grid = np.sqrt(rule.nodes)[:, None] * np.exp(1j * angles)[None, :]
-    dilate_norm = float(rule.weights @ np.abs(f.values(r * w_grid)).mean(axis=1))
+    dilate_abs = _abs_on_circles(f, r * np.sqrt(rule.nodes), 256)
+    dilate_norm = float(rule.weights @ dilate_abs.mean(axis=1))
     full_mass = weighted_square_mass(f, 1.0)
     dil_bound = (
         math.sqrt(-math.log1p(-r * r)) / (r * r) * math.sqrt(full_mass)
@@ -575,7 +571,7 @@ class ProofConstantsReport:
     case_iia: the no-zero-near-center branch integral over D(0,1/5);
     case_iiba: the descent-path-reaches-the-rim branch at width 1/2214;
     case_iibb: the descent-path-hits-a-zero branch;
-    rho1: the local constant the three cases support;
+    rho1: the local constant the three cases support (at most each case value);
     rho2: the off-center generalization 4/9 * rho1;
     final_bound: rho2 / log(4/3), the global density lower bound.
     """
@@ -593,6 +589,8 @@ class ProofConstantsReport:
             self.case_iia.passed
             and self.case_iiba.passed
             and self.case_iibb.passed
+            and self.rho1
+            <= min(self.case_iia.value, self.case_iiba.value, self.case_iibb.value)
             and self.final_bound.passed
         )
 

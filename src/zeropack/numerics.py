@@ -67,6 +67,21 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     return QuadratureRule1D(nodes=a + half * (x + 1.0), weights=half * w)
 
 
+def _polar_values(coeffs, log_scales, radii, n_angular: int) -> np.ndarray:
+    """F = sum_j coeffs[j] e^{log_scales[j]} z^j at z = radii[i] e^{2 pi i k/n}, shape (radii, n).
+
+    Terms coeffs[j] exp(log_scales[j] + j log r) are formed in log space (radii > 0), so no
+    scale underflows alone; z^j depends on j mod n on the circle, so they fold mod n into t
+    and F(r e^{2 pi i k/n}) = n ifft(t)[k].
+    """
+    log_r = np.log(radii)[:, None]
+    folded = np.zeros((log_r.shape[0], n_angular), dtype=complex)
+    for start in range(0, len(coeffs), n_angular):
+        j = np.arange(start, min(start + n_angular, len(coeffs)))
+        folded[:, : j.size] += coeffs[j] * np.exp(log_scales[j] + j * log_r)
+    return n_angular * np.fft.ifft(folded, axis=1)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream addressed by (seed, stream_index).

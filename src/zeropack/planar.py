@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, gauss_legendre, map_indexed
+from .numerics import RngStream, _polar_values, gauss_legendre, map_indexed, sample_complex_gaussians
 from .reports import DiscrepancyReport, make_report
 from .weierstrass import WeierstrassContext, log_abs_sigma, make_context
 
@@ -189,10 +189,14 @@ def planar_gaf_mc(
     Each trial draws coefficients for F(z) = sum xi_j 2^{j/2} z^j / sqrt(j!)
     on its own substream of `rng` and integrates
     (b |F| e^{-|z|^2} - 1)^2 / R^2 over D(0, R) by a polar product rule.
+    F is summed on the grid by the polar FFT kernel with the scales 2^{j/2} / sqrt(j!)
+    in log space, so no term underflows (in plain double every scale from j = 356 on is 0).
     Trial results are indexed, so the estimate is thread-count independent.
     """
     if not (0 < R):
         raise ValueError(f"R must be positive, got {R}")
+    if not (b > 0.0):
+        raise ValueError(f"b must be positive, got {b}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     tail = planar_gaf_tail(R, truncation_N)
@@ -201,21 +205,15 @@ def planar_gaf_mc(
             f"truncation_N = {truncation_N} leaves tail bound {tail:.3e} >= 1e-8 at R = {R}"
         )
     rule = gauss_legendre(n_radial, 0.0, R)
-    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    znodes = rule.nodes[:, None] * np.exp(1j * theta)[None, :]
     envelope = np.exp(-rule.nodes[:, None] ** 2)
     radial_w = rule.weights * rule.nodes
-    # deterministic coefficient scales 2^{j/2} / sqrt(j!)
+    # log of the deterministic coefficient scales 2^{j/2} / sqrt(j!)
     j = np.arange(truncation_N + 1)
-    scale = np.exp(0.5 * (j * math.log(2.0) - [math.lgamma(k + 1.0) for k in j]))
+    log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
 
     def one_trial(i: int) -> float:
-        g = rng.substream(i).generator()
-        parts = g.normal(scale=math.sqrt(0.5), size=(2, truncation_N + 1))
-        coeffs = (parts[0] + 1j * parts[1]) * scale
-        F = np.zeros_like(znodes)
-        for c in coeffs[::-1]:
-            F = F * znodes + c
+        eta = sample_complex_gaussians(rng.substream(i), truncation_N + 1)
+        F = _polar_values(eta, log_scales, rule.nodes, n_angular)
         integrand = (b * np.abs(F) * envelope - 1.0) ** 2
         return float(2.0 / (R * R * n_angular) * np.dot(radial_w, integrand.sum(axis=1)))
 

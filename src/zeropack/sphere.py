@@ -220,6 +220,8 @@ def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
 
 def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> float:
     """max_j || E^beta[g_j] - E^{2 beta}[g_j] ||; zero exactly at equilibria."""
+    if not (beta > 0.0):
+        raise ValueError(f"beta must be positive, got {beta}")
     if config.n < 1:
         raise ValueError("configuration must have at least one point")
     (_, g1), (_, g2) = _moments(config, (beta, 2.0 * beta), quad)

@@ -100,6 +100,15 @@ class TestPlanarCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
+    def test_nonfinite_beta_is_a_usage_error(self, capsys, beta):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["planar", f"--beta={beta}", "--grid", "32"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--beta: invalid finite float value" in captured.err
+
 
 class TestCurveCommand:
     def test_csv_rows_match_library_values(self, capsys, tmp_path):
@@ -131,7 +140,7 @@ class TestCurveCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("betas", ["", ",", "1,,2x"])
+    @pytest.mark.parametrize("betas", ["", ",", "1,,2x", "1,inf", "nan"])
     def test_malformed_beta_list_exits_2(self, capsys, tmp_path, betas):
         code, _, err = run_cli(
             capsys,
@@ -206,6 +215,26 @@ class TestGafCommand:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_planar_nonpositive_amplitude_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["gaf", "--mode", "planar", "--b", "-1", "--R", "2", "--trials", "4", "--seed", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("b", ["nan", "inf"])
+    def test_nonfinite_amplitude_is_a_usage_error(self, capsys, b):
+        with pytest.raises(SystemExit) as info:
+            cli.main(
+                ["gaf", "--mode", "planar", "--b", b, "--R", "2", "--trials", "4", "--seed", "1"]
+            )
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--b: invalid finite float value" in captured.err
 
     def test_planar_without_admissible_truncation_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -287,6 +316,14 @@ class TestHyperbolicCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_nonfinite_value_is_a_numeric_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["hyperbolic", "--coeffs", "[1e300]", "--r", "0.5"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:")
 
     @pytest.mark.parametrize("coeffs", ["not json", "[]", "42", '["a"]', '[[1]]'])
     def test_malformed_coeffs_exit_2(self, capsys, coeffs):

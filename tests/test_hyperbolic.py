@@ -3,6 +3,7 @@ the explicit lower-bound constants, and the tessellation arithmetic."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -113,6 +114,15 @@ class TestDiskQuadrature:
             make_disk_quadrature(1.0)
         with pytest.raises(ValueError):
             make_disk_quadrature(0.5, n_radial=2)
+        with pytest.raises(ValueError):
+            make_disk_quadrature(0.5, n_angular=2)
+
+    def test_angles_are_uniform_by_construction(self):
+        q = make_disk_quadrature(0.7, n_radial=8, n_angular=12)
+        assert "angles" not in {f.name for f in dataclasses.fields(q)}
+        assert q.n_angular == 12
+        np.testing.assert_array_equal(q.angles, 2.0 * np.pi * np.arange(12) / 12)
+        assert q.grid().shape == (8, 12)
 
     def test_quadrature_radius_must_match_request(self, disk_quad_half):
         with pytest.raises(ValueError):
@@ -332,6 +342,13 @@ class TestProofConstants:
             rep.rho2 / math.log(4.0 / 3.0), rel=1e-15
         )
         assert rep.all_pass
+
+    def test_rho1_above_a_case_value_fails(self):
+        rep = proof_constants_report()
+        assert rep.rho1 <= rep.case_iiba.value
+        too_big = dataclasses.replace(rep, rho1=1.1 * rep.case_iiba.value)
+        assert not too_big.all_pass
+        assert sorted(too_big.to_json_dict()) == sorted(rep.to_json_dict())
 
     def test_json_layout_is_exactly_six_fields(self):
         payload = proof_constants_report().to_json_dict()

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from zeropack.hyperbolic import make_disk_quadrature
 from zeropack.numerics import (
     QuadratureRule1D,
     RngStream,
+    _polar_values,
     gamma_real,
     gauss_legendre,
     map_indexed,
@@ -134,3 +136,24 @@ class TestMapIndexed:
         assert map_indexed(lambda i: i, 0) == []
         with pytest.raises(ValueError):
             map_indexed(lambda i: i, -1)
+
+
+class TestPolarValues:
+    @pytest.mark.parametrize("degree", [3, 63, 200])  # 63: one block; 200: folded mod 64
+    def test_matches_polyval_on_disk_grid(self, degree):
+        quad = make_disk_quadrature(0.9, 256, 64)
+        parts = RngStream(seed=degree).generator().normal(size=(2, degree + 1))
+        coeffs = parts[0] + 1j * parts[1]
+        want = np.polynomial.polynomial.polyval(quad.grid(), coeffs)
+        got = _polar_values(coeffs, np.zeros(degree + 1), np.sqrt(quad.u_nodes), 64)
+        assert got.shape == (256, 64)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_log_scales_multiply_the_coefficients(self):
+        coeffs = np.array([1.0, 2.0 - 1.0j, 0.5j, -3.0, 1.5, 0.25 + 0.25j])
+        log_scales = np.array([0.0, -1.0, 2.0, 0.5, -0.3, 1.1])
+        radii = np.array([0.2, 0.7, 1.3])
+        got = _polar_values(coeffs, log_scales, radii, 4)  # degree 5 folds mod 4
+        z = radii[:, None] * np.exp(0.5j * np.pi * np.arange(4))[None, :]
+        want = np.polynomial.polynomial.polyval(z, coeffs * np.exp(log_scales))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeropack.numerics import RngStream
+from zeropack.numerics import RngStream, _polar_values, sample_complex_gaussians
 from zeropack.planar import (
     TruncationError,
     _log_profile_mean,
@@ -163,8 +164,64 @@ class TestPlanarGaf:
     def test_mc_validation(self):
         with pytest.raises(ValueError):
             planar_gaf_mc(2.0, 1.0, 40, 1, RngStream(seed=1))
+        for b in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                planar_gaf_mc(2.0, b, 40, 4, RngStream(seed=1))
         with pytest.raises(TruncationError):
             planar_gaf_mc(4.0, 1.0, 5, 4, RngStream(seed=1))
+
+
+def _mp_planar_gaf(eta, z):
+    """F(z) = sum eta_j 2^{j/2} z^j / sqrt(j!) summed in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        term = mpmath.mpf(1)  # 2^{j/2} z^j / sqrt(j!)
+        total = mpmath.mpc(0)
+        for j, e in enumerate(eta):
+            total += mpmath.mpc(e.real, e.imag) * term
+            term *= mpmath.sqrt(mpmath.mpf(2) / (j + 1)) * z
+        return complex(total)
+
+
+class TestPlanarGafLargeRadius:
+    """At R = 12 (N = 388) the scales 2^{j/2}/sqrt(j!) underflow in double from
+    j = 356 on, while their products with |z|^j still matter near |z| = R."""
+
+    R = 12.0
+
+    def test_grid_values_match_mpmath(self):
+        N = planar_gaf_truncation(self.R)
+        eta = sample_complex_gaussians(RngStream(seed=3).substream(0), N + 1)
+        j = np.arange(N + 1)
+        log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
+        radii = np.array([0.5, 6.0, 11.5, 11.97])
+        F = _polar_values(eta, log_scales, radii, 256)
+        for i, k in [(0, 3), (1, 100), (2, 12), (3, 0), (3, 201)]:
+            z = radii[i] * complex(math.cos(2 * math.pi * k / 256), math.sin(2 * math.pi * k / 256))
+            want = _mp_planar_gaf(eta, z)
+            assert abs(F[i, k] - want) * math.exp(-radii[i] ** 2) <= 1e-12
+
+    def test_trials_match_mpmath_quadrature(self):
+        R, b, n_radial, n_angular = self.R, 0.9, 4, 8
+        N = planar_gaf_truncation(R)
+        rng = RngStream(seed=17)
+        mean, stderr = planar_gaf_mc(R, b, N, 2, rng, n_radial=n_radial, n_angular=n_angular)
+        x, w = np.polynomial.legendre.leggauss(n_radial)
+        nodes, weights = 0.5 * R * (x + 1.0), 0.5 * R * w
+        trials = []
+        for i in range(2):
+            eta = sample_complex_gaussians(rng.substream(i), N + 1)
+            total = 0.0
+            for r, wr in zip(nodes, weights):
+                ring = sum(
+                    (b * abs(_mp_planar_gaf(eta, r * np.exp(2j * math.pi * k / n_angular)))
+                     * math.exp(-r * r) - 1.0) ** 2
+                    for k in range(n_angular)
+                )
+                total += wr * r * ring
+            trials.append(2.0 * total / (R * R * n_angular))
+        assert mean == pytest.approx(0.5 * (trials[0] + trials[1]), abs=1e-12)
+        assert stderr == pytest.approx(0.5 * abs(trials[0] - trials[1]), abs=1e-12)
 
 
 class TestTorusMonopole:

@@ -179,6 +179,12 @@ class TestEquilibriumResidual:
         with pytest.raises(ValueError):
             equilibrium_residual(empty, 1.0, sphere_quad)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_rejects_nonpositive_beta(self, beta):
+        config = random_configuration(3, RngStream(seed=1))
+        with pytest.raises(ValueError):
+            equilibrium_residual(config, beta, SphereQuadrature(16, 32))
+
 
 def test_moment_gradient_matches_finite_differences(world_quad):
     # In the world frame the reported moment gap is exactly the tangential
