@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -119,8 +118,8 @@ class DiskQuadrature:
     def __post_init__(self):
         if not (0.0 < self.radius < 1.0):
             raise ValueError(f"radius must lie in (0, 1), got {self.radius}")
-        u = np.asarray(self.u_nodes, dtype=float)
-        w = np.asarray(self.hyperbolic_weights, dtype=float)
+        u = np.array(self.u_nodes, dtype=float)
+        w = np.array(self.hyperbolic_weights, dtype=float)
         if u.ndim != 1 or w.shape != u.shape:
             raise ValueError("radial nodes and weights must be 1-D of equal length")
         if u.size < 4 or self.n_angular < 4:
@@ -132,6 +131,8 @@ class DiskQuadrature:
         total = -math.log1p(-self.radius**2)
         if abs(float(w.sum()) - total) > 1e-10 * total:
             raise ValueError("weights do not reproduce the measure of the disk")
+        u.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "u_nodes", u)
         object.__setattr__(self, "hyperbolic_weights", w)
 
@@ -191,21 +192,13 @@ def make_disk_quadrature(
     rule = gauss_legendre(n_radial, 0.0, total)
     u = -np.expm1(-rule.nodes)
     return DiskQuadrature(
-        radius=radius,
-        u_nodes=u,
-        hyperbolic_weights=rule.weights.copy(),
-        n_angular=n_angular,
+        radius=radius, u_nodes=u, hyperbolic_weights=rule.weights, n_angular=n_angular
     )
-
-
-@lru_cache(maxsize=8)
-def _default_quadrature(radius: float) -> DiskQuadrature:
-    return make_disk_quadrature(radius)
 
 
 def _quadrature_for(radius: float, quad: DiskQuadrature | None) -> DiskQuadrature:
     if quad is None:
-        return _default_quadrature(radius)
+        return make_disk_quadrature(radius)
     if abs(quad.radius - radius) > 1e-12:
         raise ValueError(
             f"quadrature radius {quad.radius} does not match requested {radius}"
@@ -216,6 +209,12 @@ def _quadrature_for(radius: float, quad: DiskQuadrature | None) -> DiskQuadratur
 # ---------------------------------------------------------------------------
 # Discrepancy evaluation
 # ---------------------------------------------------------------------------
+
+def _finite_or_overflow(value: float) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"candidate overflows double precision on the quadrature grid ({value})")
+    return value
+
 
 def hyperbolic_discrepancy(
     f: DiskFunction,
@@ -239,10 +238,12 @@ def hyperbolic_discrepancy(
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
     quad = _quadrature_for(r, quad)
-    modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
-    weight = (1.0 - quad.u_nodes)[:, None] ** alpha
-    mismatch = (weight * modulus**beta - 1.0) ** 2
-    return quad.integrate_hyperbolic(mismatch) / quad.normalization
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
+        weight = (1.0 - quad.u_nodes)[:, None] ** alpha
+        mismatch = (weight * modulus**beta - 1.0) ** 2
+        value = quad.integrate_hyperbolic(mismatch) / quad.normalization
+    return _finite_or_overflow(value)
 
 
 def tight_discrepancy(
@@ -263,18 +264,17 @@ def tight_discrepancy(
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
     quad = _quadrature_for(r, quad)
-    modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
-    inner_weight = (1.0 - quad.u_nodes)[:, None]
-    inner = quad.integrate_hyperbolic((inner_weight * modulus - 1.0) ** 2)
-
     # Annulus piece: integrate (1-u)|f|^2 dA over r^2 <= u <= 1 - edge with
     # the same t = -log(1-u) substitution (dA = e^{-t} dt x uniform angle).
-    t_lo = -math.log1p(-r * r)
-    t_hi = -math.log(_ANNULUS_EDGE)
-    rule = gauss_legendre(quad.n_radial, t_lo, t_hi)
+    rule = gauss_legendre(quad.n_radial, -math.log1p(-r * r), -math.log(_ANNULUS_EDGE))
     u = -np.expm1(-rule.nodes)
-    ring_sq = _abs_on_circles(f, np.sqrt(u), quad.n_angular) ** 2
-    annulus = float((rule.weights * (1.0 - u) ** 2) @ ring_sq.mean(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
+        inner_weight = (1.0 - quad.u_nodes)[:, None]
+        inner = quad.integrate_hyperbolic((inner_weight * modulus - 1.0) ** 2)
+        ring_sq = _abs_on_circles(f, np.sqrt(u), quad.n_angular) ** 2
+        annulus = float((rule.weights * (1.0 - u) ** 2) @ ring_sq.mean(axis=1))
+    value = _finite_or_overflow((inner + annulus) / quad.normalization)
 
     peak_sq = float(np.sum(np.abs(f.array()))) ** 2
     tail_bound = peak_sq * _ANNULUS_EDGE**2 / 2.0
@@ -282,7 +282,7 @@ def tight_discrepancy(
         raise TruncationError(
             f"annulus tail bound {tail_bound:.2e} is not negligible"
         )
-    return (inner + annulus) / quad.normalization
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -39,30 +40,38 @@ class QuadratureRule1D:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
         if not np.all(weights > 0.0):
             raise ValueError("quadrature weights must all be positive")
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+
+@lru_cache(maxsize=8)
+def _legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n) on [-1, 1], built once per node count and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     """Gauss-Legendre rule with n nodes on [a, b].
 
     Exact for polynomials of degree <= 2n-1.  Nodes/weights come from
-    numpy's Golub-Welsch implementation on [-1, 1], mapped affinely.
+    numpy's Golub-Welsch implementation on [-1, 1], cached per n, mapped affinely.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if not (a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_unit(n)
     half = 0.5 * (b - a)
     return QuadratureRule1D(nodes=a + half * (x + 1.0), weights=half * w)
 
@@ -72,14 +81,15 @@ def _polar_values(coeffs, log_scales, radii, n_angular: int) -> np.ndarray:
 
     Terms coeffs[j] exp(log_scales[j] + j log r) are formed in log space (radii > 0), so no
     scale underflows alone; z^j depends on j mod n on the circle, so they fold mod n into t
-    and F(r e^{2 pi i k/n}) = n ifft(t)[k].
+    and F(r e^{2 pi i k/n}) = n ifft(t)[k].  t holds min(n, len(coeffs)) columns and the FFT
+    zero-pads it, so below degree n the result is the only (radii, n) array allocated.
     """
     log_r = np.log(radii)[:, None]
-    folded = np.zeros((log_r.shape[0], n_angular), dtype=complex)
+    folded = np.zeros((log_r.shape[0], min(n_angular, len(coeffs))), dtype=complex)
     for start in range(0, len(coeffs), n_angular):
         j = np.arange(start, min(start + n_angular, len(coeffs)))
         folded[:, : j.size] += coeffs[j] * np.exp(log_scales[j] + j * log_r)
-    return n_angular * np.fft.ifft(folded, axis=1)
+    return np.fft.ifft(folded, n=n_angular, axis=1) * n_angular
 
 
 @dataclass(frozen=True)

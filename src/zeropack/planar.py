@@ -213,8 +213,8 @@ def planar_gaf_mc(
 
     def one_trial(i: int) -> float:
         eta = sample_complex_gaussians(rng.substream(i), truncation_N + 1)
-        F = _polar_values(eta, log_scales, rule.nodes, n_angular)
-        integrand = (b * np.abs(F) * envelope - 1.0) ** 2
+        modulus = np.abs(_polar_values(eta, log_scales, rule.nodes, n_angular))
+        integrand = (b * modulus * envelope - 1.0) ** 2
         return float(2.0 / (R * R * n_angular) * np.dot(radial_w, integrand.sum(axis=1)))
 
     vals = np.array(map_indexed(one_trial, trials, threads))

@@ -24,7 +24,7 @@ objective (used by the finite-difference check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,8 +103,8 @@ class SphereQuadrature:
     n_azimuthal: int = 512
     frame: str = "anchored"
 
-    nodes: np.ndarray = None
-    weights: np.ndarray = None
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_polar < 2 or self.n_azimuthal < 2:

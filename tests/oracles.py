@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
@@ -70,6 +71,26 @@ def sigma_product(
     ratio = (z / half) ** 2
     logs = np.log(1.0 - ratio) + ratio
     return z * complex(np.exp(np.sum(logs)))
+
+
+def log_abs_sigma_jtheta(omega1: complex, omega2: complex, z: complex, dps: int = 30) -> float:
+    """log|sigma(z)| from mpmath's Jacobi theta functions at `dps` digits.
+
+    log|2 w1 / (pi theta1_1)| + Re(eta1 z^2 / (2 w1)) + log|theta1(pi z / (2 w1), q)|
+    with q = exp(i pi w2 / w1), theta1_k the k-th derivative of theta1 at 0 and
+    eta1 = -pi^2 theta1_3 / (12 w1 theta1_1), evaluated at z itself: no cell
+    reduction and no series of our own.
+    """
+    with mp.workdps(dps):
+        w1, w2, z = mp.mpc(omega1), mp.mpc(omega2), mp.mpc(z)
+        q = mp.exp(1j * mp.pi * w2 / w1)
+        theta1_1 = mp.jtheta(1, 0, q, 1)
+        eta1 = -mp.pi**2 * mp.jtheta(1, 0, q, 3) / (12 * w1 * theta1_1)
+        return float(
+            mp.log(abs(2 * w1 / (mp.pi * theta1_1)))
+            + mp.re(eta1 * z * z / (2 * w1))
+            + mp.log(abs(mp.jtheta(1, mp.pi * z / (2 * w1), q)))
+        )
 
 
 # ---------------------------------------------------------------------------

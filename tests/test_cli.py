@@ -325,6 +325,19 @@ class TestHyperbolicCommand:
         assert out == ""
         assert err.startswith("numeric failure:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "coeffs, flags", [("[1e300]", []), ("[1e200]", ["--tight"])], ids=["plain", "tight"]
+    )
+    def test_overflow_fails_without_a_warning(self, capsys, coeffs, flags):
+        code, out, err = run_cli(
+            capsys, ["hyperbolic", "--coeffs", coeffs, "--r", "0.5", *flags]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:")
+        assert "RuntimeWarning" not in err and "overflow" in err
+
     @pytest.mark.parametrize("coeffs", ["not json", "[]", "42", '["a"]', '[[1]]'])
     def test_malformed_coeffs_exit_2(self, capsys, coeffs):
         code, _, err = run_cli(

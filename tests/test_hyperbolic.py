@@ -201,6 +201,15 @@ class TestTightDiscrepancy:
             tight_discrepancy(disk(1.0), 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_candidate_is_an_arithmetic_error():
+    quad = make_disk_quadrature(0.5, 64, 16)
+    with pytest.raises(ArithmeticError, match="overflow"):
+        hyperbolic_discrepancy(disk(1e300), 0.5, quad=quad)
+    with pytest.raises(ArithmeticError, match="overflow"):
+        tight_discrepancy(disk(1e200), 0.5, quad=quad)
+
+
 class TestGafClosedForms:
     def test_expected_minimum(self):
         b = math.sqrt(math.pi) / 2.0

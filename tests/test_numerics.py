@@ -7,10 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from zeropack.hyperbolic import make_disk_quadrature
+from zeropack.hyperbolic import (
+    DiskFunction,
+    hyperbolic_discrepancy,
+    make_disk_quadrature,
+    tight_discrepancy,
+)
 from zeropack.numerics import (
     QuadratureRule1D,
     RngStream,
+    _legendre_unit,
     _polar_values,
     gamma_real,
     gauss_legendre,
@@ -43,7 +49,7 @@ class TestGaussLegendre:
         rule = gauss_legendre(n, a, b)
         for k in range(2 * n):
             exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-            got = rule.integrate(rule.nodes**k)
+            got = float(np.sum(rule.weights * rule.nodes**k))
             assert got == pytest.approx(exact, rel=1e-13), f"degree {k}"
 
     def test_weight_sum_is_length(self):
@@ -63,6 +69,56 @@ class TestGaussLegendre:
             QuadratureRule1D(nodes=np.zeros(3), weights=np.ones(4))
         with pytest.raises(ValueError):
             QuadratureRule1D(nodes=np.zeros(3), weights=np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_identical_to_direct_leggauss(self, n):
+        a, b = -0.4, 3.7
+        x, w = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (b - a)
+        _legendre_unit.cache_clear()
+        for _ in range(2):  # cold and cached
+            rule = gauss_legendre(n, a, b)
+            assert np.array_equal(rule.nodes, a + half * (x + 1.0))
+            assert np.array_equal(rule.weights, half * w)
+
+    def test_leggauss_runs_once_per_node_count(self, monkeypatch):
+        calls = []
+        direct = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return direct(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        _legendre_unit.cache_clear()
+        try:
+            f = DiskFunction(coeffs=(1.0, 0.5j, -0.25))
+            for r in (0.3, 0.6, 0.9):
+                hyperbolic_discrepancy(f, r)
+            tight_discrepancy(f, 0.75)
+            gauss_legendre(7, 0.0, 1.0)
+            gauss_legendre(7, -2.0, 5.0)
+        finally:
+            _legendre_unit.cache_clear()
+        assert sorted(calls) == [7, 2048]
+
+    def test_rule_arrays_are_read_only(self):
+        rule = gauss_legendre(8, 0.0, 2.0)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.5
+        q = make_disk_quadrature(0.5, 8, 8)
+        with pytest.raises(ValueError):
+            q.u_nodes[0] = 0.9
+        with pytest.raises(ValueError):
+            q.hyperbolic_weights[0] = 1.0
+
+    def test_construction_leaves_caller_arrays_writable(self):
+        nodes, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        QuadratureRule1D(nodes=nodes, weights=weights)
+        nodes[0] = 0.0
+        weights[0] = 1.0
 
 
 class TestRngStream:

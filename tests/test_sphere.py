@@ -100,6 +100,17 @@ class TestQuadrature:
         half = sphere_quad.half_resolution()
         assert (half.n_polar, half.n_azimuthal) == (128, 256)
 
+    def test_nodes_and_weights_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            SphereQuadrature(8, 16, "world", nodes=1)
+        with pytest.raises(TypeError):
+            SphereQuadrature(8, 16, weights=np.ones(128))
+
+    def test_equal_resolutions_compare_and_hash_equal(self):
+        a, b = SphereQuadrature(8, 16), SphereQuadrature(8, 16)
+        assert a == b and hash(a) == hash(b)
+        assert a != SphereQuadrature(8, 16, "world")
+
 
 class TestPartitionFunction:
     def test_single_point_closed_form(self, sphere_quad):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import sigma_product, zeta_half_period_sum
+from oracles import log_abs_sigma_jtheta, sigma_product, zeta_half_period_sum
 from zeropack.weierstrass import (
     DegenerateLatticeError,
     LatticePoleError,
@@ -92,6 +92,20 @@ class TestSigma:
             reference = sigma_product(ctx.omega1, ctx.omega2, z, radius)
             assert abs(sigma(ctx, z) - reference) <= 1e-8 * abs(reference)
             checked += 1
+
+    def test_log_abs_matches_jtheta_oracle(self, profile, square_ctx):
+        # 40 seeded points in [-4, 4]^2 per lattice, inside and outside the
+        # directly evaluated window, against 30-digit mpmath theta functions.
+        for ctx in (profile.ctx, square_ctx):
+            g = np.random.default_rng(61)
+            zs = g.uniform(-4.0, 4.0, size=40) + 1j * g.uniform(-4.0, 4.0, size=40)
+            s, t = cell_coordinates(ctx, zs)
+            direct = (s >= -1.0) & (s <= 2.0) & (t >= -1.0) & (t <= 2.0)
+            assert direct.any() and not direct.all()
+            got = log_abs_sigma(ctx, zs)
+            for z, value in zip(zs, got):
+                reference = log_abs_sigma_jtheta(ctx.omega1, ctx.omega2, z)
+                assert abs(value - reference) <= 1e-12, z
 
     def test_quasi_periodicity_100_points(self, profile, square_ctx):
         g = np.random.default_rng(7)
