@@ -9,7 +9,9 @@ fixed points, and `verify` for the explicit proof-constant checks.
 Reports are UTF-8 JSON on stdout (or written to --out); `curve` emits CSV.
 Identical invocations produce byte-identical reports: output carries no
 clocks and all randomness flows from the --seed argument.  Exit codes:
-0 success, 2 parameter/validation error, 3 numeric failure.
+0 success, 2 for every ValueError (parameter/validation error), 3 for every
+ArithmeticError (numeric failure, including StepCollapseError and
+DivergenceError).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import sys
 
 from . import __version__
 from .fock import (
-    DivergenceError,
     FockPolynomial,
     cubic_projection,
     fixed_point_solve,
@@ -44,7 +45,6 @@ from .planar import (
 )
 from .sphere import (
     SphereQuadrature,
-    StepCollapseError,
     discrepancy,
     equilibrium_residual,
     gradient_flow,
@@ -54,8 +54,8 @@ from .sphere import (
 _CURVE_HEADER = "beta,rho,m1,m2,b_opt,error_estimate"
 
 
-class CliError(Exception):
-    """Parameter or validation problem; maps to exit code 2."""
+class CliError(ValueError):
+    """Parameter or validation problem; like every ValueError, maps to exit code 2."""
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
@@ -194,40 +194,36 @@ def _cmd_curve(ns) -> int:
     return 0
 
 
+_GAF_MODES = {  # mode -> (extent flag, truncation degree, Monte Carlo)
+    "planar": ("R", planar_gaf_truncation, planar_gaf_mc),
+    "hyperbolic": ("r", hyperbolic_gaf_truncation, hyperbolic_gaf_mc),
+}
+
+
 def _cmd_gaf(ns) -> int:
     threads = resolve_threads(ns.threads)
-    rng = RngStream(seed=ns.seed)
-    if ns.mode == "planar":
-        if ns.R is None:
-            raise CliError("--mode planar requires --R")
-        if ns.r is not None:
-            raise CliError("--mode planar takes --R, not --r")
-        N = planar_gaf_truncation(ns.R, 1e-8)
-        mean, stderr = planar_gaf_mc(
-            ns.R, ns.b, N, ns.trials, rng, threads=threads
-        )
-        extent = {"R": ns.R}
-    else:
-        if ns.r is None:
-            raise CliError("--mode hyperbolic requires --r")
-        if ns.R is not None:
-            raise CliError("--mode hyperbolic takes --r, not --R")
-        N = hyperbolic_gaf_truncation(ns.r, 1e-6)
-        mean, stderr = hyperbolic_gaf_mc(
-            ns.r, ns.b, N, ns.trials, rng, threads=threads
-        )
-        extent = {"r": ns.r}
+    flag, truncation, monte_carlo = _GAF_MODES[ns.mode]
+    other = "r" if flag == "R" else "R"
+    extent = getattr(ns, flag)
+    if extent is None:
+        raise CliError(f"--mode {ns.mode} requires --{flag}")
+    if getattr(ns, other) is not None:
+        raise CliError(f"--mode {ns.mode} takes --{flag}, not --{other}")
+    N = truncation(extent)
+    mean, stderr = monte_carlo(
+        extent, ns.b, N, ns.trials, RngStream(seed=ns.seed), threads=threads
+    )
     payload = {
         "mode": ns.mode,
         "b": ns.b,
-        **extent,
+        flag: extent,
         "trials": ns.trials,
         "truncation_N": N,
         "mean": mean,
         "stderr": stderr,
         "provenance": _provenance(
             "gaf",
-            {"mode": ns.mode, "b": ns.b, **extent, "trials": ns.trials},
+            {"mode": ns.mode, "b": ns.b, flag: extent, "trials": ns.trials},
             seed=ns.seed,
             threads=threads,
         ),
@@ -424,13 +420,10 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.handler(ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StepCollapseError, DivergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -26,7 +26,7 @@ class FockOverflowError(OverflowError):
     """A weighted norm or factorial ratio exceeded double range."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(ArithmeticError):
     """Fixed-point iteration moved persistently away from its best residual."""
 
     def __init__(self, message: str, history: list[float]):

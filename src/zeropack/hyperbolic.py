@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import RngStream, _polar_values, gauss_legendre, map_indexed, sample_complex_gaussians
-from .planar import TruncationError
+from .numerics import RngStream, _gaf_mc, _polar_values, gauss_legendre, sample_complex_gaussians
+from .planar import TruncationError, planar_gaf_expected
 
 DEGREE_CAP = 4096
 
@@ -289,16 +289,7 @@ def tight_discrepancy(
 # Gaussian analytic function on the disk
 # ---------------------------------------------------------------------------
 
-def hyperbolic_gaf_expected(b: float) -> float:
-    """Expected discrepancy b^2 - b sqrt(pi) + 1 of the amplitude-b disk GAF.
-
-    The normalized field (1-|z|^2) G(z) is standard complex Gaussian at every
-    point, so the expectation is radius-independent, minimized at
-    b = sqrt(pi)/2 with value 1 - pi/4.
-    """
-    if not (b > 0.0):
-        raise ValueError(f"b must be positive, got {b}")
-    return b * b - b * math.sqrt(math.pi) + 1.0
+hyperbolic_gaf_expected = planar_gaf_expected
 
 
 def hyperbolic_gaf_tail(r: float, N: int) -> float:
@@ -355,31 +346,15 @@ def hyperbolic_gaf_mc(
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    if not (b > 0.0):
-        raise ValueError(f"b must be positive, got {b}")
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
     tail = hyperbolic_gaf_tail(r, truncation_N)
     if not (tail < 1e-6):
         raise TruncationError(
             f"truncation_N={truncation_N} leaves tail variance {tail:.2e} >= 1e-6"
         )
     quad = make_disk_quadrature(r, n_radial=n_radial, n_angular=n_angular)
-    radii = np.sqrt(quad.u_nodes)
-    weight = (1.0 - quad.u_nodes)[:, None]
     log_scales = 0.5 * np.log(np.arange(1, truncation_N + 2, dtype=float))
-    norm = quad.normalization
-
-    def one_trial(i: int) -> float:
-        eta = sample_complex_gaussians(rng.substream(i), truncation_N + 1)
-        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular))
-        mismatch = (b * weight * modulus - 1.0) ** 2
-        return quad.integrate_hyperbolic(mismatch) / norm
-
-    values = np.asarray(map_indexed(one_trial, trials, threads), dtype=float)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr
+    return _gaf_mc(log_scales, np.sqrt(quad.u_nodes), quad.hyperbolic_weights / quad.normalization,
+                   1.0 - quad.u_nodes, b, n_angular, trials, rng, threads)
 
 
 # ---------------------------------------------------------------------------

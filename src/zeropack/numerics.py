@@ -125,9 +125,7 @@ def sample_standard_complex_gaussian(rng: RngStream | np.random.Generator) -> co
     Real and imaginary parts are independent N(0, 1/2), so E|zeta|^2 = 1
     and E|zeta| = sqrt(pi)/2.
     """
-    g = rng.generator() if isinstance(rng, RngStream) else rng
-    x, y = g.normal(scale=math.sqrt(0.5), size=2)
-    return complex(x, y)
+    return complex(sample_complex_gaussians(rng, 1)[0])
 
 
 def sample_complex_gaussians(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
@@ -167,3 +165,28 @@ def map_indexed(fn: Callable[[int], _T], count: int, threads: int = 1) -> list[_
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def _gaf_mc(log_scales, radii, weights, envelope, b: float, n_angular: int, trials: int,
+            rng: RngStream, threads: int) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of a GAF mismatch over a polar product rule.
+
+    Trial i draws eta_j (j < len(log_scales)) from rng.substream(i), sums
+    F = sum eta_j e^{log_scales[j]} z^j on the grid radii x n_angular angles, and returns
+    weights @ mean over angles of (b envelope |F| - 1)^2.  The planar and disk GAFs differ
+    only in their scales, radial rule and envelope.  Trials are indexed, so the estimate is
+    thread-count independent.
+    """
+    if not (b > 0.0):
+        raise ValueError(f"b must be positive, got {b}")
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    scaled_envelope = b * envelope[:, None]
+
+    def one_trial(i: int) -> float:
+        eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
+        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular))
+        return float(weights @ ((scaled_envelope * modulus - 1.0) ** 2).mean(axis=1))
+
+    vals = np.array(map_indexed(one_trial, trials, threads))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))

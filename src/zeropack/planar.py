@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, _polar_values, gauss_legendre, map_indexed, sample_complex_gaussians
+from .numerics import RngStream, _gaf_mc, gauss_legendre
 from .reports import DiscrepancyReport, make_report
 from .weierstrass import WeierstrassContext, log_abs_sigma, make_context
 
@@ -140,7 +140,14 @@ def density_curve(betas, grid_m: int, profile: TriangularProfile | None = None):
 
 
 def planar_gaf_expected(b: float) -> float:
-    """Expected discrepancy of the amplitude-b planar GAF: b^2 - b*sqrt(pi) + 1."""
+    """Expected discrepancy b^2 - b sqrt(pi) + 1 of the amplitude-b GAF, planar or on the disk.
+
+    The normalized fields e^{-|z|^2} F(z) of the planar GAF (covariance e^{2 z conj(w)}) and
+    (1-|z|^2) G(z) of the disk GAF (covariance (1 - z conj(w))^{-2}) are standard complex
+    Gaussian at every point, so E(b|zeta| - 1)^2 = b^2 - b sqrt(pi) + 1 in both geometries,
+    independent of the radius and minimized at b = sqrt(pi)/2 with value 1 - pi/4.
+    hyperbolic.hyperbolic_gaf_expected is this function.
+    """
     if not (b > 0.0):
         raise ValueError(f"b must be positive, got {b}")
     return b * b - b * math.sqrt(math.pi) + 1.0
@@ -195,30 +202,17 @@ def planar_gaf_mc(
     """
     if not (0 < R):
         raise ValueError(f"R must be positive, got {R}")
-    if not (b > 0.0):
-        raise ValueError(f"b must be positive, got {b}")
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
     tail = planar_gaf_tail(R, truncation_N)
     if tail >= 1e-8:
         raise TruncationError(
             f"truncation_N = {truncation_N} leaves tail bound {tail:.3e} >= 1e-8 at R = {R}"
         )
     rule = gauss_legendre(n_radial, 0.0, R)
-    envelope = np.exp(-rule.nodes[:, None] ** 2)
-    radial_w = rule.weights * rule.nodes
-    # log of the deterministic coefficient scales 2^{j/2} / sqrt(j!)
     j = np.arange(truncation_N + 1)
     log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
-
-    def one_trial(i: int) -> float:
-        eta = sample_complex_gaussians(rng.substream(i), truncation_N + 1)
-        modulus = np.abs(_polar_values(eta, log_scales, rule.nodes, n_angular))
-        integrand = (b * modulus * envelope - 1.0) ** 2
-        return float(2.0 / (R * R * n_angular) * np.dot(radial_w, integrand.sum(axis=1)))
-
-    vals = np.array(map_indexed(one_trial, trials, threads))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+    weights = 2.0 * rule.nodes * rule.weights / (R * R)
+    return _gaf_mc(log_scales, rule.nodes, weights, np.exp(-rule.nodes**2), b, n_angular,
+                   trials, rng, threads)
 
 
 def torus_monopole(p: TriangularProfile, z: complex, w: complex, grid_m: int = 256) -> float:

@@ -34,7 +34,7 @@ from .reports import DiscrepancyReport, make_report
 _MIN_PAIR_DIST = 1e-9
 
 
-class StepCollapseError(RuntimeError):
+class StepCollapseError(ArithmeticError):
     """Two flow points merged below the supported pairwise distance."""
 
 
@@ -283,6 +283,8 @@ def gradient_flow(
         raise ValueError(f"beta must be positive, got {beta}")
     if not (step > 0.0):
         raise ValueError(f"step must be positive, got {step}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     quad = quad if quad is not None else SphereQuadrature()
     if isinstance(rng, SphereConfiguration):
         if rng.n != n:

@@ -12,9 +12,10 @@ import subprocess
 import pytest
 
 from zeropack import cli
-from zeropack.fock import FockPolynomial, stationary_residual
+from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
 from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
 from zeropack.planar import planar_gaf_truncation, planar_lattice_density
+from zeropack.sphere import StepCollapseError
 
 
 def run_cli(capsys, argv):
@@ -276,6 +277,15 @@ class TestSphereCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_negative_iteration_cap_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["sphere", "--n", "2", "--beta", "1", "--flow", "--iters", "-1", "--seed", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "max_iters" in err
+
     @pytest.mark.parametrize("flag", [("--step", "2.0"), ("--iters", "50"), ("--tol", "1e-6")])
     def test_flow_flags_require_flow(self, capsys, flag):
         code, _, err = run_cli(
@@ -316,14 +326,6 @@ class TestHyperbolicCommand:
         )
         assert code == 2
         assert err.startswith("error:")
-
-    def test_nonfinite_value_is_a_numeric_failure(self, capsys):
-        code, out, err = run_cli(
-            capsys, ["hyperbolic", "--coeffs", "[1e300]", "--r", "0.5"]
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numeric failure:")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -416,3 +418,31 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify"])
         assert code == 3
         assert json.loads(out)["stub"]["pass"] is False
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "target, error, argv",
+        [
+            (
+                "gradient_flow",
+                StepCollapseError("points merged during flow"),
+                ["sphere", "--n", "2", "--beta", "1", "--flow", "--seed", "1"],
+            ),
+            (
+                "fixed_point_solve",
+                DivergenceError("residual diverged", [1.0, 10.0]),
+                ["fock", "--coeffs", "[0, 1]", "--omega", "0.25", "--solve"],
+            ),
+        ],
+        ids=["step_collapse", "divergence"],
+    )
+    def test_solver_failure_exits_3(self, capsys, monkeypatch, target, error, argv):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, fail)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:")

@@ -265,6 +265,21 @@ class TestGafMonteCarlo:
         )
         assert abs(mean - hyperbolic_gaf_expected(b)) < 4.0 * stderr
 
+    def test_trials_match_direct_polynomial_evaluation(self):
+        r, b = 0.9, 0.8
+        N = hyperbolic_gaf_truncation(r)
+        rng = RngStream(seed=17)
+        mean, stderr = hyperbolic_gaf_mc(r, b, N, 2, rng, n_radial=8, n_angular=16)
+        quad = make_disk_quadrature(r, 8, 16)
+        weight = (1.0 - quad.u_nodes)[:, None]
+        trials = []
+        for i in range(2):
+            modulus = np.abs(sample_hyperbolic_gaf(N, rng.substream(i)).values(quad.grid()))
+            mismatch = (b * weight * modulus - 1.0) ** 2
+            trials.append(quad.integrate_hyperbolic(mismatch) / quad.normalization)
+        assert mean == pytest.approx(0.5 * (trials[0] + trials[1]), abs=1e-12)
+        assert stderr == pytest.approx(0.5 * abs(trials[0] - trials[1]), abs=1e-12)
+
     def test_validation(self):
         with pytest.raises(TruncationError):
             hyperbolic_gaf_mc(0.95, 1.0, 10, 4, RngStream(seed=1))

@@ -310,6 +310,14 @@ class TestGradientFlow:
             gradient_flow(2, -1.0, RngStream(seed=1), quad=sphere_quad)
         with pytest.raises(ValueError):
             gradient_flow(2, 1.0, RngStream(seed=1), step=0.0, quad=sphere_quad)
+        with pytest.raises(ValueError, match="max_iters"):
+            gradient_flow(2, 1.0, RngStream(seed=1), max_iters=-1, quad=sphere_quad)
+
+    def test_zero_iterations_return_the_start(self, sphere_quad):
+        start = config_of(NORTH, SOUTH)
+        final, trace = gradient_flow(2, 1.0, start, max_iters=0, tol=0.0, quad=sphere_quad)
+        assert final is start
+        assert [it for it, _, _ in trace] == [0]
 
 
 def test_discrepancy_error_estimate_reflects_resolution(sphere_quad):
