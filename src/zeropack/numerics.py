@@ -52,10 +52,39 @@ class QuadratureRule1D:
         weights.setflags(write=False)
 
 
+def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for |x| < 1 by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=8)
 def _legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(n) on [-1, 1], built once per node count and shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built once per n, read-only.
+
+    Newton on the recurrence from cos(pi (k - 1/4) / (n + 1/2)) for the ceil(n/2) nodes in
+    [0, 1), weights 2 / ((1 - x^2) P_n'(x)^2), then mirrored: the rule is exactly symmetric and
+    the middle node of an odd rule is exactly 0 (P_n(0) = 0 in floating point too).
+    O(n^2) work and O(n) memory (Glaser-Liu-Rokhlin 2007, Hale-Townsend 2013).
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    if n % 2:
+        x[-1] = 0.0
+    p, dp = _legendre_with_derivative(n, x)
+    for _ in range(100):  # converges in 4-6 steps
+        step = p / dp
+        x = x - step
+        p, dp = _legendre_with_derivative(n, x)
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre Newton iteration did not converge at n = {n}")
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x = np.concatenate([-x[: n // 2], x[::-1]])
+    w = np.concatenate([w[: n // 2], w[::-1]])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -64,8 +93,8 @@ def _legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     """Gauss-Legendre rule with n nodes on [a, b].
 
-    Exact for polynomials of degree <= 2n-1.  Nodes/weights come from
-    numpy's Golub-Welsch implementation on [-1, 1], cached per n, mapped affinely.
+    Exact for polynomials of degree <= 2n-1.  The rule on [-1, 1] is built by Newton
+    iteration on the Legendre recurrence, cached per n, and mapped affinely.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")

@@ -25,7 +25,8 @@ from .numerics import RngStream, _gaf_mc, gauss_legendre
 from .reports import DiscrepancyReport, make_report
 from .weierstrass import WeierstrassContext, log_abs_sigma, make_context
 
-_BLOCK_ROWS = 64  # grid rows per evaluation block, keeps peak memory flat
+_BLOCK_POINTS = 65536  # grid points per evaluation block (64 rows up to grid 1024)
+_MAX_GRID = 8192  # largest accepted grid_m: about a minute of profile evaluations
 
 
 @dataclass(frozen=True)
@@ -73,12 +74,13 @@ def profile_value(p: TriangularProfile, z: complex) -> float:
 
 
 def _rhombus_blocks(p: TriangularProfile, m: int):
-    """The m x m midpoint grid of the rhombus, _BLOCK_ROWS grid rows at a time."""
+    """The m x m midpoint grid of the rhombus, at most 64 rows or ~_BLOCK_POINTS points at a time."""
     p1 = 2.0 * p.ctx.omega1
     p2 = 2.0 * p.ctx.omega2
     s = (np.arange(m) + 0.5) / m
-    for start in range(0, m, _BLOCK_ROWS):
-        t = s[start:start + _BLOCK_ROWS]
+    rows = min(64, max(1, _BLOCK_POINTS // m))
+    for start in range(0, m, rows):
+        t = s[start:start + rows]
         yield p1 * s[None, :] + p2 * t[:, None]
 
 
@@ -112,8 +114,8 @@ def planar_lattice_density(
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    if grid_m < 16:
-        raise ValueError(f"grid_m must be >= 16, got {grid_m}")
+    if not (16 <= grid_m <= _MAX_GRID):
+        raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
     p = profile if profile is not None else _default_profile()
     m1, m2 = _rhombus_means(p, beta, grid_m, profile_fn)
     h1, h2 = _rhombus_means(p, beta, max(grid_m // 2, 8), profile_fn)

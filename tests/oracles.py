@@ -93,6 +93,38 @@ def log_abs_sigma_jtheta(omega1: complex, omega2: complex, z: complex, dps: int 
         )
 
 
+def gauss_legendre_mp(n: int, indices, dps: int = 30) -> list[tuple[mp.mpf, mp.mpf]]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] at `dps` digits.
+
+    Only the requested indices (ascending node order) are computed.  Each node starts from
+    numpy's Golub-Welsch `leggauss` node, so it lands on the right root, and is polished by
+    Newton on the Legendre recurrence in mpmath; the weight is 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    start, _ = np.polynomial.legendre.leggauss(n)
+
+    def legendre(x):
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    out = []
+    with mp.workdps(dps + 10):
+        for i in indices:
+            x = mp.mpf(float(start[i]))
+            for _ in range(20):
+                p, dp = legendre(x)
+                step = p / dp
+                x -= step
+                if abs(step) < mp.mpf(10) ** (-dps - 5):
+                    break
+            else:
+                raise ArithmeticError(f"node {i} of n = {n} did not converge")
+            _, dp = legendre(x)
+            out.append((+x, 2 / ((1 - x * x) * dp * dp)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # 1-D radial oracles (adaptive quadrature, scipy)
 # ---------------------------------------------------------------------------

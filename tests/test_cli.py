@@ -1,16 +1,21 @@
 """End-to-end checks of the command-line front end.
 
-Everything runs in-process through ``cli.main(argv)`` so exit codes and
-stdout/stderr can be asserted directly; one subprocess test confirms the
-installed ``zeropack`` console script is wired to the same entry point.
+Almost everything runs in-process through ``cli.main(argv)`` so exit codes
+and stdout/stderr can be asserted directly.  Subprocess tests confirm that the
+installed ``zeropack`` console script and ``python -m zeropack`` reach the same
+entry point, and that reports do not depend on the BLAS thread count.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zeropack
 from zeropack import cli
 from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
 from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
@@ -22,6 +27,20 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv, **env):
+    """`python -m zeropack argv` in a fresh interpreter that imports this checkout."""
+    src = str(Path(zeropack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "zeropack", *argv],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
 
 
 class TestParserBasics:
@@ -54,6 +73,13 @@ class TestParserBasics:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("zeropack ")
+
+    def test_module_entry_point(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--version"])
+        proc = run_module(["--version"])
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out
 
 
 class TestPlanarCommand:
@@ -100,6 +126,18 @@ class TestPlanarCommand:
         code, _, err = run_cli(capsys, ["planar", "--beta", "-1.0", "--grid", "32"])
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["planar", "curve"])
+    def test_oversized_grid_exits_2_before_allocating(self, capsys, tmp_path, command):
+        argv = {
+            "planar": ["planar", "--beta", "1.0"],
+            "curve": ["curve", "--betas", "1,2", "--out", str(tmp_path / "c.csv")],
+        }[command]
+        code, out, err = run_cli(capsys, [*argv, "--grid", "100000000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "grid_m" in err
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
     def test_nonfinite_beta_is_a_usage_error(self, capsys, beta):
@@ -339,6 +377,13 @@ class TestHyperbolicCommand:
         assert out == ""
         assert err.startswith("numeric failure:")
         assert "RuntimeWarning" not in err and "overflow" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--tight"]], ids=["plain", "tight"])
+    def test_report_is_independent_of_blas_threads(self, flags):
+        argv = ["hyperbolic", "--coeffs", "[1, 0.3]", "--r", "0.9", *flags]
+        runs = [run_module(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
 
     @pytest.mark.parametrize("coeffs", ["not json", "[]", "42", '["a"]', '[[1]]'])
     def test_malformed_coeffs_exit_2(self, capsys, coeffs):

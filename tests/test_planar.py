@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from zeropack.numerics import RngStream, _polar_values, sample_complex_gaussians
 from zeropack.planar import (
+    _MAX_GRID,
     TruncationError,
     _log_profile_mean,
+    _rhombus_blocks,
     density_curve,
     log_profile,
     make_triangular_profile,
@@ -108,6 +110,18 @@ class TestLatticeDensity:
             planar_lattice_density(0.0, 64)
         with pytest.raises(ValueError):
             planar_lattice_density(1.0, 8)
+
+    def test_grid_above_cap_is_rejected_before_any_work(self):
+        calls = []
+        with pytest.raises(ValueError, match="grid_m"):
+            planar_lattice_density(1.0, _MAX_GRID + 1, profile_fn=calls.append)
+        assert calls == []
+
+    @pytest.mark.parametrize("m, rows", [(64, 64), (1024, 64), (2048, 32), (8192, 8), (100000, 1)])
+    def test_blocks_are_sized_by_point_count(self, profile, m, rows):
+        # Up to grid 1024 the blocks keep their 64 rows, so those sums are unchanged.
+        block = next(_rhombus_blocks(profile, m))
+        assert block.shape == (rows, m)
 
 
 class TestDensityCurve:
