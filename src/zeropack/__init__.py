@@ -21,6 +21,7 @@ from .weierstrass import (
     WeierstrassContext,
     cell_coordinates,
     log_abs_sigma,
+    log_abs_sigma_grid,
     make_context,
     quasi_period_residual,
     sigma,

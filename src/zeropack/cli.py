@@ -239,6 +239,7 @@ def _cmd_sphere(ns) -> int:
                 raise CliError(f"{name} requires --flow")
     rng = RngStream(seed=ns.seed)
     quad = SphereQuadrature()
+    quad.check_points(ns.n)
     if ns.flow:
         step = 4.0 if ns.step is None else ns.step
         iters = 500 if ns.iters is None else ns.iters

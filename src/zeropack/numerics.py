@@ -15,6 +15,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 _GAMMA_MAX = 170.0  # gamma overflows double just above 171.6
+_MAX_THREADS = 256  # largest worker count accepted from a flag, the environment or a caller
 
 
 def gamma_real(x: float) -> float:
@@ -165,18 +166,21 @@ def sample_complex_gaussians(rng: RngStream | np.random.Generator, n: int) -> np
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: ZEROPACK_THREADS overrides the flag; default is machine parallelism."""
+    """Worker count: ZEROPACK_THREADS overrides the flag; default is machine parallelism.
+
+    Counts above _MAX_THREADS are rejected, so a typo cannot start a huge thread pool.
+    """
     env = os.environ.get("ZEROPACK_THREADS")
     if env is not None:
         n = int(env)
-        if n < 1:
-            raise ValueError(f"ZEROPACK_THREADS must be >= 1, got {env!r}")
+        if not 1 <= n <= _MAX_THREADS:
+            raise ValueError(f"ZEROPACK_THREADS must be in [1, {_MAX_THREADS}], got {env!r}")
         return n
     if flag is not None:
-        if flag < 1:
-            raise ValueError(f"thread count must be >= 1, got {flag}")
+        if not 1 <= flag <= _MAX_THREADS:
+            raise ValueError(f"thread count must be in [1, {_MAX_THREADS}], got {flag}")
         return flag
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, _MAX_THREADS)
 
 
 _T = TypeVar("_T")
@@ -190,6 +194,8 @@ def map_indexed(fn: Callable[[int], _T], count: int, threads: int = 1) -> list[_
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if threads > _MAX_THREADS:
+        raise ValueError(f"thread count must be at most {_MAX_THREADS}, got {threads}")
     if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

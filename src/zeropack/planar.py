@@ -23,10 +23,16 @@ import numpy as np
 
 from .numerics import RngStream, _gaf_mc, gauss_legendre
 from .reports import DiscrepancyReport, make_report
-from .weierstrass import WeierstrassContext, log_abs_sigma, make_context
+from .weierstrass import (
+    WeierstrassContext,
+    _quadratic_grid,
+    log_abs_sigma,
+    log_abs_sigma_grid,
+    make_context,
+)
 
 _BLOCK_POINTS = 65536  # grid points per evaluation block (64 rows up to grid 1024)
-_MAX_GRID = 8192  # largest accepted grid_m: about a minute of profile evaluations
+_MAX_GRID = 8192  # largest accepted grid_m: a few seconds of profile evaluations
 
 
 @dataclass(frozen=True)
@@ -84,19 +90,39 @@ def _rhombus_blocks(p: TriangularProfile, m: int):
         yield p1 * s[None, :] + p2 * t[:, None]
 
 
+def _log_profile_blocks(p: TriangularProfile, m: int):
+    """log P on the m x m midpoint grid of the rhombus, in the row blocks of _rhombus_blocks.
+
+    Each block is log_abs_sigma_grid plus the quadratic part -c|z|^2 + Re(eta z^2),
+    both separable in the rhombus coordinates, so no complex z grid is formed.
+    """
+    p1 = 2.0 * p.ctx.omega1
+    p2 = 2.0 * p.ctx.omega2
+    s = (np.arange(m) + 0.5) / m
+    rows = min(64, max(1, _BLOCK_POINTS // m))
+    for start in range(0, m, rows):
+        t = s[start:start + rows]
+        block = log_abs_sigma_grid(p.ctx, s, t).T
+        block += _quadratic_grid(p2, p1, t, s, p.eta, -p.weight_scale)
+        yield block
+
+
 def _rhombus_means(p: TriangularProfile, beta: float, m: int, profile_fn=None):
     """(mean P^beta, mean P^{2 beta}) over the m x m midpoint grid of the rhombus."""
+    blocks = _log_profile_blocks(p, m) if profile_fn is None else _hook_blocks(p, m, profile_fn)
     acc1 = 0.0
     acc2 = 0.0
-    for Z in _rhombus_blocks(p, m):
-        if profile_fn is not None:
-            vals = np.asarray(profile_fn(Z), dtype=float)
-            lp = np.log(vals, out=np.full_like(vals, -np.inf), where=vals > 0)
-        else:
-            lp = log_profile(p, Z)
+    for lp in blocks:
         acc1 += float(np.sum(np.exp(beta * lp)))
         acc2 += float(np.sum(np.exp(2.0 * beta * lp)))
     return acc1 / (m * m), acc2 / (m * m)
+
+
+def _hook_blocks(p: TriangularProfile, m: int, profile_fn):
+    """log of the test hook's field on the blocks of _rhombus_blocks (-inf where it is 0)."""
+    for Z in _rhombus_blocks(p, m):
+        vals = np.asarray(profile_fn(Z), dtype=float)
+        yield np.log(vals, out=np.full_like(vals, -np.inf), where=vals > 0)
 
 
 def planar_lattice_density(
@@ -229,6 +255,6 @@ def torus_monopole(p: TriangularProfile, z: complex, w: complex, grid_m: int = 2
 @functools.lru_cache(maxsize=16)
 def _log_profile_mean(p: TriangularProfile, m: int) -> float:
     total = 0.0
-    for Z in _rhombus_blocks(p, m):
-        total += float(np.sum(log_profile(p, Z)))
+    for lp in _log_profile_blocks(p, m):
+        total += float(np.sum(lp))
     return total / (m * m)

@@ -32,6 +32,7 @@ from .numerics import RngStream, gamma_real, gauss_legendre
 from .reports import DiscrepancyReport, make_report
 
 _MIN_PAIR_DIST = 1e-9
+_MAX_GRID_ELEMENTS = 1 << 23  # node x point budget: 64 MB per (M, n) array, n <= 64 on the default grid
 
 
 class StepCollapseError(ArithmeticError):
@@ -125,6 +126,15 @@ class SphereQuadrature:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    def check_points(self, n: int) -> None:
+        """Raise ValueError if n points need a node x point array beyond the element budget."""
+        elements = self.n_polar * self.n_azimuthal * n
+        if elements > _MAX_GRID_ELEMENTS:
+            raise ValueError(
+                f"{n} points on the {self.n_polar} x {self.n_azimuthal} sphere grid need {elements} "
+                f"node-point elements, above the budget of {_MAX_GRID_ELEMENTS}"
+            )
+
     def half_resolution(self) -> "SphereQuadrature":
         return SphereQuadrature(
             n_polar=max(self.n_polar // 2, 2),
@@ -162,6 +172,7 @@ def _frame_points(config: SphereConfiguration, quad: SphereQuadrature):
 def _geometry(config: SphereConfiguration, quad: SphereQuadrature):
     """(pts_f, R, d2, s): points in grid coordinates, rotation back to world
     rows, (M, n) squared node-to-point distances, s = sum_j log(d_j / 2)."""
+    quad.check_points(config.n)
     pts_f, R = _frame_points(config, quad)
     d2 = np.clip(2.0 - 2.0 * (quad.nodes @ pts_f.T), 0.0, 4.0)
     with np.errstate(divide="ignore"):
@@ -286,6 +297,7 @@ def gradient_flow(
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     quad = quad if quad is not None else SphereQuadrature()
+    quad.check_points(n)
     if isinstance(rng, SphereConfiguration):
         if rng.n != n:
             raise ValueError(f"starting configuration has {rng.n} points, expected {n}")

@@ -77,6 +77,22 @@ class WeierstrassContext:
         return self.lattice.omega2
 
 
+def _series_coefficients(q: complex, nterms: int) -> list:
+    """theta1 series coefficients (-1)^n q^{n(n+1)}, n < nterms, with q^{n(n+1)} built by products."""
+    coefs = []
+    q2 = q * q
+    r = complex(1.0)       # q^{2n}
+    qn = complex(1.0)      # q^{n(n+1)}
+    sign = 1.0
+    for n in range(nterms):
+        if n > 0:
+            r *= q2
+            qn *= r
+            sign = -sign
+        coefs.append(sign * qn)
+    return coefs
+
+
 def _theta_series(v, q: complex, nterms: int):
     """Return (t1, t1p) = (theta1(v), d/dv theta1(v)), both missing 2*q^{1/4}.
 
@@ -90,16 +106,8 @@ def _theta_series(v, q: complex, nterms: int):
     sk, ck = s1, c1
     t1 = s1.copy() if isinstance(s1, np.ndarray) else s1
     t1p = c1.copy() if isinstance(c1, np.ndarray) else c1
-    q2 = q * q
-    r = complex(1.0)       # q^{2n}, updated multiplicatively
-    qn = complex(1.0)      # q^{n(n+1)}
-    sign = 1.0
-    for n in range(1, nterms):
-        r *= q2
-        qn *= r
-        sign = -sign
+    for n, coef in enumerate(_series_coefficients(q, nterms)[1:], start=1):
         sk, ck = sk * c2 + ck * s2, ck * c2 - sk * s2
-        coef = sign * qn
         t1 = t1 + coef * sk
         t1p = t1p + coef * (2 * n + 1) * ck
     return t1, t1p
@@ -109,18 +117,10 @@ def _series_constants(q: complex, nterms: int):
     """theta1'(0) and theta1'''(0) (q^{1/4} dropped) from the same series."""
     t1p0 = 0.0 + 0.0j
     t1ppp0 = 0.0 + 0.0j
-    qn = complex(1.0)
-    r = complex(1.0)
-    q2 = q * q
-    sign = 1.0
-    for n in range(nterms):
-        if n > 0:
-            r *= q2
-            qn *= r
-            sign = -sign
+    for n, coef in enumerate(_series_coefficients(q, nterms)):
         k = 2 * n + 1
-        t1p0 += sign * k * qn
-        t1ppp0 -= sign * k**3 * qn
+        t1p0 += k * coef
+        t1ppp0 -= k**3 * coef
     return t1p0, t1ppp0
 
 
@@ -231,6 +231,70 @@ def log_abs_sigma(ctx: WeierstrassContext, z):
     del sign
     with np.errstate(divide="ignore"):
         return logfactor.real + np.log(np.abs(principal))
+
+
+def _quadratic_grid(p1: complex, p2: complex, s, t, a: complex, b: float = 0.0) -> np.ndarray:
+    """Re(a z^2) + b |z|^2 at z = p1 s_i + p2 t_j, shape (len(s), len(t)).
+
+    Both forms are quadratic in (s, t), so the grid is three separable terms
+    and no complex z array is formed.  s and t are 1-D float arrays.
+    """
+    css = (a * p1 * p1).real + b * abs(p1) ** 2
+    cst = 2.0 * ((a * p1 * p2).real + b * (p1 * p2.conjugate()).real)
+    ctt = (a * p2 * p2).real + b * abs(p2) ** 2
+    out = np.multiply.outer(cst * s, t)
+    out += (css * s * s)[:, None]
+    out += ctt * t * t
+    return out
+
+
+def log_abs_sigma_grid(ctx: WeierstrassContext, s, t) -> np.ndarray:
+    """log|sigma(2 omega1 s_i + 2 omega2 t_j)| on the outer grid of 1-D s and t.
+
+    Returns shape (len(s), len(t)).  Every coordinate must lie in the direct
+    window, where no cell reduction is needed; otherwise ValueError.  With
+    v = pi s + pi tau t each series term splits by angle addition,
+
+        sin(k v) = sin(k pi s) cos(k pi tau t) + cos(k pi s) sin(k pi tau t),  k = 2n + 1,
+
+    so theta1 on the grid is a rank-2*nterms product of a real s-factor and a
+    complex t-factor.  The contraction is an einsum without BLAS, so values
+    do not depend on the BLAS thread count.  The origin gives -inf; other
+    lattice points land at the rounding floor, as in log_abs_sigma.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    lo, hi = _DIRECT_WINDOW
+    for name, x in (("s", s), ("t", t)):
+        if x.ndim != 1 or not np.all((x >= lo) & (x <= hi)):
+            raise ValueError(f"{name} must be a 1-D array inside the direct window [{lo}, {hi}]")
+    K = ctx.nterms
+    b = (math.pi * ctx.tau) * np.outer(2.0 * np.arange(K) + 1.0, t)
+    coef = np.array(_series_coefficients(ctx.nome, K))[:, None]
+    t_factor = np.concatenate([coef * np.cos(b), coef * np.sin(b)])
+    # sin and cos of (2n+1) pi s by the angle-addition recurrence in n.
+    s_factor = np.empty((2 * K, s.size))
+    sin, cos = s_factor[:K], s_factor[K:]
+    sin[0] = np.sin(math.pi * s)
+    cos[0] = np.cos(math.pi * s)
+    s2 = 2.0 * sin[0] * cos[0]
+    c2 = 1.0 - 2.0 * sin[0] * sin[0]
+    for n in range(1, K):
+        sin[n] = sin[n - 1] * c2 + cos[n - 1] * s2
+        cos[n] = cos[n - 1] * c2 - sin[n - 1] * s2
+    # Computed as rows of t over columns of s: the real parts of theta1, then the imaginary parts.
+    parts = np.einsum("kj,ki->ji", np.concatenate([t_factor.real, t_factor.imag], axis=1), s_factor)
+    re, im = parts[:len(t)], parts[len(t):]
+    re *= re
+    im *= im
+    re += im
+    with np.errstate(divide="ignore"):
+        out = np.log(re, out=re)
+    out *= 0.5
+    p1 = 2.0 * ctx.omega1
+    out += _quadratic_grid(2.0 * ctx.omega2, p1, t, s, ctx.eta1 / p1)
+    out += math.log(abs(p1 / (math.pi * ctx.t1p0)))
+    return out.T
 
 
 def weierstrass_zeta(ctx: WeierstrassContext, z: complex) -> complex:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import zeropack
-from zeropack import cli
+from zeropack import cli, sphere
 from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
 from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
 from zeropack.planar import planar_gaf_truncation, planar_lattice_density
@@ -149,6 +149,22 @@ class TestPlanarCommand:
         assert "--beta: invalid finite float value" in captured.err
 
 
+    @pytest.mark.parametrize("command", ["planar", "curve"])
+    def test_report_is_independent_of_blas_threads(self, tmp_path, command):
+        runs, files = [], []
+        for n in ("1", "2"):
+            path = tmp_path / f"curve-{n}.csv"
+            argv = {
+                "planar": ["planar", "--beta", "1", "--grid", "256"],
+                "curve": ["curve", "--betas", "0.5,1", "--grid", "128", "--out", str(path)],
+            }[command]
+            runs.append(run_module(argv, OPENBLAS_NUM_THREADS=n))
+            files.append(path.read_bytes() if path.exists() else None)
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert files[0] == files[1]
+
+
 class TestCurveCommand:
     def test_csv_rows_match_library_values(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
@@ -222,6 +238,18 @@ class TestGafCommand:
             assert code == 0
             means.append(json.loads(out)["mean"])
         assert means[0] == means[1]
+
+    @pytest.mark.parametrize("threads", ["257", "1000000"])
+    def test_thread_count_above_cap_exits_2(self, capsys, monkeypatch, threads):
+        # Rejected while the flags are resolved, before any worker starts.
+        argv = ["gaf", "--mode", "planar", "--b", "1", "--R", "2", "--trials", "400", "--seed", "1"]
+        code, out, err = run_cli(capsys, [*argv, "--threads", threads])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "thread count" in err
+        monkeypatch.setenv("ZEROPACK_THREADS", threads)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "ZEROPACK_THREADS" in err
 
     def test_env_thread_override_wins(self, capsys, monkeypatch):
         monkeypatch.setenv("ZEROPACK_THREADS", "2")
@@ -323,6 +351,19 @@ class TestSphereCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "max_iters" in err
+
+    @pytest.mark.parametrize("flow", [[], ["--flow"]], ids=["static", "flow"])
+    def test_oversized_configuration_exits_2_before_allocating(self, capsys, monkeypatch, flow):
+        # 3000 points on the 131072-node grid would need a 3 GB distance array;
+        # the check comes before even the configuration is drawn.
+        def no_configuration(*args):
+            raise AssertionError("configuration drawn before the size check")
+
+        monkeypatch.setattr(cli, "random_configuration", no_configuration)
+        monkeypatch.setattr(sphere, "random_configuration", no_configuration)
+        code, out, err = run_cli(capsys, ["sphere", "--n", "3000", "--beta", "1", "--seed", "1", *flow])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "budget" in err
 
     @pytest.mark.parametrize("flag", [("--step", "2.0"), ("--iters", "50"), ("--tol", "1e-6")])
     def test_flow_flags_require_flow(self, capsys, flag):

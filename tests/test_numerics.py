@@ -16,6 +16,7 @@ from zeropack.hyperbolic import (
     tight_discrepancy,
 )
 from zeropack.numerics import (
+    _MAX_THREADS,
     QuadratureRule1D,
     RngStream,
     _legendre_unit,
@@ -179,6 +180,21 @@ class TestResolveThreads:
     def test_invalid_flag(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
+
+    @pytest.mark.parametrize("count", [_MAX_THREADS + 1, 1000000])
+    def test_counts_above_cap_are_rejected(self, monkeypatch, count):
+        assert resolve_threads(_MAX_THREADS) == _MAX_THREADS
+        with pytest.raises(ValueError, match="thread count"):
+            resolve_threads(count)
+        monkeypatch.setenv("ZEROPACK_THREADS", str(count))
+        with pytest.raises(ValueError, match="ZEROPACK_THREADS"):
+            resolve_threads(1)
+
+    def test_map_indexed_rejects_counts_above_cap(self):
+        calls = []
+        with pytest.raises(ValueError, match="thread count"):
+            map_indexed(calls.append, 4, threads=_MAX_THREADS + 1)
+        assert calls == []
 
 
 class TestMapIndexed:

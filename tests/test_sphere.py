@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from zeropack import sphere
 from zeropack.numerics import RngStream
 from zeropack.sphere import (
     SphereConfiguration,
@@ -110,6 +111,25 @@ class TestQuadrature:
         a, b = SphereQuadrature(8, 16), SphereQuadrature(8, 16)
         assert a == b and hash(a) == hash(b)
         assert a != SphereQuadrature(8, 16, "world")
+
+
+    def test_point_budget_admits_the_solver_sizes(self, sphere_quad):
+        # 64 points fit the default 256 x 512 grid; the flows use at most 32.
+        sphere_quad.check_points(64)
+        with pytest.raises(ValueError, match="budget"):
+            sphere_quad.check_points(65)
+
+    def test_oversized_flow_is_rejected_before_any_work(self, sphere_quad):
+        with pytest.raises(ValueError, match="budget"):
+            gradient_flow(3000, 1.0, RngStream(seed=1), quad=sphere_quad)
+
+    def test_every_geometry_pass_checks_the_budget(self, monkeypatch):
+        config = config_of(NORTH, SOUTH)
+        quad = SphereQuadrature(8, 16)
+        monkeypatch.setattr(sphere, "_MAX_GRID_ELEMENTS", 2 * 8 * 16 - 1)
+        for call in (partition_function, discrepancy, equilibrium_residual):
+            with pytest.raises(ValueError, match="budget"):
+                call(config, 1.0, quad)
 
 
 class TestPartitionFunction:

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from oracles import log_abs_sigma_jtheta, sigma_product, zeta_half_period_sum
+from zeropack.planar import _log_profile_blocks, _rhombus_blocks, log_profile, make_triangular_profile
 from zeropack.weierstrass import (
     DegenerateLatticeError,
     LatticePoleError,
     cell_coordinates,
     log_abs_sigma,
+    log_abs_sigma_grid,
     make_context,
     quasi_period_residual,
     sigma,
@@ -133,6 +135,62 @@ class TestSigma:
         val = float(log_abs_sigma(profile.ctx, 30.0 + 30.0j))
         assert math.isfinite(val)
         assert val > 700.0  # beyond direct exp() range
+
+
+class TestSigmaGrid:
+    """log_abs_sigma_grid on rhombus midpoint grids, the planar density's hot path."""
+
+    @pytest.fixture(params=["equilateral", "square", "skew"])
+    def ctx(self, request, profile, square_ctx):
+        if request.param == "equilateral":
+            return profile.ctx
+        if request.param == "square":
+            return square_ctx
+        return make_context(1.0, 0.3 + 0.9j)
+
+    @pytest.mark.parametrize("m, tol", [(16, 1e-12), (256, 1e-12), (1024, 1e-12), (8192, 1e-11)])
+    def test_matches_jtheta_oracle(self, ctx, m, tol):
+        # Corners and middles of the midpoint grid, including the nodes nearest
+        # the lattice zeros at the rhombus corners, against 30-digit theta functions.
+        nodes = (np.arange(m) + 0.5) / m
+        idx = sorted({0, 1, m // 3, m // 2, m - 2, m - 1})
+        got = log_abs_sigma_grid(ctx, nodes[idx], nodes[idx])
+        assert got.shape == (len(idx), len(idx))
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                z = 2.0 * ctx.omega1 * nodes[i] + 2.0 * ctx.omega2 * nodes[j]
+                reference = log_abs_sigma_jtheta(ctx.omega1, ctx.omega2, z)
+                assert abs(got[a, b] - reference) <= tol, (m, i, j)
+
+    def test_rectangular_grid_matches_pointwise(self, ctx):
+        # Rows follow s and columns follow t, over the whole direct window.
+        s = np.array([-0.9, -0.2, 0.31, 1.2, 1.95])
+        t = np.array([-0.7, 0.45, 1.8])
+        got = log_abs_sigma_grid(ctx, s, t)
+        assert got.shape == (5, 3)
+        z = 2.0 * ctx.omega1 * s[:, None] + 2.0 * ctx.omega2 * t[None, :]
+        np.testing.assert_allclose(got, log_abs_sigma(ctx, z), rtol=0.0, atol=1e-12)
+
+    def test_origin_is_minus_infinity(self, profile):
+        got = log_abs_sigma_grid(profile.ctx, np.array([0.0, 0.5]), np.array([0.0]))
+        assert got[0, 0] == -math.inf and math.isfinite(got[1, 0])
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [([0.5, 2.5], [0.5]), ([0.5], [-1.5]), ([math.nan], [0.5]), ([[0.5]], [0.5])],
+        ids=["s-above", "t-below", "nan", "not-1d"],
+    )
+    def test_outside_the_window_is_rejected(self, profile, s, t):
+        with pytest.raises(ValueError, match="direct window"):
+            log_abs_sigma_grid(profile.ctx, np.array(s), np.array(t))
+
+    @pytest.mark.parametrize("weight_scale", [1.0, 0.5, 7.3])
+    def test_planar_blocks_match_pointwise_log_profile(self, weight_scale):
+        # The full 128 x 128 midpoint grid of the rhombus, block by block.
+        p = make_triangular_profile(weight_scale)
+        for got, Z in zip(_log_profile_blocks(p, 128), _rhombus_blocks(p, 128), strict=True):
+            assert got.shape == Z.shape
+            np.testing.assert_allclose(got, log_profile(p, Z), rtol=0.0, atol=1e-12)
 
 
 class TestZeta:
