@@ -260,6 +260,7 @@ def _cmd_sphere(ns) -> int:
         "points": [[float(x) for x in p] for p in config.points],
         "rho": rep.rho,
         "b_opt": rep.b_opt,
+        "error_estimate": rep.error_estimate,
         "residual": residual,
         "iters": iterations,
         "provenance": _provenance(

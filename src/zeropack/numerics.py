@@ -16,6 +16,7 @@ import numpy as np
 
 _GAMMA_MAX = 170.0  # gamma overflows double just above 171.6
 _MAX_THREADS = 256  # largest worker count accepted from a flag, the environment or a caller
+_MAX_TRIALS = 100_000  # largest Monte Carlo trial count: every trial is queued up front, 1-2 KB each
 
 
 def gamma_real(x: float) -> float:
@@ -216,6 +217,8 @@ def _gaf_mc(log_scales, radii, weights, envelope, b: float, n_angular: int, tria
         raise ValueError(f"b must be positive, got {b}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trial count must be at most {_MAX_TRIALS}, got {trials}")
     scaled_envelope = b * envelope[:, None]
 
     def one_trial(i: int) -> float:

@@ -33,6 +33,8 @@ from .reports import DiscrepancyReport, make_report
 
 _MIN_PAIR_DIST = 1e-9
 _MAX_GRID_ELEMENTS = 1 << 23  # node x point budget: 64 MB per (M, n) array, n <= 64 on the default grid
+_PAIR_BLOCK = 1 << 16  # point pairs per block of _min_pair_distance: 1.5 MB of differences
+_LOG_BLOCK = 8192  # node rows per np.log block in _geometry
 
 
 class StepCollapseError(ArithmeticError):
@@ -40,12 +42,23 @@ class StepCollapseError(ArithmeticError):
 
 
 def _min_pair_distance(pts: np.ndarray) -> float:
-    """Smallest chordal distance between two rows of pts (inf below two rows)."""
-    if pts.shape[0] < 2:
+    """Smallest chordal distance between two rows of pts (inf below two rows).
+
+    Rows go in blocks of about _PAIR_BLOCK pairs (at least one row), each
+    compared with itself and the rows after it, so no (n, n, 3) array is
+    built.  The distances come from differences, not from 2 - 2 p.q, which
+    cancels near the _MIN_PAIR_DIST threshold.
+    """
+    n = pts.shape[0]
+    if n < 2:
         return math.inf
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    return math.sqrt(d2.min())
+    rows = max(1, _PAIR_BLOCK // n)
+    best = math.inf
+    for lo in range(0, n - 1, rows):
+        d2 = np.sum((pts[lo:lo + rows, None, :] - pts[None, lo:, :]) ** 2, axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        best = min(best, float(d2.min()))
+    return math.sqrt(best)
 
 
 @dataclass(frozen=True)
@@ -171,13 +184,30 @@ def _frame_points(config: SphereConfiguration, quad: SphereQuadrature):
 
 def _geometry(config: SphereConfiguration, quad: SphereQuadrature):
     """(pts_f, R, d2, s): points in grid coordinates, rotation back to world
-    rows, (M, n) squared node-to-point distances, s = sum_j log(d_j / 2)."""
+    rows, (M, n) squared node-to-point distances, s = sum_j log(d_j / 2).
+
+    d2 is built in place in the matmul output, and its logs are taken in
+    blocks of _LOG_BLOCK rows, so no second (M, n) array is allocated.
+    """
     quad.check_points(config.n)
     pts_f, R = _frame_points(config, quad)
-    d2 = np.clip(2.0 - 2.0 * (quad.nodes @ pts_f.T), 0.0, 4.0)
+    d2 = quad.nodes @ pts_f.T
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(2.0, d2, out=d2)
+    np.clip(d2, 0.0, 4.0, out=d2)
+    s = np.empty(d2.shape[0])
     with np.errstate(divide="ignore"):
-        s = 0.5 * np.log(d2).sum(axis=1) - pts_f.shape[0] * math.log(2.0)
+        for lo in range(0, d2.shape[0], _LOG_BLOCK):
+            np.log(d2[lo:lo + _LOG_BLOCK]).sum(axis=1, out=s[lo:lo + _LOG_BLOCK])
+    s *= 0.5
+    s -= pts_f.shape[0] * math.log(2.0)
     return pts_f, R, d2, s
+
+
+def _z_sums(s: np.ndarray, beta: float, quad: SphereQuadrature):
+    """(Z_beta, Z_{2 beta}) from the geometry's s; Z_{2 beta} sums e^{beta s} squared."""
+    e = np.exp(beta * s)
+    return float(np.dot(quad.weights, e)), float(np.dot(quad.weights, e * e))
 
 
 def partition_function(config: SphereConfiguration, gamma: float, quad: SphereQuadrature) -> float:
@@ -186,26 +216,23 @@ def partition_function(config: SphereConfiguration, gamma: float, quad: SphereQu
         raise ValueError(f"gamma must be positive, got {gamma}")
     if config.n == 0:
         return 1.0
-    _, _, _, s = _geometry(config, quad)
-    return float(np.dot(quad.weights, np.exp(gamma * s)))
+    return _z_sums(_geometry(config, quad)[3], gamma, quad)[0]
 
 
 def _z_pair(config: SphereConfiguration, beta: float, quad: SphereQuadrature):
     """(Z_beta, Z_{2 beta}) sharing one geometry pass ((1, 1) for an empty configuration)."""
     if config.n == 0:
         return 1.0, 1.0
-    _, _, _, s = _geometry(config, quad)
-    e = np.exp(beta * s)
-    zb = float(np.dot(quad.weights, e))
-    z2b = float(np.dot(quad.weights, e * e))
-    return zb, z2b
+    return _z_sums(_geometry(config, quad)[3], beta, quad)
 
 
-def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
+def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature, geometry=None):
     """For each gamma: (Z_gamma, E^gamma[g_j] rows in world coordinates).
 
-    Shares one geometry pass across the gammas.  g_j is the tangential
-    component at p_j of (p_j - x) / d^2, d = ||p_j - x||, and 0 at x = p_j.
+    Shares one geometry pass across the gammas: `geometry` if the caller
+    already has the configuration's _geometry result (its d2 is overwritten),
+    else a new one.  g_j is the tangential component at p_j of
+    (p_j - x) / d^2, d = ||p_j - x||, and 0 at x = p_j.
     On the unit sphere the radial component of that vector is exactly 1/2
     whenever d > 0, so g_j = (p_j - x) / d^2 - p_j / 2.  For gamma > 0 the
     weight w = weights * e^{gamma s} vanishes wherever some d = 0 (s = -inf
@@ -216,14 +243,18 @@ def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
 
     sums over the nodes with 1/d^2 read as 0 where d = 0.
     """
-    pts_f, R, d2, s = _geometry(config, quad)
-    inv = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
+    pts_f, R, d2, s = geometry if geometry is not None else _geometry(config, quad)
+    inv = np.divide(1.0, d2, out=d2, where=d2 > 0.0)
+    B = np.empty_like(inv)
+    A = np.empty((inv.shape[1], 3))
     out = []
     for gamma in gammas:
         w = quad.weights * np.exp(gamma * s)
         Z = float(w.sum())
         a = np.einsum("m,mn->n", w, inv)
-        A = np.einsum("m,mn,mk->nk", w, inv, quad.nodes)
+        np.multiply(w[:, None], inv, out=B)
+        for k in range(3):
+            A[:, k] = np.einsum("mn,m->n", B, quad.nodes[:, k])
         G_f = (a[:, None] * pts_f - A) / Z - 0.5 * pts_f
         out.append((Z, G_f @ R))
     return out
@@ -305,10 +336,6 @@ def gradient_flow(
     else:
         config = random_configuration(n, rng)
 
-    def objective_of(c: SphereConfiguration) -> float:
-        zb, z2b = _z_pair(c, beta, quad)
-        return 2.0 * math.log(zb) - math.log(z2b)
-
     trace: list[tuple[int, float, float]] = []
     cur_step = step
     (zb, g1), (z2b, g2) = _moments(config, (beta, 2.0 * beta), quad)
@@ -334,7 +361,10 @@ def gradient_flow(
             if dmin < _MIN_PAIR_DIST:
                 raise StepCollapseError(f"points merged during flow (distance {dmin:.2e})")
             trial = SphereConfiguration(points=trial_pts)
-            trial_obj = objective_of(trial)
+            geometry = None  # free the previous pass's (M, n) arrays before this one
+            geometry = _geometry(trial, quad)
+            zb, z2b = _z_sums(geometry[3], beta, quad)
+            trial_obj = 2.0 * math.log(zb) - math.log(z2b)
             # Absolute slack: near the optimum the true increase per step falls
             # below fp resolution of the objective, and strict ascent would stall
             # while the points are still ~1e-7 rad from the critical point.
@@ -347,6 +377,6 @@ def gradient_flow(
             cur_step *= 0.5
         if stationary or not accepted:
             break  # no step improves the objective any further
-        (zb, g1), (z2b, g2) = _moments(config, (beta, 2.0 * beta), quad)
+        (zb, g1), (z2b, g2) = _moments(config, (beta, 2.0 * beta), quad, geometry)
         objective = 2.0 * math.log(zb) - math.log(z2b)
     return config, trace

@@ -7,20 +7,22 @@ entry point, and that reports do not depend on the BLAS thread count.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zeropack
-from zeropack import cli, sphere
+from zeropack import cli, numerics, sphere
 from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
 from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
 from zeropack.planar import planar_gaf_truncation, planar_lattice_density
-from zeropack.sphere import StepCollapseError
+from zeropack.sphere import SphereConfiguration, SphereQuadrature, StepCollapseError, discrepancy
 
 
 def run_cli(capsys, argv):
@@ -251,6 +253,22 @@ class TestGafCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "ZEROPACK_THREADS" in err
 
+    @pytest.mark.parametrize("mode, extent", [("planar", ["--R", "2"]), ("hyperbolic", ["--r", "0.5"])])
+    def test_trial_count_above_cap_exits_2(self, capsys, monkeypatch, mode, extent):
+        # Rejected before the trials are queued: no pool, no per-trial work.
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials started before the size check")
+
+        monkeypatch.setattr(numerics, "map_indexed", no_trials)
+        for trials in (numerics._MAX_TRIALS + 1, 10**12):
+            code, out, err = run_cli(
+                capsys,
+                ["gaf", "--mode", mode, "--b", "1", *extent, "--trials", str(trials), "--seed", "1",
+                 "--threads", "2"],
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "trial count" in err
+
     def test_env_thread_override_wins(self, capsys, monkeypatch):
         monkeypatch.setenv("ZEROPACK_THREADS", "2")
         code, out, _ = run_cli(
@@ -364,6 +382,17 @@ class TestSphereCommand:
         code, out, err = run_cli(capsys, ["sphere", "--n", "3000", "--beta", "1", "--seed", "1", *flow])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize("flow", [[], ["--flow", "--iters", "3"]], ids=["static", "flow"])
+    def test_report_carries_the_library_error_estimate(self, capsys, flow):
+        code, out, _ = run_cli(capsys, ["sphere", "--n", "3", "--beta", "1.0", "--seed", "4", *flow])
+        assert code == 0
+        payload = json.loads(out)
+        config = SphereConfiguration(points=np.array(payload["points"]))
+        rep = discrepancy(config, 1.0, SphereQuadrature())
+        assert math.isfinite(payload["error_estimate"])
+        assert payload["error_estimate"] == rep.error_estimate
+        assert payload["rho"] == rep.rho
 
     @pytest.mark.parametrize("flag", [("--step", "2.0"), ("--iters", "50"), ("--tol", "1e-6")])
     def test_flow_flags_require_flow(self, capsys, flag):

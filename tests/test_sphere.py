@@ -68,6 +68,19 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             c.points[0, 0] = 1.0
 
+    def test_min_pair_distance_blocks_match_the_direct_form(self, monkeypatch):
+        pts = random_configuration(50, RngStream(seed=8)).points.copy()
+        # A pair 3e-9 apart, far from the first block: 2 - 2 p.q would lose it.
+        near = pts[11] + 3e-9 * np.cross(pts[11], NORTH)
+        pts[37] = near / np.linalg.norm(near)
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        direct = math.sqrt(d2.min())
+        assert 1e-9 < direct < 1e-8
+        for block in (1, 7, 120, 1000, 1 << 16):  # 1, 1, 2, 20 and 50 rows per block
+            monkeypatch.setattr(sphere, "_PAIR_BLOCK", block)
+            assert sphere._min_pair_distance(pts) == direct
+
 
 class TestMonopole:
     def test_symmetric(self):
@@ -269,7 +282,73 @@ def test_moments_with_a_point_on_a_quadrature_node(world_quad):
         np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-12)
 
 
+def _three_operand_moments(config, gammas, quad):
+    """The moments by a three-operand einsum over one (M, n) inverse array."""
+    pts_f, R, d2, s = sphere._geometry(config, quad)
+    inv = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
+    out = []
+    for gamma in gammas:
+        w = quad.weights * np.exp(gamma * s)
+        a = np.einsum("m,mn->n", w, inv)
+        A = np.einsum("m,mn,mk->nk", w, inv, quad.nodes)
+        out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_moments_match_the_three_operand_contraction(sphere_quad, n):
+    config = random_configuration(n, RngStream(seed=n))
+    got = _moments(config, (1.0, 2.0), sphere_quad)
+    for (Z, G), (Z_ref, G_ref) in zip(got, _three_operand_moments(config, (1.0, 2.0), sphere_quad)):
+        assert Z == Z_ref
+        np.testing.assert_allclose(G, G_ref, rtol=1e-14, atol=0.0)
+    # A geometry pass handed in gives the same moments as one made inside.
+    given = _moments(config, (1.0, 2.0), sphere_quad, sphere._geometry(config, sphere_quad))
+    for (Z, G), (Z_given, G_given) in zip(got, given):
+        assert Z == Z_given and np.array_equal(G, G_given)
+
+
+def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
+    quad = SphereQuadrature(16, 32, "world")  # the first point stays on node 5
+    config = SphereConfiguration(
+        points=np.vstack([quad.nodes[5], random_configuration(4, RngStream(seed=6)).points])
+    )
+    pts_f, _, d2, s = sphere._geometry(config, quad)
+    d2_ref = np.clip(2.0 - 2.0 * (quad.nodes @ pts_f.T), 0.0, 4.0)
+    with np.errstate(divide="ignore"):
+        ref = 0.5 * np.log(d2_ref).sum(axis=1) - 5 * math.log(2.0)
+    assert np.isneginf(ref[5])
+    assert np.array_equal(d2, d2_ref) and np.array_equal(s, ref)
+    monkeypatch.setattr(sphere, "_LOG_BLOCK", 7)
+    assert np.array_equal(sphere._geometry(config, quad)[3], ref)
+
+
 class TestGradientFlow:
+    def test_one_geometry_pass_per_trial(self, monkeypatch):
+        # Every trial step builds one configuration and one geometry pass; the
+        # accepted trial's pass also feeds the moments of the next iteration.
+        quad = SphereQuadrature(32, 64)
+        start = random_configuration(4, RngStream(seed=3))
+        counts = {"geometry": 0, "trials": 0}
+        geometry = sphere._geometry
+        post_init = SphereConfiguration.__post_init__
+
+        def counting_geometry(*args):
+            counts["geometry"] += 1
+            return geometry(*args)
+
+        def counting_post_init(self):
+            counts["trials"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(sphere, "_geometry", counting_geometry)
+        monkeypatch.setattr(SphereConfiguration, "__post_init__", counting_post_init)
+        _, trace = gradient_flow(4, 1.0, start, step=4.0, max_iters=10, tol=0.0, quad=quad)
+        iterations = trace[-1][0]
+        assert iterations == 10
+        assert counts["trials"] > iterations  # some steps backtracked
+        assert counts["geometry"] == counts["trials"] + 1
+
     def test_converges_from_perturbed_antipodal(self, sphere_quad):
         start = config_of(
             NORTH, tuple(np.array([0.05, -0.03, -1.0]) / np.linalg.norm([0.05, -0.03, -1.0]))
