@@ -52,6 +52,7 @@ from .sphere import (
 )
 
 _CURVE_HEADER = "beta,rho,m1,m2,b_opt,error_estimate"
+_GRID_HELP = "finest midpoint grid of the extrapolation ladder, 16-8192; 128 and up give one report"
 
 
 class CliError(ValueError):
@@ -357,13 +358,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("planar", help="triangular-lattice profile density")
     p.add_argument("--beta", type=_finite_float, required=True)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=int, default=1024, help=_GRID_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_planar)
 
     p = sub.add_parser("curve", help="density across a list of beta values")
     p.add_argument("--betas", required=True, help="comma-separated floats")
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=int, default=1024, help=_GRID_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_curve)
 

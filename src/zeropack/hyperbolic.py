@@ -354,7 +354,7 @@ def hyperbolic_gaf_mc(
     quad = make_disk_quadrature(r, n_radial=n_radial, n_angular=n_angular)
     log_scales = 0.5 * np.log(np.arange(1, truncation_N + 2, dtype=float))
     return _gaf_mc(log_scales, np.sqrt(quad.u_nodes), quad.hyperbolic_weights / quad.normalization,
-                   1.0 - quad.u_nodes, b, n_angular, trials, rng, threads)
+                   np.log1p(-quad.u_nodes), b, n_angular, trials, rng, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -107,19 +107,50 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     return QuadratureRule1D(nodes=a + half * (x + 1.0), weights=half * w)
 
 
-def _polar_values(coeffs, log_scales, radii, n_angular: int) -> np.ndarray:
+def richardson(values, steps, powers) -> tuple[float, float]:
+    """Limit c0 of values[i] = c0 + sum_k c_k steps[i]**powers[k] + ..., and c0 - c0'.
+
+    values run from the coarsest step to the finest; powers holds len(values) - 1 exponents,
+    or none when there is nothing to eliminate (the finest value is the limit).  c0' drops the
+    finest value and the last power.  Generalized Richardson elimination of neighbouring pairs
+    (the E-algorithm: Havie 1979, Brezinski 1980) in plain floats in a fixed order, no BLAS;
+    the terms are scaled by steps[0]**p, which the elimination does not see, to stay in range.
+    """
+    n = len(values)
+    if n < 2 or len(steps) != n or len(powers) not in (0, n - 1):
+        raise ValueError(f"need n >= 2 values, n steps and n - 1 or no powers, got "
+                         f"{n}, {len(steps)}, {len(powers)}")
+    e = [float(v) for v in values]
+    g = [[(h / steps[0]) ** p for h in steps] for p in powers]
+    coarser = e[-2]
+    while g:
+        gk, g = g[0], g[1:]
+        d = [gk[i + 1] - gk[i] for i in range(len(e) - 1)]
+
+        def eliminate(row):
+            return [(row[i] * gk[i + 1] - row[i + 1] * gk[i]) / d[i] for i in range(len(d))]
+
+        g = [eliminate(row) for row in g]
+        coarser, e = e[0], eliminate(e)
+    return e[-1], e[-1] - coarser
+
+
+def _polar_values(coeffs, log_scales, radii, n_angular: int, log_offset=None) -> np.ndarray:
     """F = sum_j coeffs[j] e^{log_scales[j]} z^j at z = radii[i] e^{2 pi i k/n}, shape (radii, n).
 
     Terms coeffs[j] exp(log_scales[j] + j log r) are formed in log space (radii > 0), so no
     scale underflows alone; z^j depends on j mod n on the circle, so they fold mod n into t
     and F(r e^{2 pi i k/n}) = n ifft(t)[k].  t holds min(n, len(coeffs)) columns and the FFT
     zero-pads it, so below degree n the result is the only (radii, n) array allocated.
+    log_offset, one value per radius, multiplies row i by e^{log_offset[i]} inside the
+    exponent, so an envelope that tames the growth of F keeps every term in range.
     """
     log_r = np.log(radii)[:, None]
+    shift = 0.0 if log_offset is None else np.asarray(log_offset, dtype=float)[:, None]
     folded = np.zeros((log_r.shape[0], min(n_angular, len(coeffs))), dtype=complex)
     for start in range(0, len(coeffs), n_angular):
         j = np.arange(start, min(start + n_angular, len(coeffs)))
-        folded[:, : j.size] += coeffs[j] * np.exp(log_scales[j] + j * log_r)
+        folded[:, : j.size] += coeffs[j] * np.exp(log_scales[j] + j * log_r + shift)
     return np.fft.ifft(folded, n=n_angular, axis=1) * n_angular
 
 
@@ -203,15 +234,16 @@ def map_indexed(fn: Callable[[int], _T], count: int, threads: int = 1) -> list[_
         return list(pool.map(fn, range(count)))
 
 
-def _gaf_mc(log_scales, radii, weights, envelope, b: float, n_angular: int, trials: int,
+def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, trials: int,
             rng: RngStream, threads: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error of a GAF mismatch over a polar product rule.
 
     Trial i draws eta_j (j < len(log_scales)) from rng.substream(i), sums
     F = sum eta_j e^{log_scales[j]} z^j on the grid radii x n_angular angles, and returns
-    weights @ mean over angles of (b envelope |F| - 1)^2.  The planar and disk GAFs differ
-    only in their scales, radial rule and envelope.  Trials are indexed, so the estimate is
-    thread-count independent.
+    weights @ mean over angles of (b e^{log_envelope} |F| - 1)^2.  The envelope enters each
+    term in log space, so F may outgrow a double where e^{log_envelope} |F| does not.  The
+    planar and disk GAFs differ only in their scales, radial rule and envelope.  Trials are
+    indexed, so the estimate is thread-count independent.
     """
     if not (b > 0.0):
         raise ValueError(f"b must be positive, got {b}")
@@ -219,12 +251,11 @@ def _gaf_mc(log_scales, radii, weights, envelope, b: float, n_angular: int, tria
         raise ValueError(f"need at least 2 trials, got {trials}")
     if trials > _MAX_TRIALS:
         raise ValueError(f"trial count must be at most {_MAX_TRIALS}, got {trials}")
-    scaled_envelope = b * envelope[:, None]
 
     def one_trial(i: int) -> float:
         eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
-        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular))
-        return float(weights @ ((scaled_envelope * modulus - 1.0) ** 2).mean(axis=1))
+        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
+        return float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
 
     vals = np.array(map_indexed(one_trial, trials, threads))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))

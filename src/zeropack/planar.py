@@ -16,12 +16,13 @@ amplitude collapses in closed form: rho = 1 - M_1^2 / M_2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, _gaf_mc, gauss_legendre
+from .numerics import RngStream, _gaf_mc, gauss_legendre, richardson
 from .reports import DiscrepancyReport, make_report
 from .weierstrass import (
     WeierstrassContext,
@@ -32,7 +33,9 @@ from .weierstrass import (
 )
 
 _BLOCK_POINTS = 65536  # grid points per evaluation block (64 rows up to grid 1024)
-_MAX_GRID = 8192  # largest accepted grid_m: a few seconds of profile evaluations
+_MAX_GRID = 8192  # largest accepted grid_m
+_LADDER_TOP = 128  # finest extrapolation level: past it a finer grid buys no accuracy
+_MAX_TRUNCATION = 100_000  # largest planar GAF series degree
 
 
 @dataclass(frozen=True)
@@ -79,75 +82,78 @@ def profile_value(p: TriangularProfile, z: complex) -> float:
     return float(np.exp(log_profile(p, complex(z))))
 
 
-def _rhombus_blocks(p: TriangularProfile, m: int):
-    """The m x m midpoint grid of the rhombus, at most 64 rows or ~_BLOCK_POINTS points at a time."""
-    p1 = 2.0 * p.ctx.omega1
-    p2 = 2.0 * p.ctx.omega2
+def _log_profile_rows(p: TriangularProfile, m: int, rows: slice) -> np.ndarray:
+    """log P on rows `rows` of the m x m midpoint grid of the rhombus, shape (rows, m).
+
+    log_abs_sigma_grid plus the quadratic part -c|z|^2 + Re(eta z^2), both separable in
+    the rhombus coordinates, so no complex z grid is formed.
+    """
     s = (np.arange(m) + 0.5) / m
-    rows = min(64, max(1, _BLOCK_POINTS // m))
-    for start in range(0, m, rows):
-        t = s[start:start + rows]
-        yield p1 * s[None, :] + p2 * t[:, None]
+    t = s[rows]
+    out = log_abs_sigma_grid(p.ctx, s, t).T
+    out += _quadratic_grid(2.0 * p.ctx.omega2, 2.0 * p.ctx.omega1, t, s, p.eta, -p.weight_scale)
+    return out
 
 
 def _log_profile_blocks(p: TriangularProfile, m: int):
-    """log P on the m x m midpoint grid of the rhombus, in the row blocks of _rhombus_blocks.
-
-    Each block is log_abs_sigma_grid plus the quadratic part -c|z|^2 + Re(eta z^2),
-    both separable in the rhombus coordinates, so no complex z grid is formed.
-    """
-    p1 = 2.0 * p.ctx.omega1
-    p2 = 2.0 * p.ctx.omega2
-    s = (np.arange(m) + 0.5) / m
+    """log P on the m x m midpoint grid of the rhombus, <= 64 rows or ~_BLOCK_POINTS at a time."""
     rows = min(64, max(1, _BLOCK_POINTS // m))
     for start in range(0, m, rows):
-        t = s[start:start + rows]
-        block = log_abs_sigma_grid(p.ctx, s, t).T
-        block += _quadratic_grid(p2, p1, t, s, p.eta, -p.weight_scale)
-        yield block
+        yield _log_profile_rows(p, m, slice(start, start + rows))
 
 
-def _rhombus_means(p: TriangularProfile, beta: float, m: int, profile_fn=None):
-    """(mean P^beta, mean P^{2 beta}) over the m x m midpoint grid of the rhombus."""
-    blocks = _log_profile_blocks(p, m) if profile_fn is None else _hook_blocks(p, m, profile_fn)
-    acc1 = 0.0
-    acc2 = 0.0
-    for lp in blocks:
-        acc1 += float(np.sum(np.exp(beta * lp)))
-        acc2 += float(np.sum(np.exp(2.0 * beta * lp)))
-    return acc1 / (m * m), acc2 / (m * m)
+@functools.lru_cache(maxsize=8)
+def _log_profile_ladder(p: TriangularProfile, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """log P on the midpoint grids m = top/8, top/4, top/2, top as one flat array, and the m.
+
+    Built once per (profile, top), read-only, one log_abs_sigma_grid call per level: 21,760
+    points at top = 128.
+    """
+    sizes = (top >> 3, top >> 2, top >> 1, top)
+    flat = np.concatenate([_log_profile_rows(p, m, slice(None)).ravel() for m in sizes])
+    flat.setflags(write=False)
+    return flat, sizes
 
 
-def _hook_blocks(p: TriangularProfile, m: int, profile_fn):
-    """log of the test hook's field on the blocks of _rhombus_blocks (-inf where it is 0)."""
-    for Z in _rhombus_blocks(p, m):
-        vals = np.asarray(profile_fn(Z), dtype=float)
-        yield np.log(vals, out=np.full_like(vals, -np.inf), where=vals > 0)
+def _ladder_means(p: TriangularProfile, e: float, top: int) -> tuple[list[float], list[float]]:
+    """Midpoint means of P^e on the _log_profile_ladder levels, coarsest first, and their steps."""
+    flat, sizes = _log_profile_ladder(p, top)
+    vals = np.exp(e * flat)
+    bounds = np.cumsum([0] + [m * m for m in sizes])
+    means = [float(np.sum(vals[a:b])) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    return means, [1.0 / m for m in sizes]
 
 
 def planar_lattice_density(
     beta: float,
     grid_m: int,
     profile: TriangularProfile | None = None,
-    profile_fn=None,
 ) -> DiscrepancyReport:
     """Discrepancy density of the lattice profile at exponent beta.
 
-    Midpoint quadrature on the (s, t) |-> 2*omega1*s + 2*omega2*t
-    parametrization with an m x m grid; the error estimate is the change in
-    rho against the m/2 grid.  `profile_fn` is a test hook replacing the
-    profile evaluation with an arbitrary nonnegative field on the rhombus.
+    Each moment, the mean of P^e over the rhombus (e = beta, 2 beta), is extrapolated from
+    midpoint means on the (s, t) |-> 2*omega1*s + 2*omega2*t grids top/8, ..., top, with
+    top = min(grid_m, 128): every grid_m >= 128 shares the cached 128 ladder.  P^e behaves
+    like |z - z0|^e at the lattice zeros, so the midpoint error on the periodic rhombus is a
+    series in h^{2+e+2k} (generalized Euler-Maclaurin: Navot 1962, Lyness 1976).  For an even
+    integer e those terms vanish and the mean converges spectrally; from e = 51 on, halving h
+    shrinks them below rounding.  Neither case is fit.  The error estimate is the change in
+    rho when the finest level is dropped, at least 4 ulps of 1 (rho cancels against 1).
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
     if not (16 <= grid_m <= _MAX_GRID):
         raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
     p = profile if profile is not None else _default_profile()
-    m1, m2 = _rhombus_means(p, beta, grid_m, profile_fn)
-    h1, h2 = _rhombus_means(p, beta, max(grid_m // 2, 8), profile_fn)
-    rho_half = 1.0 - h1 * h1 / h2
+    moments = []
+    for e in (beta, 2.0 * beta):
+        powers = (e + 2.0, e + 4.0, e + 6.0) if e % 2.0 != 0.0 and e < 51.0 else ()
+        moments.append(richardson(*_ladder_means(p, e, min(grid_m, _LADDER_TOP)), powers))
+    (m1, d1), (m2, d2) = moments
+    rho_coarser = 1.0 - (m1 - d1) * (m1 - d1) / (m2 - d2)
     rho = 1.0 - m1 * m1 / m2
-    return make_report(m1=m1, m2=m2, error_estimate=abs(rho - rho_half))
+    estimate = max(abs(rho - rho_coarser), 4.0 * math.ulp(1.0))
+    return make_report(m1=m1, m2=m2, error_estimate=estimate)
 
 
 @functools.lru_cache(maxsize=4)
@@ -156,7 +162,7 @@ def _default_profile() -> TriangularProfile:
 
 
 def density_curve(betas, grid_m: int, profile: TriangularProfile | None = None):
-    """planar_lattice_density along an increasing beta grid; rows for replotting."""
+    """planar_lattice_density along an increasing beta grid, one shared ladder; rows to replot."""
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("betas must be nonempty")
@@ -185,27 +191,37 @@ class TruncationError(ValueError):
     """Requested series truncation fails its tail bound."""
 
 
+def _planar_gaf_terms(R: float, start: int, floor: float = 1e-30):
+    """2^j R^{2j} / j! * e^{-2R^2} for j = start, start + 1, ... up to the first one below floor
+    past j = 2R^2 + 10."""
+    log_base = math.log(2.0) + 2.0 * math.log(R)
+    for j in itertools.count(start):
+        t = math.exp(j * log_base - math.lgamma(j + 1.0) - 2.0 * R * R)
+        yield t
+        if t < floor and j > 2.0 * R * R + 10:
+            return
+
+
 def planar_gaf_tail(R: float, N: int) -> float:
     """Tail bound sum_{j>N} 2^j R^{2j} / j! * e^{-2R^2} for the mean-square of F."""
-    log_base = math.log(2.0) + 2.0 * math.log(R)
-    total = 0.0
-    for j in range(N + 1, N + 2000):
-        t = math.exp(j * log_base - math.lgamma(j + 1.0) - 2.0 * R * R)
-        total += t
-        if t < 1e-30 and j > 2.0 * R * R + 10:
-            break
-    return total
+    return sum(itertools.islice(_planar_gaf_terms(R, N + 1), 1999))
 
 
 def planar_gaf_truncation(R: float, tol: float = 1e-8) -> int:
-    """Smallest truncation degree whose tail bound is below tol."""
-    if not (R > 0.0):
-        raise ValueError(f"R must be positive, got {R}")
-    N = max(8, int(2.0 * R * R))
-    while planar_gaf_tail(R, N) >= tol:
-        N += 1
-        if N > 100000:
-            raise TruncationError("no admissible truncation degree found")
+    """Smallest degree N >= max(8, 2R^2) with planar_gaf_tail(R, N) < tol, in one pass: every
+    candidate's tail is a suffix sum of the same terms, accumulated from the smallest up."""
+    if not (R > 0.0 and tol > 0.0):
+        raise ValueError(f"R and tol must be positive, got R = {R}, tol = {tol}")
+    first = max(8, int(2.0 * R * R))
+    terms = [] if first > _MAX_TRUNCATION else list(_planar_gaf_terms(R, first + 1, 1e-22 * tol))
+    N, tail = first + len(terms), 0.0
+    for k in reversed(range(len(terms))):
+        tail += terms[k]
+        if tail >= tol:
+            break
+        N = first + k
+    if N > _MAX_TRUNCATION:
+        raise TruncationError(f"no admissible truncation degree up to {_MAX_TRUNCATION}, R = {R}")
     return N
 
 
@@ -239,8 +255,8 @@ def planar_gaf_mc(
     j = np.arange(truncation_N + 1)
     log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
     weights = 2.0 * rule.nodes * rule.weights / (R * R)
-    return _gaf_mc(log_scales, rule.nodes, weights, np.exp(-rule.nodes**2), b, n_angular,
-                   trials, rng, threads)
+    return _gaf_mc(log_scales, rule.nodes, weights, -rule.nodes**2, b, n_angular, trials, rng,
+                   threads)
 
 
 def torus_monopole(p: TriangularProfile, z: complex, w: complex, grid_m: int = 256) -> float:

@@ -12,7 +12,8 @@ class DiscrepancyReport:
     over its domain.  Minimizing (b*profile^beta - 1)^2 in the amplitude b is
     a one-dimensional least-squares problem with closed-form optimum
     b_opt = m1/m2, leaving the density rho = 1 - m1^2/m2.  error_estimate is
-    the change in rho when the quadrature resolution is halved.
+    the change in rho against a coarser quadrature: the sphere halves its
+    grid, the plane drops the finest level of its extrapolation ladder.
     """
 
     m1: float

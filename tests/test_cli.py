@@ -227,6 +227,16 @@ class TestGafCommand:
         assert code == 0
         assert second == first
 
+    @pytest.mark.filterwarnings("error")
+    def test_planar_beyond_double_range_of_the_series(self, capsys):
+        # From R = 27 on the series terms alone overflow a double; the envelope keeps them in range.
+        argv = ["gaf", "--mode", "planar", "--b", "0.886", "--R", "27", "--trials", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["truncation_N"] == planar_gaf_truncation(27.0)
+        assert 0.0 < payload["mean"] < 1.0
+
     def test_mean_independent_of_thread_count(self, capsys):
         means = []
         for threads in ("1", "3"):

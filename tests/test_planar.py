@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zeropack import planar
 from zeropack.numerics import RngStream, _polar_values, sample_complex_gaussians
 from zeropack.planar import (
     _MAX_GRID,
     TruncationError,
+    _ladder_means,
+    _log_profile_blocks,
     _log_profile_mean,
-    _rhombus_blocks,
     density_curve,
     log_profile,
     make_triangular_profile,
@@ -85,25 +88,31 @@ class TestLatticeDensity:
             )
             assert other.rho == pytest.approx(base.rho, abs=1e-10)
 
-    def test_profile_fn_hook_constant_gives_zero(self):
-        rep = planar_lattice_density(1.0, 64, profile_fn=lambda z: np.full(z.shape, 2.5))
+    def test_constant_profile_extrapolates_to_zero_density(self, monkeypatch):
+        # A constant profile P = 2.5 has the same midpoint mean on every ladder level; the
+        # extrapolation of a constant sequence returns it, so rho = 0.
+        sizes = (8, 16, 32, 64)
+        flat = np.full(sum(m * m for m in sizes), math.log(2.5))
+        monkeypatch.setattr(planar, "_log_profile_ladder", lambda p, top: (flat, sizes))
+        rep = planar_lattice_density(1.0, 64)
         assert abs(rep.rho) < 1e-14
         assert rep.b_opt == pytest.approx(1.0 / 2.5, rel=1e-12)
 
-    def test_profile_fn_hook_matches_direct_average(self, profile):
-        def field(z):
-            return 1.0 + 0.5 * np.cos(z.real) ** 2
-
-        rep = planar_lattice_density(2.0, 64, profile=profile, profile_fn=field)
+    def test_ladder_means_match_direct_average(self, profile):
+        # The raw midpoint means of P^2 and P^4 at m = 64, the finest level of the 64
+        # ladder, against np.mean over the pointwise log_profile on the same grid.
         p1 = 2.0 * profile.ctx.omega1
         p2 = 2.0 * profile.ctx.omega2
         s = (np.arange(64) + 0.5) / 64
         Z = p1 * s[None, :] + p2 * s[:, None]
-        vals = field(Z)
-        m1 = float(np.mean(vals**2.0))
-        m2 = float(np.mean(vals**4.0))
-        assert rep.m1 == pytest.approx(m1, rel=1e-13)
-        assert rep.m2 == pytest.approx(m2, rel=1e-13)
+        lp = log_profile(profile, Z)
+        means1, steps = _ladder_means(profile, 2.0, 64)
+        means2, _ = _ladder_means(profile, 4.0, 64)
+        assert steps[-1] == 1.0 / 64
+        m1 = float(np.mean(np.exp(2.0 * lp)))
+        m2 = float(np.mean(np.exp(4.0 * lp)))
+        assert means1[-1] == pytest.approx(m1, rel=1e-13)
+        assert means2[-1] == pytest.approx(m2, rel=1e-13)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -111,17 +120,46 @@ class TestLatticeDensity:
         with pytest.raises(ValueError):
             planar_lattice_density(1.0, 8)
 
-    def test_grid_above_cap_is_rejected_before_any_work(self):
+    def test_grid_above_cap_is_rejected_before_any_work(self, monkeypatch):
         calls = []
+        monkeypatch.setattr(planar, "_log_profile_ladder", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="grid_m"):
-            planar_lattice_density(1.0, _MAX_GRID + 1, profile_fn=calls.append)
+            planar_lattice_density(1.0, _MAX_GRID + 1)
         assert calls == []
 
     @pytest.mark.parametrize("m, rows", [(64, 64), (1024, 64), (2048, 32), (8192, 8), (100000, 1)])
     def test_blocks_are_sized_by_point_count(self, profile, m, rows):
         # Up to grid 1024 the blocks keep their 64 rows, so those sums are unchanged.
-        block = next(_rhombus_blocks(profile, m))
+        block = next(_log_profile_blocks(profile, m))
         assert block.shape == (rows, m)
+
+
+# rho(beta) to 25 digits: Richardson-extrapolated midpoint sums at grids up to 2048,
+# cross-checked against mpmath.jtheta (bench/references.json, "rho_digits").
+RHO_DIGITS = {
+    0.25: "0.007035675065741701554229274",
+    0.5: "0.02240308304574546375651728",
+    1.0: "0.06120349908363091887640876",
+    2.0: "0.137630146923403155015495",
+    3.0: "0.2011585634446164218393179",
+    4.0: "0.2531657997778131868965291",
+}
+
+
+class TestExtrapolatedDensity:
+    @pytest.mark.parametrize("grid", [256, 512, 1024])
+    @pytest.mark.parametrize("beta", sorted(RHO_DIGITS))
+    def test_matches_reference_within_its_estimate(self, profile, beta, grid):
+        rep = planar_lattice_density(beta, grid, profile=profile)
+        ref = mpmath.mpf(RHO_DIGITS[beta])
+        error = abs(float(mpmath.mpf(rep.rho) - ref))
+        assert error <= 1e-12 * float(ref)
+        assert rep.error_estimate >= error
+
+    def test_grids_above_the_ladder_top_share_its_result(self, profile):
+        assert planar_lattice_density(1.0, 128, profile=profile) == planar_lattice_density(
+            1.0, 8192, profile=profile
+        )
 
 
 class TestDensityCurve:
@@ -158,6 +196,22 @@ class TestPlanarGaf:
         assert planar_gaf_tail(R, N - 1) >= 1e-8
         assert planar_gaf_tail(R, N + 10) < planar_gaf_tail(R, N)
 
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 4.0, 12.0, 30.0, 60.0])
+    def test_truncation_matches_candidate_by_candidate_search(self, R):
+        # The search the one-pass truncation replaces: the full tail bound for each
+        # candidate degree in turn.
+        N = max(8, int(2.0 * R * R))
+        while planar_gaf_tail(R, N) >= 1e-8:
+            N += 1
+        assert planar_gaf_truncation(R, 1e-8) == N
+
+    def test_truncation_validation(self):
+        for R, tol in ((0.0, 1e-8), (2.0, 0.0), (2.0, -1.0)):
+            with pytest.raises(ValueError):
+                planar_gaf_truncation(R, tol)
+        with pytest.raises(TruncationError):
+            planar_gaf_truncation(300.0)  # needs a degree above 2 * 300^2
+
     def test_mc_reproducible_and_thread_independent(self):
         R, b = 2.0, 1.0
         N = planar_gaf_truncation(R)
@@ -185,38 +239,64 @@ class TestPlanarGaf:
             planar_gaf_mc(4.0, 1.0, 5, 4, RngStream(seed=1))
 
 
-def _mp_planar_gaf(eta, z):
-    """F(z) = sum eta_j 2^{j/2} z^j / sqrt(j!) summed in 40-digit arithmetic."""
+def _mp_planar_gaf_coeffs(eta):
+    """eta_j 2^{j/2} / sqrt(j!) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        scale = mpmath.mpf(1)
+        out = []
+        for j, e in enumerate(eta):
+            out.append(mpmath.mpc(e.real, e.imag) * scale)
+            scale *= mpmath.sqrt(mpmath.mpf(2) / (j + 1))
+        return out
+
+
+def _mp_planar_gaf(coeffs, z):
+    """e^{-|z|^2} F(z), F(z) = sum coeffs[j] z^j by Horner's rule in 40-digit arithmetic."""
     with mpmath.workdps(40):
         z = mpmath.mpc(z)
-        term = mpmath.mpf(1)  # 2^{j/2} z^j / sqrt(j!)
         total = mpmath.mpc(0)
-        for j, e in enumerate(eta):
-            total += mpmath.mpc(e.real, e.imag) * term
-            term *= mpmath.sqrt(mpmath.mpf(2) / (j + 1)) * z
-        return complex(total)
+        for c in reversed(coeffs):
+            total = total * z + c
+        return complex(total * mpmath.exp(-abs(z) ** 2))
 
 
+def _log_space_tol(R):
+    """Absolute tolerance for e^{-|z|^2} F(z) on D(0, R) in double precision.
+
+    The parts of each term's exponent, log scale + j log r - r^2, reach 2 R^2 log R near
+    the peak degree j = 2 R^2, so every term carries a relative rounding error of about
+    that times 2.2e-16; four times it, and never below 1e-12.
+    """
+    return max(1e-12, 4.0 * 2.0 * R * R * math.log(R) * 2.2e-16)
+
+
+@pytest.mark.parametrize("R", [12.0, 30.0])
 class TestPlanarGafLargeRadius:
     """At R = 12 (N = 388) the scales 2^{j/2}/sqrt(j!) underflow in double from
-    j = 356 on, while their products with |z|^j still matter near |z| = R."""
+    j = 356 on, while their products with |z|^j still matter near |z| = R.  From
+    R = 27 on the terms 2^{j/2} |z|^j / sqrt(j!) themselves overflow a double, so only
+    the envelope e^{-|z|^2}, applied in log space, keeps them in range."""
 
-    R = 12.0
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
 
-    def test_grid_values_match_mpmath(self):
-        N = planar_gaf_truncation(self.R)
+    def test_grid_values_match_mpmath(self, R):
+        N = planar_gaf_truncation(R)
         eta = sample_complex_gaussians(RngStream(seed=3).substream(0), N + 1)
         j = np.arange(N + 1)
         log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
-        radii = np.array([0.5, 6.0, 11.5, 11.97])
-        F = _polar_values(eta, log_scales, radii, 256)
+        radii = np.array([0.5, R / 2.0, R - 0.5, R - 0.03])
+        F = _polar_values(eta, log_scales, radii, 256, log_offset=-radii**2)
+        coeffs = _mp_planar_gaf_coeffs(eta)
         for i, k in [(0, 3), (1, 100), (2, 12), (3, 0), (3, 201)]:
             z = radii[i] * complex(math.cos(2 * math.pi * k / 256), math.sin(2 * math.pi * k / 256))
-            want = _mp_planar_gaf(eta, z)
-            assert abs(F[i, k] - want) * math.exp(-radii[i] ** 2) <= 1e-12
+            assert abs(F[i, k] - _mp_planar_gaf(coeffs, z)) <= _log_space_tol(R)
 
-    def test_trials_match_mpmath_quadrature(self):
-        R, b, n_radial, n_angular = self.R, 0.9, 4, 8
+    def test_trials_match_mpmath_quadrature(self, R):
+        b, n_radial, n_angular = 0.9, 4, 8
         N = planar_gaf_truncation(R)
         rng = RngStream(seed=17)
         mean, stderr = planar_gaf_mc(R, b, N, 2, rng, n_radial=n_radial, n_angular=n_angular)
@@ -224,18 +304,17 @@ class TestPlanarGafLargeRadius:
         nodes, weights = 0.5 * R * (x + 1.0), 0.5 * R * w
         trials = []
         for i in range(2):
-            eta = sample_complex_gaussians(rng.substream(i), N + 1)
+            coeffs = _mp_planar_gaf_coeffs(sample_complex_gaussians(rng.substream(i), N + 1))
             total = 0.0
             for r, wr in zip(nodes, weights):
                 ring = sum(
-                    (b * abs(_mp_planar_gaf(eta, r * np.exp(2j * math.pi * k / n_angular)))
-                     * math.exp(-r * r) - 1.0) ** 2
+                    (b * abs(_mp_planar_gaf(coeffs, r * np.exp(2j * math.pi * k / n_angular))) - 1.0) ** 2
                     for k in range(n_angular)
                 )
                 total += wr * r * ring
             trials.append(2.0 * total / (R * R * n_angular))
-        assert mean == pytest.approx(0.5 * (trials[0] + trials[1]), abs=1e-12)
-        assert stderr == pytest.approx(0.5 * abs(trials[0] - trials[1]), abs=1e-12)
+        assert mean == pytest.approx(0.5 * (trials[0] + trials[1]), abs=_log_space_tol(R))
+        assert stderr == pytest.approx(0.5 * abs(trials[0] - trials[1]), abs=_log_space_tol(R))
 
 
 class TestTorusMonopole:

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from oracles import log_abs_sigma_jtheta, sigma_product, zeta_half_period_sum
-from zeropack.planar import _log_profile_blocks, _rhombus_blocks, log_profile, make_triangular_profile
+from zeropack.planar import (
+    _log_profile_blocks,
+    _log_profile_ladder,
+    log_profile,
+    make_triangular_profile,
+)
 from zeropack.weierstrass import (
     DegenerateLatticeError,
     LatticePoleError,
@@ -188,9 +193,30 @@ class TestSigmaGrid:
     def test_planar_blocks_match_pointwise_log_profile(self, weight_scale):
         # The full 128 x 128 midpoint grid of the rhombus, block by block.
         p = make_triangular_profile(weight_scale)
-        for got, Z in zip(_log_profile_blocks(p, 128), _rhombus_blocks(p, 128), strict=True):
+        s = (np.arange(128) + 0.5) / 128
+        start = 0
+        for got in _log_profile_blocks(p, 128):
+            t = s[start:start + got.shape[0]]
+            Z = 2.0 * p.ctx.omega1 * s[None, :] + 2.0 * p.ctx.omega2 * t[:, None]
             assert got.shape == Z.shape
             np.testing.assert_allclose(got, log_profile(p, Z), rtol=0.0, atol=1e-12)
+            start += t.size
+        assert start == 128
+
+    @pytest.mark.parametrize("weight_scale", [1.0, 7.3])
+    def test_planar_ladder_matches_pointwise_log_profile(self, weight_scale):
+        # Every level of the cached 16-128 extrapolation ladder, read-only.
+        p = make_triangular_profile(weight_scale)
+        flat, sizes = _log_profile_ladder(p, 128)
+        assert sizes == (16, 32, 64, 128) and flat.size == 21760
+        assert not flat.flags.writeable
+        start = 0
+        for m in sizes:
+            s = (np.arange(m) + 0.5) / m
+            Z = 2.0 * p.ctx.omega1 * s[None, :] + 2.0 * p.ctx.omega2 * s[:, None]
+            got = flat[start:start + m * m].reshape(m, m)
+            np.testing.assert_allclose(got, log_profile(p, Z), rtol=0.0, atol=1e-12)
+            start += m * m
 
 
 class TestZeta:
