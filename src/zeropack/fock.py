@@ -77,7 +77,8 @@ def cubic_projection(f: FockPolynomial) -> FockPolynomial:
 
     Output degree is at most twice the input degree.  The factorial ratios
     (a+b)! / (2^{a+b+1} m!) are formed in log space; with the degree cap they
-    stay inside double range.
+    stay inside double range; a projection that overflows it raises
+    FockOverflowError.
     """
     c = f.array()
     N = len(c) - 1
@@ -85,14 +86,17 @@ def cubic_projection(f: FockPolynomial) -> FockPolynomial:
         raise ValueError(f"cubic_projection input degree {N} exceeds cap {DEGREE_CAP}")
     # P_s = sum_{a+b=s} c_a c_b, then g_m = sum_{k=0..N, m+k<=2N} P_{m+k} conj(c_k) W(m+k, m)
     # with W(s, m) = s!/(2^{s+1} m!), on the (2N+1) x (N+1) grid of (m, k).
-    P = np.convolve(c, c)
     m = np.arange(2 * N + 1)[:, None]
     s = m + np.arange(N + 1)
     inside = s <= 2 * N
     s = np.where(inside, s, 0)
     w = np.exp(_LOG_FACTORIAL[s] - (s + 1.0) * math.log(2.0) - _LOG_FACTORIAL[m])
-    terms = P[s] * c.conj() * w
-    return FockPolynomial(tuple(np.where(inside, terms, 0.0).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.convolve(c, c)
+        g = np.where(inside, P[s] * c.conj() * w, 0.0).sum(axis=1)
+    if not np.all(np.isfinite(g)):
+        raise FockOverflowError("cubic projection exceeds double range")
+    return FockPolynomial(tuple(g))
 
 
 def _defect_norm(g: np.ndarray, c: np.ndarray, omega: float) -> float:

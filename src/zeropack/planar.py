@@ -254,7 +254,7 @@ def planar_gaf_mc(
     rule = gauss_legendre(n_radial, 0.0, R)
     j = np.arange(truncation_N + 1)
     log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
-    weights = 2.0 * rule.nodes * rule.weights / (R * R)
+    weights = 2.0 * (rule.nodes / R) * (rule.weights / R)  # R * R underflows for R below 1e-154
     return _gaf_mc(log_scales, rule.nodes, weights, -rule.nodes**2, b, n_angular, trials, rng,
                    threads)
 

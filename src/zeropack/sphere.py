@@ -20,6 +20,10 @@ points, and all reported quantities become rotation-invariant to roundoff.
 A "world" frame mode keeps the grid configuration-independent, which is the
 mode where the analytic gradient is exactly the gradient of the discrete
 objective (used by the finite-difference check).
+
+Passes over the grid take _NODE_BLOCK nodes at a time and sum in a fixed order
+without BLAS, so no result depends on the thread count: Z-only passes serve
+partition_function and discrepancy, moment passes the residual and the flow.
 """
 from __future__ import annotations
 
@@ -32,9 +36,11 @@ from .numerics import RngStream, gamma_real, gauss_legendre
 from .reports import DiscrepancyReport, make_report
 
 _MIN_PAIR_DIST = 1e-9
-_MAX_GRID_ELEMENTS = 1 << 23  # node x point budget: 64 MB per (M, n) array, n <= 64 on the default grid
+_MAX_GRID_ELEMENTS = 1 << 23  # node x point work bound of one pass: n <= 64 on the default grid
 _PAIR_BLOCK = 1 << 16  # point pairs per block of _min_pair_distance: 1.5 MB of differences
-_LOG_BLOCK = 8192  # node rows per np.log block in _geometry
+_NODE_BLOCK = 8192  # nodes per block of a pass over the grid: 4 MB per (n, block) array at n = 64
+_ASCENT_SLACK = 1e-15  # relative slack of the flow's ascent and stall tests
+_STALL_STEPS = 5  # accepted flow steps in a row that leave the best objective where it was
 
 
 class StepCollapseError(ArithmeticError):
@@ -129,7 +135,7 @@ class SphereQuadrature:
         x = rule.nodes
         sin_t = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
         phi = 2.0 * math.pi * np.arange(self.n_azimuthal) / self.n_azimuthal
-        nodes = np.empty((self.n_polar * self.n_azimuthal, 3))
+        nodes = np.empty((3, self.n_polar * self.n_azimuthal)).T  # each coordinate contiguous
         nodes[:, 0] = np.outer(sin_t, np.cos(phi)).ravel()
         nodes[:, 1] = np.outer(sin_t, np.sin(phi)).ravel()
         nodes[:, 2] = np.repeat(x, self.n_azimuthal)
@@ -140,7 +146,7 @@ class SphereQuadrature:
         object.__setattr__(self, "weights", weights)
 
     def check_points(self, n: int) -> None:
-        """Raise ValueError if n points need a node x point array beyond the element budget."""
+        """Raise ValueError if n points make a pass over the grid exceed the node x point budget."""
         elements = self.n_polar * self.n_azimuthal * n
         if elements > _MAX_GRID_ELEMENTS:
             raise ValueError(
@@ -175,6 +181,7 @@ def _anchor_matrix(pts: np.ndarray) -> np.ndarray:
 
 def _frame_points(config: SphereConfiguration, quad: SphereQuadrature):
     """Configuration in grid coordinates plus the rotation taking them back."""
+    quad.check_points(config.n)
     pts = config.points
     if quad.frame == "anchored" and pts.shape[0] >= 1:
         R = _anchor_matrix(pts)
@@ -182,57 +189,69 @@ def _frame_points(config: SphereConfiguration, quad: SphereQuadrature):
     return pts, np.eye(3)
 
 
-def _geometry(config: SphereConfiguration, quad: SphereQuadrature):
-    """(pts_f, R, d2, s): points in grid coordinates, rotation back to world
-    rows, (M, n) squared node-to-point distances, s = sum_j log(d_j / 2).
+def _node_blocks(pts_f: np.ndarray, quad: SphereQuadrature, gammas):
+    """Yield (node slice, d2, s, w, scratch) for each block of _NODE_BLOCK quadrature nodes.
 
-    d2 is built in place in the matmul output, and its logs are taken in
-    blocks of _LOG_BLOCK rows, so no second (M, n) array is allocated.
+    d2 holds the (n, block) squared distances 2 - 2 p.x, p.x summed term by term
+    over the node coordinate rows (no BLAS, so no thread-dependent rounding).
+    s = sum_j log(d_j / 2) sums over the points in order; row i of w is
+    weights * e^{gamma_i s}, and as s <= 0, gamma s overflowing to -inf means 0.
+    d2 and the free (n, block) scratch array are reused by the next block.
     """
-    quad.check_points(config.n)
-    pts_f, R = _frame_points(config, quad)
-    d2 = quad.nodes @ pts_f.T
-    np.multiply(d2, 2.0, out=d2)
-    np.subtract(2.0, d2, out=d2)
-    np.clip(d2, 0.0, 4.0, out=d2)
-    s = np.empty(d2.shape[0])
-    with np.errstate(divide="ignore"):
-        for lo in range(0, d2.shape[0], _LOG_BLOCK):
-            np.log(d2[lo:lo + _LOG_BLOCK]).sum(axis=1, out=s[lo:lo + _LOG_BLOCK])
-    s *= 0.5
-    s -= pts_f.shape[0] * math.log(2.0)
-    return pts_f, R, d2, s
+    q = -2.0 * pts_f
+    offset = pts_f.shape[0] * math.log(2.0)
+    buffers = np.empty((2, pts_f.shape[0], min(_NODE_BLOCK, quad.weights.shape[0])))
+    for lo in range(0, quad.weights.shape[0], _NODE_BLOCK):
+        nodes = slice(lo, lo + _NODE_BLOCK)
+        x = quad.nodes[nodes].T
+        d2, scratch = buffers[:, :, :x.shape[1]]
+        np.multiply(q[:, :1], x[0], out=d2)
+        for k in (1, 2):
+            d2 += np.multiply(q[:, k:k + 1], x[k], out=scratch)
+        np.clip(np.add(d2, 2.0, out=d2), 0.0, 4.0, out=d2)
+        with np.errstate(divide="ignore", over="ignore"):
+            s = 0.5 * np.log(d2, out=scratch).sum(axis=0) - offset
+            w = quad.weights[nodes] * np.exp(np.multiply.outer(gammas, s))
+        yield nodes, d2, s, w, scratch
 
 
-def _z_sums(s: np.ndarray, beta: float, quad: SphereQuadrature):
-    """(Z_beta, Z_{2 beta}) from the geometry's s; Z_{2 beta} sums e^{beta s} squared."""
-    e = np.exp(beta * s)
-    return float(np.dot(quad.weights, e)), float(np.dot(quad.weights, e * e))
+def _tree_sum(parts: list):
+    """Add arrays pairwise as a balanced tree: over 2^k equal node blocks this is
+    numpy's pairwise sum over all the nodes, which halves at the same boundaries."""
+    while len(parts) > 1:
+        parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def _z_total(parts: list, gammas) -> list:
+    """Z_gamma for each gamma from its node-block sums; Z = 0 is a numeric failure."""
+    Z = _tree_sum(parts)
+    if not np.all(Z > 0.0):
+        raise ArithmeticError(f"Z underflows to 0 at gamma in {list(gammas)}: e^(gamma s) is 0 at every node")
+    return Z.tolist()
+
+
+def _z_values(config: SphereConfiguration, gammas, quad: SphereQuadrature) -> list:
+    """Z_gamma for each gamma from one pass over the node blocks (1 for an empty configuration)."""
+    if config.n == 0:
+        return [1.0] * len(gammas)
+    pts_f, _ = _frame_points(config, quad)
+    return _z_total([w.sum(axis=1) for _, _, _, w, _ in _node_blocks(pts_f, quad, gammas)], gammas)
 
 
 def partition_function(config: SphereConfiguration, gamma: float, quad: SphereQuadrature) -> float:
     """Quadrature value of Z_gamma for the configuration (1 for an empty one)."""
     if not (gamma > 0.0):
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if config.n == 0:
-        return 1.0
-    return _z_sums(_geometry(config, quad)[3], gamma, quad)[0]
+    return _z_values(config, (gamma,), quad)[0]
 
 
-def _z_pair(config: SphereConfiguration, beta: float, quad: SphereQuadrature):
-    """(Z_beta, Z_{2 beta}) sharing one geometry pass ((1, 1) for an empty configuration)."""
-    if config.n == 0:
-        return 1.0, 1.0
-    return _z_sums(_geometry(config, quad)[3], beta, quad)
-
-
-def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature, geometry=None):
+def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
     """For each gamma: (Z_gamma, E^gamma[g_j] rows in world coordinates).
 
-    Shares one geometry pass across the gammas: `geometry` if the caller
-    already has the configuration's _geometry result (its d2 is overwritten),
-    else a new one.  g_j is the tangential component at p_j of
-    (p_j - x) / d^2, d = ||p_j - x||, and 0 at x = p_j.
+    One pass over the node blocks serves every gamma, and its Z values are
+    bit for bit those of _z_values.  g_j is the tangential component at p_j
+    of (p_j - x) / d^2, d = ||p_j - x||, and 0 at x = p_j.
     On the unit sphere the radial component of that vector is exactly 1/2
     whenever d > 0, so g_j = (p_j - x) / d^2 - p_j / 2.  For gamma > 0 the
     weight w = weights * e^{gamma s} vanishes wherever some d = 0 (s = -inf
@@ -243,21 +262,18 @@ def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature, geomet
 
     sums over the nodes with 1/d^2 read as 0 where d = 0.
     """
-    pts_f, R, d2, s = geometry if geometry is not None else _geometry(config, quad)
-    inv = np.divide(1.0, d2, out=d2, where=d2 > 0.0)
-    B = np.empty_like(inv)
-    A = np.empty((inv.shape[1], 3))
-    out = []
-    for gamma in gammas:
-        w = quad.weights * np.exp(gamma * s)
-        Z = float(w.sum())
-        a = np.einsum("m,mn->n", w, inv)
-        np.multiply(w[:, None], inv, out=B)
-        for k in range(3):
-            A[:, k] = np.einsum("mn,m->n", B, quad.nodes[:, k])
-        G_f = (a[:, None] * pts_f - A) / Z - 0.5 * pts_f
-        out.append((Z, G_f @ R))
-    return out
+    pts_f, R = _frame_points(config, quad)
+    z_parts, sum_parts = [], []
+    for nodes, d2, _, w, scratch in _node_blocks(pts_f, quad, gammas):
+        np.maximum(d2, np.finfo(float).tiny, out=d2)  # w = 0 where d = 0, so w / d^2 reads 0 there
+        part = np.empty((len(gammas), 4, config.n))  # a_j, then A_j by coordinate
+        for i, w_gamma in enumerate(w):
+            for k, wx in enumerate((w_gamma, *(w_gamma * quad.nodes[nodes].T))):
+                np.divide(wx, d2, out=scratch).sum(axis=1, out=part[i, k])
+        z_parts.append(w.sum(axis=1))
+        sum_parts.append(part)
+    return [(Z, ((a[:, None] * pts_f - np.column_stack(A)) / Z - 0.5 * pts_f) @ R)
+            for Z, (a, *A) in zip(_z_total(z_parts, gammas), _tree_sum(sum_parts))]
 
 
 def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> float:
@@ -274,8 +290,8 @@ def discrepancy(config: SphereConfiguration, beta: float, quad: SphereQuadrature
     """Amplitude-optimized discrepancy 1 - Z_beta^2 / Z_{2 beta} at this configuration."""
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    zb, z2b = _z_pair(config, beta, quad)
-    hb, h2b = _z_pair(config, beta, quad.half_resolution())
+    zb, z2b = _z_values(config, (beta, 2.0 * beta), quad)
+    hb, h2b = _z_values(config, (beta, 2.0 * beta), quad.half_resolution())
     rho_half = 1.0 - hb * hb / h2b
     return make_report(m1=zb, m2=z2b, error_estimate=abs((1.0 - zb * zb / z2b) - rho_half))
 
@@ -313,9 +329,12 @@ def gradient_flow(
 
     The ascent direction at p_j is 2*beta*(E^beta[g_j] - E^{2 beta}[g_j]);
     steps are projected back to the sphere, with backtracking halving when
-    the objective fails to increase.  Stops when the equilibrium residual
-    falls below tol or after max_iters.  Returns the final configuration and
-    the full (iteration, objective, residual) trace.
+    the objective fails to increase or the step overflows.  Stops when the
+    equilibrium residual falls below tol, after max_iters, when no step
+    ascends, or when _STALL_STEPS accepted steps in a row fail to raise the
+    best objective by more than _ASCENT_SLACK: then it returns the iterate
+    with the smallest residual since the stall began.  Returns the final
+    configuration and the (iteration, objective, residual) trace up to it.
 
     `rng` may be a stream (random start) or a configuration to start from.
     """
@@ -339,44 +358,45 @@ def gradient_flow(
     trace: list[tuple[int, float, float]] = []
     cur_step = step
     (zb, g1), (z2b, g2) = _moments(config, (beta, 2.0 * beta), quad)
-    objective = 2.0 * math.log(zb) - math.log(z2b)
+    objective = best = 2.0 * math.log(zb) - math.log(z2b)
+    since, iterates = 0, []  # `since`: the iteration that last raised `best`
     for it in range(max_iters + 1):
         gap = g1 - g2
         residual = float(np.max(np.linalg.norm(gap, axis=1)))
         trace.append((it, objective, residual))
+        iterates.append(config)
         if residual < tol or it == max_iters:
             break
+        if it - since == _STALL_STEPS:
+            k = min(range(since, it + 1), key=lambda i: trace[i][2])
+            config = iterates[k]
+            del trace[k + 1:]
+            break
         grad = 2.0 * beta * gap
-        accepted = False
-        stationary = False
         for _ in range(60):
-            trial_pts = config.points + cur_step * grad
-            trial_pts = trial_pts / np.linalg.norm(trial_pts, axis=1, keepdims=True)
-            if np.array_equal(trial_pts, config.points):
-                # The surviving step is a bitwise no-op: the configuration is
-                # stationary to machine precision and no further ascent exists.
-                stationary = True
-                break
+            with np.errstate(over="ignore"):
+                trial_pts = config.points + cur_step * grad
+                norms = np.linalg.norm(trial_pts, axis=1, keepdims=True)
+            if not np.all(np.isfinite(norms)):  # the step overflowed
+                cur_step *= 0.5
+                continue
+            trial_pts /= norms
             dmin = _min_pair_distance(trial_pts)
             if dmin < _MIN_PAIR_DIST:
                 raise StepCollapseError(f"points merged during flow (distance {dmin:.2e})")
             trial = SphereConfiguration(points=trial_pts)
-            geometry = None  # free the previous pass's (M, n) arrays before this one
-            geometry = _geometry(trial, quad)
-            zb, z2b = _z_sums(geometry[3], beta, quad)
+            (zb, trial_g1), (z2b, trial_g2) = _moments(trial, (beta, 2.0 * beta), quad)
             trial_obj = 2.0 * math.log(zb) - math.log(z2b)
             # Absolute slack: near the optimum the true increase per step falls
             # below fp resolution of the objective, and strict ascent would stall
             # while the points are still ~1e-7 rad from the critical point.
-            if trial_obj >= objective - 1e-15 * max(1.0, abs(objective)):
-                config = trial
-                objective = trial_obj
-                accepted = True
+            if trial_obj >= objective - _ASCENT_SLACK * max(1.0, abs(objective)):
+                config, objective, g1, g2 = trial, trial_obj, trial_g1, trial_g2
                 cur_step = min(cur_step * 1.5, step * 4096.0)
                 break
             cur_step *= 0.5
-        if stationary or not accepted:
+        else:
             break  # no step improves the objective any further
-        (zb, g1), (z2b, g2) = _moments(config, (beta, 2.0 * beta), quad, geometry)
-        objective = 2.0 * math.log(zb) - math.log(z2b)
+        if objective > best + _ASCENT_SLACK * max(1.0, abs(best)):
+            best, since = objective, it + 1
     return config, trace

@@ -237,6 +237,13 @@ class TestGafCommand:
         assert payload["truncation_N"] == planar_gaf_truncation(27.0)
         assert 0.0 < payload["mean"] < 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_planar_radius_whose_square_underflows(self, capsys):
+        argv = ["gaf", "--mode", "planar", "--b", "0.9", "--R", "1e-300", "--trials", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert math.isfinite(json.loads(out)["mean"])
+
     def test_mean_independent_of_thread_count(self, capsys):
         means = []
         for threads in ("1", "3"):
@@ -404,6 +411,32 @@ class TestSphereCommand:
         assert payload["error_estimate"] == rep.error_estimate
         assert payload["rho"] == rep.rho
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "3"], ["--n", "2", "--flow", "--iters", "6"], ["--n", "4", "--flow", "--iters", "6"]],
+        ids=["static-3", "flow-2", "flow-4"],
+    )
+    def test_report_is_independent_of_blas_threads(self, argv):
+        argv = ["sphere", "--beta", "1", "--seed", "3", *argv]
+        runs = [run_module(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_partition_function_exits_3_without_a_warning(self, capsys):
+        code, out, err = run_cli(capsys, ["sphere", "--n", "2", "--beta", "1e300", "--seed", "1"])
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure:") and "underflows" in err
+        assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_flow_step_is_rejected_without_a_warning(self, capsys):
+        argv = ["sphere", "--n", "2", "--beta", "1", "--flow", "--step", "1e300", "--iters", "3",
+                "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["iters"] == 0
+
     @pytest.mark.parametrize("flag", [("--step", "2.0"), ("--iters", "50"), ("--tol", "1e-6")])
     def test_flow_flags_require_flow(self, capsys, flag):
         code, _, err = run_cli(
@@ -507,6 +540,13 @@ class TestFockCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_projection_exits_3_without_a_warning(self, capsys):
+        # The coefficients are finite; their cubic projection is not.
+        code, out, err = run_cli(capsys, ["fock", "--coeffs", "[1, 1e300]", "--omega", "1"])
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure:") and "Warning" not in err
 
     def test_overflow_exits_3(self, capsys):
         coeffs = json.dumps([0.0] * 128 + [1e250])

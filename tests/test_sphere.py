@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,15 +286,34 @@ def test_moments_with_a_point_on_a_quadrature_node(world_quad):
         np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-12)
 
 
+def _one_pass_distances(quad, pts_f):
+    """(M, n) squared node-to-point distances 2 - 2 p.x in one piece, p.x summed term by term."""
+    return np.clip(2.0 - 2.0 * sum(np.outer(quad.nodes[:, k], pts_f[:, k]) for k in range(3)), 0.0, 4.0)
+
+
+def _one_pass_log_potential(d2):
+    """s = sum_j log(d_j / 2) from an (M, n) distance array, summed over the points in point order."""
+    with np.errstate(divide="ignore"):
+        return 0.5 * sum(np.log(d2[:, j]) for j in range(d2.shape[1])) - d2.shape[1] * math.log(2.0)
+
+
 def _three_operand_moments(config, gammas, quad):
-    """The moments by a three-operand einsum over one (M, n) inverse array."""
-    pts_f, R, d2, s = sphere._geometry(config, quad)
-    inv = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
+    """The moments contracted from w, 1/d^2 and x over one (M, n) array w / d^2.
+
+    Each of a_j and A_j is one pairwise numpy sum over all M nodes.
+    """
+    pts_f, R = sphere._frame_points(config, quad)
+    d2 = _one_pass_distances(quad, pts_f)
+    s = _one_pass_log_potential(d2)
     out = []
     for gamma in gammas:
         w = quad.weights * np.exp(gamma * s)
-        a = np.einsum("m,mn->n", w, inv)
-        A = np.einsum("m,mn,mk->nk", w, inv, quad.nodes)
+        # w / d^2 and w x / d^2 with 1/d^2 read as 0 where d = 0, summed over the nodes per point
+        a, *A = (
+            np.divide(wx[:, None], d2, out=np.zeros_like(d2), where=d2 > 0.0).T.copy().sum(axis=1)
+            for wx in (w, *(w * quad.nodes.T))
+        )
+        A = np.column_stack(A)
         out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
     return out
 
@@ -302,10 +325,9 @@ def test_moments_match_the_three_operand_contraction(sphere_quad, n):
     for (Z, G), (Z_ref, G_ref) in zip(got, _three_operand_moments(config, (1.0, 2.0), sphere_quad)):
         assert Z == Z_ref
         np.testing.assert_allclose(G, G_ref, rtol=1e-14, atol=0.0)
-    # A geometry pass handed in gives the same moments as one made inside.
-    given = _moments(config, (1.0, 2.0), sphere_quad, sphere._geometry(config, sphere_quad))
-    for (Z, G), (Z_given, G_given) in zip(got, given):
-        assert Z == Z_given and np.array_equal(G, G_given)
+    # The moment pass and the Z-only pass give the same Z, bit for bit.
+    zb, z2b = sphere._z_values(config, (1.0, 2.0), sphere_quad)
+    assert (zb, z2b) == (got[0][0], got[1][0])
 
 
 def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
@@ -313,41 +335,49 @@ def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
     config = SphereConfiguration(
         points=np.vstack([quad.nodes[5], random_configuration(4, RngStream(seed=6)).points])
     )
-    pts_f, _, d2, s = sphere._geometry(config, quad)
-    d2_ref = np.clip(2.0 - 2.0 * (quad.nodes @ pts_f.T), 0.0, 4.0)
-    with np.errstate(divide="ignore"):
-        ref = 0.5 * np.log(d2_ref).sum(axis=1) - 5 * math.log(2.0)
+    pts_f, _ = sphere._frame_points(config, quad)
+    d2_ref = _one_pass_distances(quad, pts_f)
+    ref = _one_pass_log_potential(d2_ref)
     assert np.isneginf(ref[5])
+    blocks = [(d2.T.copy(), s) for _, d2, s, _, _ in sphere._node_blocks(pts_f, quad, (1.0,))]
+    d2 = np.vstack([d2 for d2, _ in blocks])
+    s = np.concatenate([s for _, s in blocks])
     assert np.array_equal(d2, d2_ref) and np.array_equal(s, ref)
-    monkeypatch.setattr(sphere, "_LOG_BLOCK", 7)
-    assert np.array_equal(sphere._geometry(config, quad)[3], ref)
+    one_block = _moments(config, (1.0, 2.0), quad)
+    monkeypatch.setattr(sphere, "_NODE_BLOCK", 7)
+    blocks_of_7 = sphere._node_blocks(pts_f, quad, (1.0,))
+    assert np.array_equal(np.concatenate([s for _, _, s, _, _ in blocks_of_7]), ref)
+    # Moments summed over 74 blocks of 7 nodes match those of one block to roundoff.
+    for (Z, G), (Z_ref, G_ref) in zip(_moments(config, (1.0, 2.0), quad), one_block):
+        assert Z == pytest.approx(Z_ref, rel=1e-15)
+        np.testing.assert_allclose(G, G_ref, rtol=1e-13, atol=1e-16)
 
 
 class TestGradientFlow:
     def test_one_geometry_pass_per_trial(self, monkeypatch):
-        # Every trial step builds one configuration and one geometry pass; the
+        # Every trial step builds one configuration and one moment pass; the
         # accepted trial's pass also feeds the moments of the next iteration.
         quad = SphereQuadrature(32, 64)
         start = random_configuration(4, RngStream(seed=3))
-        counts = {"geometry": 0, "trials": 0}
-        geometry = sphere._geometry
+        counts = {"passes": 0, "trials": 0}
+        moments = sphere._moments
         post_init = SphereConfiguration.__post_init__
 
-        def counting_geometry(*args):
-            counts["geometry"] += 1
-            return geometry(*args)
+        def counting_moments(*args):
+            counts["passes"] += 1
+            return moments(*args)
 
         def counting_post_init(self):
             counts["trials"] += 1
             post_init(self)
 
-        monkeypatch.setattr(sphere, "_geometry", counting_geometry)
+        monkeypatch.setattr(sphere, "_moments", counting_moments)
         monkeypatch.setattr(SphereConfiguration, "__post_init__", counting_post_init)
         _, trace = gradient_flow(4, 1.0, start, step=4.0, max_iters=10, tol=0.0, quad=quad)
         iterations = trace[-1][0]
         assert iterations == 10
         assert counts["trials"] > iterations  # some steps backtracked
-        assert counts["geometry"] == counts["trials"] + 1
+        assert counts["passes"] == counts["trials"] + 1
 
     def test_converges_from_perturbed_antipodal(self, sphere_quad):
         start = config_of(
@@ -398,6 +428,31 @@ class TestGradientFlow:
         assert trace[-1][2] < 5e-9
         assert float(np.dot(final.points[0], final.points[1])) <= -1.0 + 1e-6
 
+    def test_stall_returns_the_iterate_its_last_trace_entry_describes(self, sphere_quad, monkeypatch):
+        # With tol below the quadrature floor the flow stops by the stall rule,
+        # on the iterate with the smallest residual since the stall began.
+        final, trace = gradient_flow(2, 1.0, RngStream(seed=4), step=4.0, tol=1e-9, quad=sphere_quad)
+        it, objective, residual = trace[-1]
+        assert it < 500 and residual >= 1e-9
+        assert [i for i, _, _ in trace] == list(range(it + 1))
+        zb, z2b = sphere._z_values(final, (1.0, 2.0), sphere_quad)
+        assert objective == 2.0 * math.log(zb) - math.log(z2b)
+        assert residual == equilibrium_residual(final, 1.0, sphere_quad)
+        # The same path without the stall rule goes on past the returned iterate.
+        monkeypatch.setattr(sphere, "_STALL_STEPS", 10**6)
+        _, longer = gradient_flow(
+            2, 1.0, RngStream(seed=4), step=4.0, tol=1e-9, max_iters=it + 5, quad=sphere_quad
+        )
+        assert longer[:it + 1] == trace
+        assert residual <= longer[it + 1][2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_step_is_rejected_like_a_failed_trial(self, sphere_quad):
+        start = random_configuration(2, RngStream(seed=1))
+        final, trace = gradient_flow(2, 1.0, start, step=1e300, max_iters=3, quad=sphere_quad)
+        assert final is start
+        assert [it for it, _, _ in trace] == [0]
+
     def test_start_configuration_size_checked(self, sphere_quad):
         with pytest.raises(ValueError):
             gradient_flow(3, 1.0, config_of(NORTH, SOUTH), quad=sphere_quad)
@@ -434,3 +489,36 @@ def test_discrepancy_rejects_nonpositive_beta(sphere_quad, beta):
 def test_discrepancy_of_empty_configuration_is_zero(sphere_quad):
     rep = discrepancy(SphereConfiguration(points=np.zeros((0, 3))), 1.0, sphere_quad)
     assert (rep.m1, rep.m2, rep.rho, rep.error_estimate) == (1.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_underflowing_z_raises_before_dividing(sphere_quad):
+    # e^{beta s} underflows to 0 at every node: a numeric failure, not a warning.
+    config = random_configuration(2, RngStream(seed=1))
+    for call in (partition_function, discrepancy, equilibrium_residual):
+        with pytest.raises(ArithmeticError, match="underflows to 0"):
+            call(config, 1e300, sphere_quad)
+    with pytest.raises(ArithmeticError, match="underflows to 0"):
+        gradient_flow(2, 1e300, config, quad=sphere_quad)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_passes_at_64_points_stay_within_32_mb():
+    # One node block at a time: no (nodes, points) array, whose size at n = 64 is 64 MB.
+    code = """if True:
+        import resource
+        from zeropack import sphere
+        from zeropack.numerics import RngStream
+        quad = sphere.SphereQuadrature()
+        config = sphere.random_configuration(64, RngStream(seed=1))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        sphere.equilibrium_residual(config, 1.0, quad)
+        sphere.discrepancy(config, 1.0, quad)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """
+    src = str(Path(sphere.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 * 1024
