@@ -32,6 +32,7 @@ DEGREE_CAP = 4096
 # Outer integrals over the punctured annulus r^2 <= |z|^2 < 1 stop at
 # |z|^2 = 1 - _ANNULUS_EDGE; the neglected tail is bounded and checked.
 _ANNULUS_EDGE = 1.0e-12
+_DISK_BLOCK = 64  # circles of a disk grid evaluated at a time
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,15 @@ def _abs_on_circles(f: DiskFunction, radii, n_angular: int) -> np.ndarray:
     """|f| at n_angular uniform angles on each circle |z| = radii[i]."""
     c = f.array()
     return np.abs(_polar_values(c, np.zeros(c.size), radii, n_angular))
+
+
+def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> np.ndarray:
+    """Mean of integrand(u[:, None], |f|) over n_angular angles on each circle |z|^2 = u[i].
+
+    _DISK_BLOCK circles at a time: row for row the values of one pass over the whole grid."""
+    blocks = (u[i : i + _DISK_BLOCK] for i in range(0, u.size, _DISK_BLOCK))
+    return np.concatenate([integrand(b[:, None], _abs_on_circles(f, np.sqrt(b), n_angular)).mean(1)
+                           for b in blocks])
 
 
 def weighted_square_mass(f: DiskFunction, radius: float) -> float:
@@ -154,24 +164,19 @@ class DiskQuadrature:
         radii = np.sqrt(self.u_nodes)
         return radii[:, None] * np.exp(1j * self.angles)[None, :]
 
-    def integrate_hyperbolic(self, samples: np.ndarray) -> float:
-        """Integrate g dA/(1-|z|^2) from samples g(z) on the grid."""
+    def _angular_means(self, samples: np.ndarray) -> np.ndarray:
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (self.n_radial, self.n_angular):
-            raise ValueError(
-                f"samples must have shape {(self.n_radial, self.n_angular)}"
-            )
-        return float(self.hyperbolic_weights @ samples.mean(axis=1))
+            raise ValueError(f"samples must have shape {(self.n_radial, self.n_angular)}")
+        return samples.mean(axis=1)
+
+    def integrate_hyperbolic(self, samples: np.ndarray) -> float:
+        """Integrate g dA/(1-|z|^2) from samples g(z) on the grid."""
+        return float(self.hyperbolic_weights @ self._angular_means(samples))
 
     def integrate_area(self, samples: np.ndarray) -> float:
         """Integrate g dA (dA = dx dy / pi) from samples g(z) on the grid."""
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != (self.n_radial, self.n_angular):
-            raise ValueError(
-                f"samples must have shape {(self.n_radial, self.n_angular)}"
-            )
-        area_weights = self.hyperbolic_weights * (1.0 - self.u_nodes)
-        return float(area_weights @ samples.mean(axis=1))
+        return float(self.hyperbolic_weights * (1.0 - self.u_nodes) @ self._angular_means(samples))
 
     def half_resolution(self) -> "DiskQuadrature":
         return make_disk_quadrature(
@@ -239,10 +244,9 @@ def hyperbolic_discrepancy(
         raise ValueError(f"beta must be positive, got {beta}")
     quad = _quadrature_for(r, quad)
     with np.errstate(over="ignore", invalid="ignore"):
-        modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
-        weight = (1.0 - quad.u_nodes)[:, None] ** alpha
-        mismatch = (weight * modulus**beta - 1.0) ** 2
-        value = quad.integrate_hyperbolic(mismatch) / quad.normalization
+        means = _circle_means(f, quad.u_nodes, quad.n_angular,
+                              lambda u, modulus: ((1.0 - u) ** alpha * modulus**beta - 1.0) ** 2)
+        value = float(quad.hyperbolic_weights @ means) / quad.normalization
     return _finite_or_overflow(value)
 
 
@@ -269,11 +273,10 @@ def tight_discrepancy(
     rule = gauss_legendre(quad.n_radial, -math.log1p(-r * r), -math.log(_ANNULUS_EDGE))
     u = -np.expm1(-rule.nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
-        inner_weight = (1.0 - quad.u_nodes)[:, None]
-        inner = quad.integrate_hyperbolic((inner_weight * modulus - 1.0) ** 2)
-        ring_sq = _abs_on_circles(f, np.sqrt(u), quad.n_angular) ** 2
-        annulus = float((rule.weights * (1.0 - u) ** 2) @ ring_sq.mean(axis=1))
+        inner = float(quad.hyperbolic_weights @ _circle_means(
+            f, quad.u_nodes, quad.n_angular, lambda u, modulus: ((1.0 - u) * modulus - 1.0) ** 2))
+        ring_sq = _circle_means(f, u, quad.n_angular, lambda u, modulus: modulus**2)
+        annulus = float((rule.weights * (1.0 - u) ** 2) @ ring_sq)
     value = _finite_or_overflow((inner + annulus) / quad.normalization)
 
     peak_sq = float(np.sum(np.abs(f.array()))) ** 2
@@ -430,16 +433,16 @@ class InequalityReport:
         )
 
 
-def _gradient_magnitude(f: DiskFunction, z: complex) -> float:
+def _gradient_magnitude(f: DiskFunction, z: complex, fd: DiskFunction | None = None) -> float:
     """Exact |grad((1-|z|^2)|f(z)|)| off the zeros of f.
 
     For holomorphic f, grad|f| is the vector (Re, -Im) of conj(f) f' / |f|;
     combining with grad(1-|z|^2) = -2(x, y) gives the two real components in
     closed form.  At a zero of f the map is not differentiable; the crude
-    triangle bound 2|z||f| + (1-|z|^2)|f'| is used there instead.
+    triangle bound 2|z||f| + (1-|z|^2)|f'| is used there instead.  fd, if given, is f'.
     """
     fv = complex(f.values(z))
-    dv = complex(f.derivative().values(z))
+    dv = complex((f.derivative() if fd is None else fd).values(z))
     if abs(fv) < 1e-300:
         return 2.0 * abs(z) * abs(fv) + (1.0 - abs(z) ** 2) * abs(dv)
     # d|f|/dx + i d|f|/dy = 2 d|f|/dzbar = f conj(f')/|f|, i.e. conj(unit).
@@ -498,7 +501,7 @@ def inequality_suite(
             * math.sqrt(mass)
         )
         gradient_margin = min(
-            gradient_margin, grad_bound - _gradient_magnitude(f, z)
+            gradient_margin, grad_bound - _gradient_magnitude(f, z, fd)
         )
 
     # Dilational estimate: quadrature for the area integral of |f(r w)| over

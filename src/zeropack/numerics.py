@@ -17,6 +17,8 @@ import numpy as np
 _GAMMA_MAX = 170.0  # gamma overflows double just above 171.6
 _MAX_THREADS = 256  # largest worker count accepted from a flag, the environment or a caller
 _MAX_TRIALS = 100_000  # largest Monte Carlo trial count: every trial is queued up front, 1-2 KB each
+_STIELTJES_MIN = 20.0  # n sin(theta) above which P_n(cos theta) comes from the Stieltjes expansion
+_STIELTJES_TERMS = 20  # terms of that expansion
 
 
 def gamma_real(x: float) -> float:
@@ -54,37 +56,68 @@ class QuadratureRule1D:
         weights.setflags(write=False)
 
 
-def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) for |x| < 1 by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+def _quarter_turns(q, c, phi) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of q pi/2 - c phi (integer q >= 0, 2c an integer in [0, 2^14), 0 <= phi < 2).
+
+    The quarter turns are exact, and phi = hi + lo with c hi exact on a 2^-38 grid and c lo <
+    2^-26 taken to first order, so a phase of up to n pi/2 is never rounded whole."""
+    hi = np.round(phi * 2.0**38) * 2.0**-38
+    turns = np.array([1, 1j, -1, -1j])[q % 4] * np.exp(-1j * (c * hi)) * (1.0 - 1j * (c * (phi - hi)))
+    return turns.real, turns.imag
+
+
+def _legendre_stieltjes(n: int, phi: np.ndarray, a_n: float) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(cos theta) and dP/dtheta at theta = pi/2 - phi by the Stieltjes expansion.
+
+    C_n sum_m h_m cos(n pi/2 - (n + m + 1/2) phi) / (2 sin theta)^(m + 1/2), h_m = prod_{j <= m}
+    (j - 1/2)^2 / (j (n + j + 1/2)), C_n = (4/pi) prod_{j <= n} j / (j + 1/2) = 2 / (pi (n + 1/2) a_n);
+    the first term left out is below 1e-15 of the sum once n sin theta > _STIELTJES_MIN."""
+    m = np.arange(_STIELTJES_TERMS) + 0.5
+    h = np.cumprod(np.concatenate([[2.0 / (math.pi * (n + 0.5) * a_n)],
+                                   m[:-1] ** 2 / (m[1:] - 0.5) / (n + m[1:])]))
+    sin_theta = np.cos(phi)[:, None]
+    cos_a, sin_a = _quarter_turns(n, n + m, phi[:, None])
+    terms = h / (2.0 * sin_theta) ** m
+    cot_theta = np.sin(phi)[:, None] / sin_theta
+    return (terms * cos_a).sum(1), -(terms * ((n + m) * sin_a + m * cot_theta * cos_a)).sum(1)
+
+
+def _legendre_cosines(n: int, phi: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(cos theta) = sum_k a_k a_{n-k} cos((n - 2k) theta) and dP/dtheta, theta = pi/2 - phi.
+
+    Exact and stable at every angle (positive coefficients summing to 1), O(n) per angle."""
+    k = np.arange(n // 2 + 1)
+    q = n - 2 * k
+    coef = np.where(q > 0, 2.0, 1.0) * a[k] * a[n - k]
+    cos_q, sin_q = _quarter_turns(q, q, phi[:, None])
+    return cos_q @ coef, -(sin_q @ (q * coef))
 
 
 @lru_cache(maxsize=8)
 def _legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built once per n, read-only.
 
-    Newton on the recurrence from cos(pi (k - 1/4) / (n + 1/2)) for the ceil(n/2) nodes in
-    [0, 1), weights 2 / ((1 - x^2) P_n'(x)^2), then mirrored: the rule is exactly symmetric and
-    the middle node of an odd rule is exactly 0 (P_n(0) = 0 in floating point too).
-    O(n^2) work and O(n) memory (Glaser-Liu-Rokhlin 2007, Hale-Townsend 2013).
+    Newton in phi = pi/2 - theta for the ceil(n/2) nodes x = cos theta = sin phi >= 0 from
+    theta_k = pi (k - 1/4) / (n + 1/2), weights 2 / (dP/dtheta)^2, with no pass over the
+    recurrence (Hale-Townsend 2013).  P_n comes from the Stieltjes expansion where n sin theta >
+    _STIELTJES_MIN, elsewhere (about 7 nodes) from the cosine series.  The rule is mirrored, so it
+    is exactly symmetric and the middle node of an odd rule is exactly 0.  O(n) work and memory;
+    nodes within 1e-16 and weights within 2e-14 relative of a 30-digit rule up to n = 10,000.
     """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
-    if n % 2:
-        x[-1] = 0.0
-    p, dp = _legendre_with_derivative(n, x)
-    for _ in range(100):  # converges in 4-6 steps
+    phi = np.pi * np.arange(n - 1, -1, -2) / (2 * n + 1)
+    a = np.cumprod(np.r_[1.0, np.arange(1, 2 * n, 2) / np.arange(2, 2 * n + 1, 2)])
+    near_one = np.count_nonzero(n * np.cos(phi) <= _STIELTJES_MIN)  # a prefix: phi decreases
+    for _ in range(100):  # converges in 4 steps
+        p, dp = np.concatenate([_legendre_cosines(n, phi[:near_one], a),
+                                _legendre_stieltjes(n, phi[near_one:], a[n])], axis=1)
         step = p / dp
-        x = x - step
-        p, dp = _legendre_with_derivative(n, x)
-        if np.max(np.abs(step)) <= 1e-16:
+        phi = phi + step
+        if np.max(np.abs(step)) <= 4e-16:
             break
     else:
         raise ArithmeticError(f"Gauss-Legendre Newton iteration did not converge at n = {n}")
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    dp += np.tan(phi) * p  # dP/dtheta at the root, as P'' = -cot(theta) P' - n (n + 1) P
+    x, w = np.sin(phi), 2.0 / (dp * dp)
     x = np.concatenate([-x[: n // 2], x[::-1]])
     w = np.concatenate([w[: n // 2], w[::-1]])
     x.setflags(write=False)
@@ -95,8 +128,8 @@ def _legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     """Gauss-Legendre rule with n nodes on [a, b].
 
-    Exact for polynomials of degree <= 2n-1.  The rule on [-1, 1] is built by Newton
-    iteration on the Legendre recurrence, cached per n, and mapped affinely.
+    Exact for polynomials of degree <= 2n-1.  The rule on [-1, 1] is built in O(n) by Newton
+    iteration in the angle (_legendre_unit), cached per n, and mapped affinely.
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")

@@ -147,8 +147,11 @@ def planar_lattice_density(
     p = profile if profile is not None else _default_profile()
     moments = []
     for e in (beta, 2.0 * beta):
+        means, steps = _ladder_means(p, e, min(grid_m, _LADDER_TOP))
+        if min(means) < np.finfo(float).tiny:  # a subnormal or zero mean has lost its digits
+            raise ArithmeticError(f"mean of P^{e:g} underflows ({min(means):.3g}) at beta = {beta:g}")
         powers = (e + 2.0, e + 4.0, e + 6.0) if e % 2.0 != 0.0 and e < 51.0 else ()
-        moments.append(richardson(*_ladder_means(p, e, min(grid_m, _LADDER_TOP)), powers))
+        moments.append(richardson(means, steps, powers))
     (m1, d1), (m2, d2) = moments
     rho_coarser = 1.0 - (m1 - d1) * (m1 - d1) / (m2 - d2)
     rho = 1.0 - m1 * m1 / m2

@@ -166,6 +166,13 @@ class TestPlanarCommand:
         assert runs[0].stdout == runs[1].stdout
         assert files[0] == files[1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_moment_exits_3_without_a_warning(self, capsys):
+        code, out, err = run_cli(capsys, ["planar", "--beta", "500", "--grid", "256"])
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure:") and "underflow" in err and "500" in err
+        assert "Traceback" not in err and "Warning" not in err
+
 
 class TestCurveCommand:
     def test_csv_rows_match_library_values(self, capsys, tmp_path):

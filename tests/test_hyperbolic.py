@@ -18,8 +18,10 @@ from oracles import (
     disk_monomial_tight,
     halfdisk_constant_sides,
 )
+from zeropack import hyperbolic
 from zeropack.hyperbolic import (
     DiskFunction,
+    _abs_on_circles,
     _gradient_magnitude,
     case_iia_integral,
     halfdisk_identity_check,
@@ -37,7 +39,7 @@ from zeropack.hyperbolic import (
     tight_discrepancy,
     weighted_square_mass,
 )
-from zeropack.numerics import RngStream
+from zeropack.numerics import RngStream, gauss_legendre
 from zeropack.planar import TruncationError
 
 
@@ -173,6 +175,29 @@ class TestHyperbolicDiscrepancy:
         full = hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09)
         half = hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09.half_resolution())
         assert full == pytest.approx(half, abs=1e-6)
+
+
+class TestBlockedDiskGrid:
+    """hyperbolic_discrepancy and tight_discrepancy visit the grid in blocks of circles; the
+    reference evaluates the whole grid in one pass, as the functions did before."""
+
+    @pytest.mark.parametrize(  # the default grid, and one full block of circles plus a part
+        "n_radial, n_angular", [(2048, 512), (hyperbolic._DISK_BLOCK + 36, 32)])
+    def test_blocked_values_equal_one_pass(self, coeff_factory, n_radial, n_angular):
+        f = DiskFunction(coeffs=coeff_factory(17, 40))
+        r = 0.8
+        quad = make_disk_quadrature(r, n_radial, n_angular)
+        modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), n_angular)
+        u = quad.u_nodes[:, None]
+        plain = quad.integrate_hyperbolic(((1.0 - u) ** 1.5 * modulus**0.75 - 1.0) ** 2)
+        assert hyperbolic_discrepancy(f, r, 1.5, 0.75, quad=quad) == plain / quad.normalization
+
+        rule = gauss_legendre(n_radial, -math.log1p(-r * r), -math.log(hyperbolic._ANNULUS_EDGE))
+        ring_u = -np.expm1(-rule.nodes)
+        ring_sq = _abs_on_circles(f, np.sqrt(ring_u), n_angular) ** 2
+        inner = quad.integrate_hyperbolic(((1.0 - u) * modulus - 1.0) ** 2)
+        annulus = float((rule.weights * (1.0 - ring_u) ** 2) @ ring_sq.mean(axis=1))
+        assert tight_discrepancy(f, r, quad=quad) == (inner + annulus) / quad.normalization
 
 
 class TestTightDiscrepancy:
@@ -335,6 +360,16 @@ class TestInequalitySuite:
             assert math.hypot(gx, gy) == pytest.approx(
                 _gradient_magnitude(f, z), abs=1e-6
             )
+
+    def test_derivative_is_built_once(self, monkeypatch):
+        f, points = disk(1.0, 1.0, 0.5j), [0.2 + 0.1j, -0.3j, 0.35, -0.2 - 0.25j]
+        for z in points:
+            assert _gradient_magnitude(f, z, f.derivative()) == _gradient_magnitude(f, z)
+        calls = []
+        derivative = DiskFunction.derivative
+        monkeypatch.setattr(DiskFunction, "derivative", lambda g: calls.append(g) or derivative(g))
+        inequality_suite(f, 0.5, points)
+        assert calls == [f]
 
     def test_zero_of_candidate_uses_fallback_bound(self):
         # f(0) = 0 exercises the non-differentiable-point branch.

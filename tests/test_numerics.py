@@ -19,6 +19,9 @@ from zeropack.numerics import (
     _MAX_THREADS,
     QuadratureRule1D,
     RngStream,
+    _STIELTJES_MIN,
+    _legendre_cosines,
+    _legendre_stieltjes,
     _legendre_unit,
     _polar_values,
     gamma_real,
@@ -85,6 +88,32 @@ class TestGaussLegendre:
         for i, (node, weight) in zip(indices, gauss_legendre_mp(n, indices)):
             assert abs(mp.mpf(x[i]) - node) <= 2e-16, f"node {i}"
             assert abs(mp.mpf(w[i]) / weight - 1) <= weight_rel, f"weight {i}"
+
+    @pytest.mark.parametrize("n", [257, 2048])
+    def test_weights_match_mpmath_reference_to_1e12(self, n):
+        _, w = _legendre_unit(n)
+        indices = sorted({0, 1, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1})
+        for i, (_, weight) in zip(indices, gauss_legendre_mp(n, indices)):
+            assert abs(mp.mpf(w[i]) / weight - 1) <= 1e-12, f"weight {i}"
+
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_legendre_evaluators_agree_across_the_switch(self, n):
+        # Both sides of n sin(theta) = _STIELTJES_MIN, where the rule switches evaluator;
+        # errors are measured against the local amplitude, since P itself crosses zero.
+        a = np.cumprod(np.r_[1.0, np.arange(1, 2 * n, 2) / np.arange(2, 2 * n + 1, 2)])
+        theta = np.arcsin(_STIELTJES_MIN * np.array([0.9, 0.995, 1.005, 1.1, 1.5]) / n)
+        phi = np.pi / 2 - theta
+        p_cos, dp_cos = _legendre_cosines(n, phi, a)
+        p_st, dp_st = _legendre_stieltjes(n, phi, a[n])
+        amplitude = np.hypot(p_cos, dp_cos / (n + 0.5))
+        assert np.all(np.abs(p_st - p_cos) <= 1e-13 * amplitude)
+        assert np.all(np.abs(dp_st - dp_cos) <= 1e-13 * (n + 0.5) * amplitude)
+
+    def test_even_monomials_at_4096_nodes(self):
+        x, w = _legendre_unit(4096)
+        for k in range(201):
+            exact = 2.0 / (2 * k + 1)
+            assert float(np.sum(w * x ** (2 * k))) == pytest.approx(exact, rel=1e-13), f"x^{2 * k}"
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 257, 2048])
     def test_rule_is_exactly_symmetric(self, n):
