@@ -12,6 +12,10 @@ clocks and all randomness flows from the --seed argument.  Exit codes:
 0 success, 2 for every ValueError (parameter/validation error), 3 for every
 ArithmeticError (numeric failure, including StepCollapseError and
 DivergenceError).
+
+Each handler imports the library module it runs, so a request loads only
+that module and its dependencies, and `--version` or a usage error loads
+no numpy at all.
 """
 
 from __future__ import annotations
@@ -22,34 +26,6 @@ import math
 import sys
 
 from . import __version__
-from .fock import (
-    FockPolynomial,
-    cubic_projection,
-    fixed_point_solve,
-    stationary_residual,
-)
-from .hyperbolic import (
-    DiskFunction,
-    hyperbolic_discrepancy,
-    hyperbolic_gaf_mc,
-    hyperbolic_gaf_truncation,
-    proof_constants_report,
-    tight_discrepancy,
-)
-from .numerics import RngStream, resolve_threads
-from .planar import (
-    density_curve,
-    planar_gaf_mc,
-    planar_gaf_truncation,
-    planar_lattice_density,
-)
-from .sphere import (
-    SphereQuadrature,
-    discrepancy,
-    equilibrium_residual,
-    gradient_flow,
-    random_configuration,
-)
 
 _CURVE_HEADER = "beta,rho,m1,m2,b_opt,error_estimate"
 _GRID_HELP = "finest midpoint grid of the extrapolation ladder, 16-8192; 128 and up give one report"
@@ -57,6 +33,11 @@ _GRID_HELP = "finest midpoint grid of the extrapolation ladder, 16-8192; 128 and
 
 class CliError(ValueError):
     """Parameter or validation problem; like every ValueError, maps to exit code 2."""
+
+
+def _is_number(x) -> bool:
+    """A JSON number; true and false parse as bool, a subclass of int, and are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
@@ -68,19 +49,19 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
     if not isinstance(raw, list) or not raw:
         raise CliError("--coeffs must be a nonempty JSON array")
     out = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(x, (int, float)) for x in item)
-        ):
-            out.append(complex(item[0], item[1]))
+    for i, item in enumerate(raw):
+        if _is_number(item):
+            parts = [item]
+        elif isinstance(item, list) and len(item) == 2 and all(map(_is_number, item)):
+            parts = item
         else:
             raise CliError(
                 f"coefficient {item!r} must be a number or a [re, im] pair"
             )
+        try:
+            out.append(complex(*parts))
+        except OverflowError as exc:
+            raise CliError(f"coefficient {i} lies beyond the double range") from exc
     return tuple(out)
 
 
@@ -164,7 +145,9 @@ def emit_curve(rows, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_planar(ns) -> int:
-    rep = planar_lattice_density(ns.beta, ns.grid)
+    from . import planar
+
+    rep = planar.planar_lattice_density(ns.beta, ns.grid)
     payload = {
         "beta": ns.beta,
         "grid": ns.grid,
@@ -190,20 +173,29 @@ def _cmd_curve(ns) -> int:
         raise CliError("--betas is empty")
     if not all(math.isfinite(b) for b in betas):
         raise CliError("--betas must be finite")
-    rows = density_curve(betas, ns.grid)
+    from . import planar
+
+    rows = planar.density_curve(betas, ns.grid)
     emit_curve(rows, ns.out)
     return 0
 
 
-_GAF_MODES = {  # mode -> (extent flag, truncation degree, Monte Carlo)
-    "planar": ("R", planar_gaf_truncation, planar_gaf_mc),
-    "hyperbolic": ("r", hyperbolic_gaf_truncation, hyperbolic_gaf_mc),
-}
+def _gaf_mode(mode: str):
+    """(extent flag, truncation degree, Monte Carlo) of a gaf mode; imports only its module."""
+    if mode == "planar":
+        from . import planar
+
+        return "R", planar.planar_gaf_truncation, planar.planar_gaf_mc
+    from . import hyperbolic
+
+    return "r", hyperbolic.hyperbolic_gaf_truncation, hyperbolic.hyperbolic_gaf_mc
 
 
 def _cmd_gaf(ns) -> int:
+    from .numerics import RngStream, resolve_threads
+
     threads = resolve_threads(ns.threads)
-    flag, truncation, monte_carlo = _GAF_MODES[ns.mode]
+    flag, truncation, monte_carlo = _gaf_mode(ns.mode)
     other = "r" if flag == "R" else "R"
     extent = getattr(ns, flag)
     if extent is None:
@@ -238,23 +230,26 @@ def _cmd_sphere(ns) -> int:
         for flag, name in ((ns.step, "--step"), (ns.iters, "--iters"), (ns.tol, "--tol")):
             if flag is not None:
                 raise CliError(f"{name} requires --flow")
+    from . import sphere
+    from .numerics import RngStream
+
     rng = RngStream(seed=ns.seed)
-    quad = SphereQuadrature()
+    quad = sphere.SphereQuadrature()
     quad.check_points(ns.n)
     if ns.flow:
         step = 4.0 if ns.step is None else ns.step
         iters = 500 if ns.iters is None else ns.iters
         tol = 1e-8 if ns.tol is None else ns.tol
-        config, trace = gradient_flow(
+        config, trace = sphere.gradient_flow(
             ns.n, ns.beta, rng, step=step, max_iters=iters, tol=tol, quad=quad
         )
         iterations = trace[-1][0]
         residual = trace[-1][2]
     else:
-        config = random_configuration(ns.n, rng)
-        residual = equilibrium_residual(config, ns.beta, quad)
+        config = sphere.random_configuration(ns.n, rng)
+        residual = sphere.equilibrium_residual(config, ns.beta, quad)
         iterations = 0
-    rep = discrepancy(config, ns.beta, quad)
+    rep = sphere.discrepancy(config, ns.beta, quad)
     payload = {
         "n": ns.n,
         "beta": ns.beta,
@@ -276,15 +271,17 @@ def _cmd_sphere(ns) -> int:
 
 def _cmd_hyperbolic(ns) -> int:
     coeffs = _parse_coeffs(ns.coeffs)
-    f = DiskFunction(coeffs=coeffs)
+    from . import hyperbolic
+
+    f = hyperbolic.DiskFunction(coeffs=coeffs)
     alpha = 1.0 if ns.alpha is None else ns.alpha
     beta = 1.0 if ns.beta is None else ns.beta
     if ns.tight and (alpha != 1.0 or beta != 1.0):
         raise CliError("--tight is defined for alpha = beta = 1 only")
     if ns.tight:
-        value = tight_discrepancy(f, ns.r)
+        value = hyperbolic.tight_discrepancy(f, ns.r)
     else:
-        value = hyperbolic_discrepancy(f, ns.r, alpha=alpha, beta=beta)
+        value = hyperbolic.hyperbolic_discrepancy(f, ns.r, alpha=alpha, beta=beta)
     payload = {
         "r": ns.r,
         "alpha": alpha,
@@ -310,10 +307,13 @@ def _cmd_hyperbolic(ns) -> int:
 def _cmd_fock(ns) -> int:
     if ns.iters is not None and not ns.solve:
         raise CliError("--iters requires --solve")
-    f = FockPolynomial(coeffs=_parse_coeffs(ns.coeffs))
+    coeffs = _parse_coeffs(ns.coeffs)
+    from . import fock
+
+    f = fock.FockPolynomial(coeffs=coeffs)
     if ns.solve:
         iters = 200 if ns.iters is None else ns.iters
-        solution, history = fixed_point_solve(f, ns.omega, iters, 1e-12)
+        solution, history = fock.fixed_point_solve(f, ns.omega, iters, 1e-12)
         payload = {
             "omega": ns.omega,
             "mode": "solve",
@@ -323,12 +323,12 @@ def _cmd_fock(ns) -> int:
         }
         params = {"omega": ns.omega, "solve": True, "iters": iters}
     else:
-        projected = cubic_projection(f)
+        projected = fock.cubic_projection(f)
         payload = {
             "omega": ns.omega,
             "mode": "project",
             "coeffs": _complex_pairs(projected.coeffs),
-            "residual": stationary_residual(f, ns.omega),
+            "residual": fock.stationary_residual(f, ns.omega),
         }
         params = {"omega": ns.omega, "solve": False}
     payload["provenance"] = _provenance("fock", params)
@@ -337,7 +337,9 @@ def _cmd_fock(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    report = proof_constants_report()
+    from . import hyperbolic
+
+    report = hyperbolic.proof_constants_report()
     _emit(report.to_json_dict(), ns.out)
     return 0 if report.all_pass else 3
 

@@ -20,6 +20,7 @@ import numpy as np
 
 DEGREE_CAP = 64
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(2 * DEGREE_CAP + 1)])
+_MIN_DIVISOR = 1.0 / np.finfo(float).max  # complex division forms 1 / divisor, which overflows below
 
 
 class FockOverflowError(OverflowError):
@@ -102,7 +103,10 @@ def cubic_projection(f: FockPolynomial) -> FockPolynomial:
 def _defect_norm(g: np.ndarray, c: np.ndarray, omega: float) -> float:
     """||g - omega c|| in the weighted norm; g, a projection of c, is never shorter than c."""
     d = g.copy()
-    d[: len(c)] -= omega * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        d[: len(c)] -= omega * c
+    if not np.all(np.isfinite(d)):
+        raise FockOverflowError(f"defect of the projection exceeds double range at omega = {omega:g}")
     return fock_norm(FockPolynomial(tuple(d)))
 
 
@@ -136,8 +140,8 @@ def fixed_point_solve(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     norm0 = fock_norm(f0)
-    if norm0 == 0.0:
-        raise ValueError("f0 must be nonzero")
+    if norm0 < _MIN_DIVISOR:
+        raise ValueError(f"f0 must have a weighted norm of at least {_MIN_DIVISOR:g}, got {norm0:g}")
     cur = FockPolynomial(tuple(_truncate(f0.array() / norm0, degree_cap)))
     history: list[float] = []
     for _ in range(max_iters):
@@ -150,9 +154,12 @@ def fixed_point_solve(
             raise DivergenceError(
                 f"residual {res:.3e} grew 10x from its minimum {min(history):.3e}", history
             )
-        nxt = _truncate(g / omega, degree_cap)
+        with np.errstate(over="ignore", invalid="ignore"):  # omega below _MIN_DIVISOR
+            nxt = _truncate(g / omega, degree_cap)
+        if not np.all(np.isfinite(nxt)):
+            raise FockOverflowError(f"projection / omega exceeds double range at omega = {omega:g}")
         nn = fock_norm(FockPolynomial(tuple(nxt)))
-        if nn == 0.0:
-            raise DivergenceError("iterate collapsed to zero", history)
+        if nn < _MIN_DIVISOR:
+            raise DivergenceError(f"iterate collapsed to weighted norm {nn:g}", history)
         cur = FockPolynomial(tuple(nxt / nn))
     return cur, history

@@ -19,13 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .numerics import RngStream, _gaf_mc, _polar_values, gauss_legendre, sample_complex_gaussians
-from .planar import TruncationError, planar_gaf_expected
+from .numerics import (
+    RngStream,
+    TruncationError,
+    _gaf_mc,
+    _polar_values,
+    gaf_expected,
+    gauss_legendre,
+    sample_complex_gaussians,
+)
+
+if TYPE_CHECKING:  # the exact-arithmetic functions below import it when called: only verify runs them
+    from fractions import Fraction
 
 DEGREE_CAP = 4096
 
@@ -62,12 +71,13 @@ class DiskFunction:
 
     def values(self, z) -> np.ndarray:
         """Evaluate the series at z (any array shape); polar grids use _abs_on_circles."""
-        return npoly.polyval(np.asarray(z, dtype=complex), self.array())
+        return np.polyval(self.array()[::-1], np.asarray(z, dtype=complex))
 
     def derivative(self) -> "DiskFunction":
         if self.degree == 0:
             return DiskFunction(coeffs=(0.0,))
-        return DiskFunction(coeffs=tuple(npoly.polyder(self.array())))
+        c = self.array()
+        return DiskFunction(coeffs=tuple(c[1:] * np.arange(1, c.size)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -292,7 +302,7 @@ def tight_discrepancy(
 # Gaussian analytic function on the disk
 # ---------------------------------------------------------------------------
 
-hyperbolic_gaf_expected = planar_gaf_expected
+hyperbolic_gaf_expected = gaf_expected
 
 
 def hyperbolic_gaf_tail(r: float, N: int) -> float:
@@ -592,6 +602,8 @@ def case_iia_integral() -> float:
     a^2 (u - u^2/2) - 2 a u - log(1-u).  The rational part is evaluated in
     exact arithmetic.
     """
+    from fractions import Fraction
+
     a = Fraction(17, 16)
     s = Fraction(1, 25)
     rational = a * a * (s - s * s / 2) - 2 * a * s
@@ -605,6 +617,8 @@ def proof_constants_report() -> ProofConstantsReport:
     library log/pi where transcendental) and compared literally against
     their stated thresholds; no slack is applied anywhere.
     """
+    from fractions import Fraction
+
     iia = case_iia_integral()
     case_iia = ThresholdCheck(
         value=iia, threshold=1.0 / 14000.0, passed=iia > 1.0 / 14000.0
@@ -648,6 +662,8 @@ def schafli_area(p: int, q: int) -> tuple[Fraction, bool]:
     q at a vertex exists in the hyperbolic plane iff the area is positive.
     Exact rational arithmetic throughout.
     """
+    from fractions import Fraction
+
     if p < 3 or q < 3:
         raise ValueError(f"need p, q >= 3, got ({p}, {q})")
     area = Fraction(p - 2, 4) - Fraction(2 * p, 4 * q)
@@ -661,6 +677,8 @@ def schafli_solutions() -> list[tuple[int, int, Fraction]]:
     search range 5..12 is exhaustive.  Every solution has tile area exactly
     1/2.
     """
+    from fractions import Fraction
+
     out: list[tuple[int, int, Fraction]] = []
     for p in range(5, 13):
         num, den = 2 * p, p - 4

@@ -1,4 +1,4 @@
-"""Shared numeric substrate: gamma, Gauss-Legendre rules, reproducible RNG streams.
+"""Shared numeric substrate: gamma, Gauss-Legendre rules, reproducible RNG streams, GAF Monte Carlo.
 
 Everything here is pure and reentrant; rule and stream objects are immutable
 after construction and freely shareable across threads.
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
@@ -263,8 +262,28 @@ def map_indexed(fn: Callable[[int], _T], count: int, threads: int = 1) -> list[_
         raise ValueError(f"thread count must be at most {_MAX_THREADS}, got {threads}")
     if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms (logging, queue): only when threaded
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
+
+
+class TruncationError(ValueError):
+    """Requested series truncation fails its tail bound."""
+
+
+def gaf_expected(b: float) -> float:
+    """Expected discrepancy b^2 - b sqrt(pi) + 1 of the amplitude-b GAF, planar or on the disk.
+
+    The normalized fields e^{-|z|^2} F(z) of the planar GAF (covariance e^{2 z conj(w)}) and
+    (1-|z|^2) G(z) of the disk GAF (covariance (1 - z conj(w))^{-2}) are standard complex
+    Gaussian at every point, so E(b|zeta| - 1)^2 = b^2 - b sqrt(pi) + 1 in both geometries,
+    independent of the radius and minimized at b = sqrt(pi)/2 with value 1 - pi/4.
+    planar.planar_gaf_expected and hyperbolic.hyperbolic_gaf_expected are this function.
+    """
+    if not (b > 0.0):
+        raise ValueError(f"b must be positive, got {b}")
+    return b * b - b * math.sqrt(math.pi) + 1.0
 
 
 def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, trials: int,
@@ -288,7 +307,12 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
     def one_trial(i: int) -> float:
         eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
         modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
-        return float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
+        with np.errstate(over="ignore"):  # a huge b: reported below as an OverflowError
+            return float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
 
     vals = np.array(map_indexed(one_trial, trials, threads))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise OverflowError(f"the squared mismatch or its spread overflows double precision at b = {b}")
+    return mean, stderr

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, _gaf_mc, gauss_legendre, richardson
+from .numerics import RngStream, TruncationError, _gaf_mc, gaf_expected, gauss_legendre, richardson
 from .reports import DiscrepancyReport, make_report
 from .weierstrass import (
     WeierstrassContext,
@@ -118,9 +118,10 @@ def _log_profile_ladder(p: TriangularProfile, top: int) -> tuple[np.ndarray, tup
 def _ladder_means(p: TriangularProfile, e: float, top: int) -> tuple[list[float], list[float]]:
     """Midpoint means of P^e on the _log_profile_ladder levels, coarsest first, and their steps."""
     flat, sizes = _log_profile_ladder(p, top)
-    vals = np.exp(e * flat)
     bounds = np.cumsum([0] + [m * m for m in sizes])
-    means = [float(np.sum(vals[a:b])) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    with np.errstate(over="ignore"):  # a huge e: planar_lattice_density raises on the inf mean
+        vals = np.exp(e * flat)
+        means = [float(np.sum(vals[a:b])) / (b - a) for a, b in zip(bounds, bounds[1:])]
     return means, [1.0 / m for m in sizes]
 
 
@@ -150,6 +151,8 @@ def planar_lattice_density(
         means, steps = _ladder_means(p, e, min(grid_m, _LADDER_TOP))
         if min(means) < np.finfo(float).tiny:  # a subnormal or zero mean has lost its digits
             raise ArithmeticError(f"mean of P^{e:g} underflows ({min(means):.3g}) at beta = {beta:g}")
+        if not math.isfinite(max(means)):
+            raise OverflowError(f"mean of P^{e:g} overflows double precision at beta = {beta:g}")
         powers = (e + 2.0, e + 4.0, e + 6.0) if e % 2.0 != 0.0 and e < 51.0 else ()
         moments.append(richardson(means, steps, powers))
     (m1, d1), (m2, d2) = moments
@@ -176,22 +179,7 @@ def density_curve(betas, grid_m: int, profile: TriangularProfile | None = None):
     return [(b, planar_lattice_density(b, grid_m, profile=profile)) for b in betas]
 
 
-def planar_gaf_expected(b: float) -> float:
-    """Expected discrepancy b^2 - b sqrt(pi) + 1 of the amplitude-b GAF, planar or on the disk.
-
-    The normalized fields e^{-|z|^2} F(z) of the planar GAF (covariance e^{2 z conj(w)}) and
-    (1-|z|^2) G(z) of the disk GAF (covariance (1 - z conj(w))^{-2}) are standard complex
-    Gaussian at every point, so E(b|zeta| - 1)^2 = b^2 - b sqrt(pi) + 1 in both geometries,
-    independent of the radius and minimized at b = sqrt(pi)/2 with value 1 - pi/4.
-    hyperbolic.hyperbolic_gaf_expected is this function.
-    """
-    if not (b > 0.0):
-        raise ValueError(f"b must be positive, got {b}")
-    return b * b - b * math.sqrt(math.pi) + 1.0
-
-
-class TruncationError(ValueError):
-    """Requested series truncation fails its tail bound."""
+planar_gaf_expected = gaf_expected
 
 
 def _planar_gaf_terms(R: float, start: int, floor: float = 1e-30):

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import zeropack
-from zeropack import cli, numerics, sphere
+from zeropack import cli, fock, hyperbolic, numerics, sphere
 from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
 from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
 from zeropack.planar import planar_gaf_truncation, planar_lattice_density
@@ -345,6 +346,17 @@ class TestGafCommand:
         assert captured.out == ""
         assert "--b: invalid finite float value" in captured.err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, extent", [("planar", ["--R", "2"]), ("hyperbolic", ["--r", "0.5"])])
+    def test_amplitude_whose_mismatch_overflows_exits_3_without_a_warning(self, capsys, mode, extent):
+        code, out, err = run_cli(
+            capsys,
+            ["gaf", "--mode", mode, "--b", "1e300", *extent, "--trials", "4", "--seed", "1",
+             "--threads", "1"],
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure:") and "overflows" in err and "Warning" not in err
+
     def test_planar_without_admissible_truncation_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -401,7 +413,6 @@ class TestSphereCommand:
         def no_configuration(*args):
             raise AssertionError("configuration drawn before the size check")
 
-        monkeypatch.setattr(cli, "random_configuration", no_configuration)
         monkeypatch.setattr(sphere, "random_configuration", no_configuration)
         code, out, err = run_cli(capsys, ["sphere", "--n", "3000", "--beta", "1", "--seed", "1", *flow])
         assert (code, out) == (2, "")
@@ -586,7 +597,7 @@ class TestVerifyCommand:
             def to_json_dict(self):
                 return {"stub": {"pass": False, "threshold": 1.0, "value": 0.0}}
 
-        monkeypatch.setattr(cli, "proof_constants_report", lambda: _Stub())
+        monkeypatch.setattr(hyperbolic, "proof_constants_report", lambda: _Stub())
         code, out, _ = run_cli(capsys, ["verify"])
         assert code == 3
         assert json.loads(out)["stub"]["pass"] is False
@@ -594,14 +605,16 @@ class TestVerifyCommand:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "target, error, argv",
+        "module, target, error, argv",
         [
             (
+                sphere,
                 "gradient_flow",
                 StepCollapseError("points merged during flow"),
                 ["sphere", "--n", "2", "--beta", "1", "--flow", "--seed", "1"],
             ),
             (
+                fock,
                 "fixed_point_solve",
                 DivergenceError("residual diverged", [1.0, 10.0]),
                 ["fock", "--coeffs", "[0, 1]", "--omega", "0.25", "--solve"],
@@ -609,12 +622,175 @@ class TestExitCodes:
         ],
         ids=["step_collapse", "divergence"],
     )
-    def test_solver_failure_exits_3(self, capsys, monkeypatch, target, error, argv):
+    def test_solver_failure_exits_3(self, capsys, monkeypatch, module, target, error, argv):
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, target, fail)
+        monkeypatch.setattr(module, target, fail)
         code, out, err = run_cli(capsys, argv)
         assert code == 3
         assert out == ""
         assert err.startswith("numeric failure:")
+
+    @pytest.mark.parametrize(
+        "command, coeffs, flags",
+        [
+            ("hyperbolic", "[true]", ["--r", "0.5"]),
+            ("hyperbolic", "[[1, false]]", ["--r", "0.5"]),
+            ("fock", "[true, false]", ["--omega", "0.5"]),
+        ],
+        ids=["hyperbolic", "hyperbolic-pair", "fock"],
+    )
+    def test_boolean_coefficients_exit_2(self, capsys, command, coeffs, flags):
+        # JSON true and false parse as Python bools, which are ints; they are not numbers.
+        code, out, err = run_cli(capsys, [command, "--coeffs", coeffs, *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, coeffs, flags",
+        [
+            ("hyperbolic", "[1" + "0" * 400 + "]", ["--r", "0.5"]),
+            ("fock", "[[0, -1" + "0" * 400 + "]]", ["--omega", "0.5"]),
+        ],
+        ids=["hyperbolic", "fock-pair"],
+    )
+    def test_integer_beyond_double_range_exits_2(self, capsys, command, coeffs, flags):
+        code, out, err = run_cli(capsys, [command, "--coeffs", coeffs, *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "double range" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: any argv gives exit 0, 2 or 3, no traceback, no RuntimeWarning
+# (an error under pytest), and a strict JSON report (curve: a CSV) on success.
+# Sizes come only from cheap ranges or from values rejected before any
+# allocation or thread pool: --grid 16-256 or above 8192, sphere --n <= 4 or
+# above the grid budget, --iters <= 2, --trials <= 16 or above the cap,
+# --threads 1-2 or above 256.  The examples are derandomized, so the test is a
+# reproducible gate; raise max_examples (and drop derandomize) to explore.
+# ---------------------------------------------------------------------------
+
+def _floats(lo: float, hi: float) -> st.SearchStrategy:
+    return st.floats(lo, hi).map(repr)
+
+
+def _ints(lo: int, hi: int) -> st.SearchStrategy:
+    return st.integers(lo, hi).map(str)
+
+
+def _flag(flag: str, value: st.SearchStrategy) -> st.SearchStrategy:
+    """[--flag=value]; the = form passes values such as -1e-300 that argparse takes for options."""
+    return value.map(lambda v: [f"{flag}={v}"])
+
+
+def _optional(flag: str, value: st.SearchStrategy) -> st.SearchStrategy:
+    return st.just([]) | _flag(flag, value)
+
+
+def _coeffs(number: st.SearchStrategy) -> st.SearchStrategy:
+    item = number | st.tuples(number, number).map(list)
+    return st.lists(item, min_size=1, max_size=5).map(json.dumps)
+
+
+_ANY_FLOAT = st.floats().map(repr) | st.sampled_from(["-1", "1e999", "x", ""])  # nan, inf, huge, junk
+_ANY_COEFFS = _coeffs(st.floats() | st.booleans() | st.integers(10**308, 10**400) | st.just("a")) | \
+    st.sampled_from(["[]", "{}", "[1,", "[[1]]"])
+_SEED = (_ints(0, 2**16), _ints(-2, -1) | _ints(2**64 - 1, 2**64))
+_GRID = (_ints(16, 256), _ints(8193, 10**9) | _ints(-5, 15))
+
+# subcommand -> argument -> (tokens from cheap valid values, tokens from rejected or extreme ones)
+_ARGS = {
+    "planar": {
+        "beta": (_flag("--beta", _floats(0.05, 8)), _flag("--beta", _ANY_FLOAT)),
+        "grid": tuple(_flag("--grid", g) for g in _GRID),
+    },
+    "curve": {
+        "betas": (st.lists(st.floats(0.05, 8), min_size=1, max_size=3, unique=True).map(sorted),
+                  st.lists(st.floats(), min_size=1, max_size=3)),
+        "grid": tuple(_flag("--grid", g) for g in _GRID),
+    },
+    "gaf": {
+        "mode": (_flag("--R", _floats(0.01, 4)).map(lambda t: ["--mode=planar", *t])
+                 | _flag("--r", _floats(0.01, 0.95)).map(lambda t: ["--mode=hyperbolic", *t]),
+                 st.tuples(st.sampled_from(["planar", "hyperbolic"]),
+                           _optional("--R", _floats(300, 1e6) | _ANY_FLOAT),
+                           _optional("--r", _ANY_FLOAT)).map(lambda t: [f"--mode={t[0]}", *t[1], *t[2]])),
+        "b": (_flag("--b", _floats(0.1, 3)), _flag("--b", _ANY_FLOAT)),
+        "trials": (_flag("--trials", _ints(2, 16)),
+                   _flag("--trials", _ints(-1, 1) | _ints(100_001, 10**12))),
+        "seed": tuple(_flag("--seed", v) for v in _SEED),
+        "threads": (_optional("--threads", _ints(1, 2)),
+                    _flag("--threads", _ints(-1, 0) | _ints(257, 10**9))),
+    },
+    "sphere": {
+        "n": (_flag("--n", _ints(1, 4)), _flag("--n", _ints(-2, 0) | _ints(65, 10**9))),
+        "beta": (_flag("--beta", _floats(0.05, 8)), _flag("--beta", _ANY_FLOAT)),
+        "seed": tuple(_flag("--seed", v) for v in _SEED),
+        "flow": (st.just([]) | st.tuples(_flag("--iters", _ints(0, 2)),
+                                         _optional("--step", _floats(0.1, 8)),
+                                         _optional("--tol", _floats(1e-12, 1e-2)))
+                 .map(lambda t: ["--flow", *t[0], *t[1], *t[2]]),
+                 st.sampled_from([["--step=1"], ["--iters=1"], ["--tol=1e-3"], ["--flow", "--iters=-1"]])
+                 | _flag("--step", _ANY_FLOAT).map(lambda t: ["--flow", "--iters=1", *t])
+                 | _flag("--tol", _ANY_FLOAT).map(lambda t: ["--flow", "--iters=1", *t])),
+    },
+    "hyperbolic": {
+        "coeffs": (_flag("--coeffs", _coeffs(st.floats(-4, 4))), _flag("--coeffs", _ANY_COEFFS)),
+        "r": (_flag("--r", _floats(0.05, 0.95)), _flag("--r", _ANY_FLOAT)),
+        "alpha": (_optional("--alpha", _floats(0.1, 4)), _flag("--alpha", _ANY_FLOAT)),
+        "beta": (_optional("--beta", _floats(0.1, 4)), _flag("--beta", _ANY_FLOAT)),
+        "tight": (st.sampled_from([[], ["--tight"]]), st.just(["--tight", "--alpha=2"])),
+    },
+    "fock": {
+        "coeffs": (_flag("--coeffs", _coeffs(st.floats(-4, 4))), _flag("--coeffs", _ANY_COEFFS)),
+        "omega": (_flag("--omega", _floats(-2, 2)), _flag("--omega", _ANY_FLOAT)),
+        "solve": (st.just([]) | _optional("--iters", _ints(0, 20)).map(lambda t: ["--solve", *t]),
+                  st.sampled_from([["--iters=1"], ["--solve", "--iters=-1"]])),
+    },
+    "verify": {},
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A subcommand with every argument cheap and valid except at most one."""
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    args = _ARGS[command]
+    odd = draw(st.sampled_from([None, *args]))
+    argv = [command]
+    for name, (cheap, rare) in args.items():
+        tokens = draw(rare if name == odd else cheap)
+        argv += ["--betas=" + ",".join(map(repr, tokens))] if name == "betas" else tokens
+    return argv
+
+
+class TestContractFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv())
+    def test_exit_code_and_output_keep_the_contract(self, capsys, tmp_path, argv):
+        csv_path = tmp_path / "curve.csv"
+        if argv[0] == "curve":
+            argv = [*argv, "--out", str(csv_path)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        if code != 0:
+            assert out == "" or argv[0] == "verify"
+            return
+        if argv[0] == "curve":
+            header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+            assert header == "beta,rho,m1,m2,b_opt,error_estimate"
+            assert len(rows) == argv[1].count(",") + 1
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+        else:
+            json.loads(out, parse_constant=_reject_constant)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-strict JSON constant {name}")

@@ -134,6 +134,12 @@ class TestStationaryResidual:
         c = math.sqrt(0.5) * complex(math.cos(1.1), math.sin(1.1))
         assert stationary_residual(poly(c), 0.25) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_defect_beyond_double_range_raises(self):
+        # The projection of 1e100 is finite; omega * f is not.
+        with pytest.raises(FockOverflowError, match="defect"):
+            stationary_residual(poly(1e100), 1e300)
+
 
 class TestFixedPointSolve:
     def test_constant_start_at_half(self):
@@ -162,6 +168,16 @@ class TestFixedPointSolve:
             fixed_point_solve(poly(1.0), 0.5, 0, 1e-12)
         with pytest.raises(ValueError):
             fixed_point_solve(poly(0.0), 0.5, 10, 1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_start_or_omega_raises_without_a_warning(self):
+        # Complex division by a subnormal overflows: such a start is a bad parameter,
+        # and an iterate divided by such an omega is a numeric failure.
+        with pytest.raises(ValueError, match="weighted norm"):
+            fixed_point_solve(poly(-2.2e-309), 0.5, 10, 1e-12)
+        for omega in (-2.2e-309, 5e-324):
+            with pytest.raises(FockOverflowError, match="omega"):
+                fixed_point_solve(poly(3.9), omega, 10, 1e-12)
 
     def test_divergence_error_carries_history(self):
         err = DivergenceError("boom", [1.0, 2.0])

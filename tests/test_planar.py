@@ -120,6 +120,16 @@ class TestLatticeDensity:
         with pytest.raises(ValueError):
             planar_lattice_density(1.0, 8)
 
+    @pytest.mark.parametrize("beta, weight_scale, error", [
+        (1e300, 1.0, "underflows"),  # e * log P overflows to -inf: every P^e is 0
+        (1e3, 0.01, "overflows"),  # log P reaches 1.48 on the wide lattice
+        (1e300, 0.01, "overflows"),
+    ])
+    def test_huge_beta_raises_without_a_warning(self, beta, weight_scale, error):
+        profile = make_triangular_profile(weight_scale)
+        with pytest.raises(ArithmeticError, match=error):
+            planar_lattice_density(beta, 16, profile=profile)
+
     def test_grid_above_cap_is_rejected_before_any_work(self, monkeypatch):
         calls = []
         monkeypatch.setattr(planar, "_log_profile_ladder", lambda *args: calls.append(args))
