@@ -37,10 +37,6 @@ if TYPE_CHECKING:  # the exact-arithmetic functions below import it when called:
     from fractions import Fraction
 
 DEGREE_CAP = 4096
-
-# Outer integrals over the punctured annulus r^2 <= |z|^2 < 1 stop at
-# |z|^2 = 1 - _ANNULUS_EDGE; the neglected tail is bounded and checked.
-_ANNULUS_EDGE = 1.0e-12
 _DISK_BLOCK = 64  # circles of a disk grid evaluated at a time
 
 
@@ -70,7 +66,7 @@ class DiskFunction:
         return np.asarray(self.coeffs, dtype=complex)
 
     def values(self, z) -> np.ndarray:
-        """Evaluate the series at z (any array shape); polar grids use _abs_on_circles."""
+        """Evaluate the series at z (any array shape); polar grids use _circle_means."""
         return np.polyval(self.array()[::-1], np.asarray(z, dtype=complex))
 
     def derivative(self) -> "DiskFunction":
@@ -83,19 +79,16 @@ class DiskFunction:
         return all(c == 0 for c in self.coeffs)
 
 
-def _abs_on_circles(f: DiskFunction, radii, n_angular: int) -> np.ndarray:
-    """|f| at n_angular uniform angles on each circle |z| = radii[i]."""
-    c = f.array()
-    return np.abs(_polar_values(c, np.zeros(c.size), radii, n_angular))
-
-
 def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> np.ndarray:
     """Mean of integrand(u[:, None], |f|) over n_angular angles on each circle |z|^2 = u[i].
 
-    _DISK_BLOCK circles at a time: row for row the values of one pass over the whole grid."""
+    _DISK_BLOCK circles at a time: row for row the values of one pass over the whole grid.
+    The integrand may return a stack (..., circles, angles); its leading axes are kept."""
+    c = f.array()
     blocks = (u[i : i + _DISK_BLOCK] for i in range(0, u.size, _DISK_BLOCK))
-    return np.concatenate([integrand(b[:, None], _abs_on_circles(f, np.sqrt(b), n_angular)).mean(1)
-                           for b in blocks])
+    return np.concatenate(
+        [integrand(b[:, None], np.abs(_polar_values(c, np.zeros(c.size), np.sqrt(b), n_angular))).mean(-1)
+         for b in blocks], axis=-1)
 
 
 def weighted_square_mass(f: DiskFunction, radius: float) -> float:
@@ -103,14 +96,15 @@ def weighted_square_mass(f: DiskFunction, radius: float) -> float:
 
     Angular orthogonality of the monomials reduces the integral to
     sum_k |c_k|^2 (s^{k+1}/(k+1) - s^{k+2}/(k+2)) with s = radius^2,
-    which is evaluated in closed form (no quadrature error).
+    which is evaluated in closed form (no quadrature error).  Each moment is
+    written s^{k+1} (1 + (k+1)(1-s)) / ((k+1)(k+2)), which does not cancel.
     """
     if not (0.0 < radius <= 1.0):
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
     s = radius * radius
     c2 = np.abs(f.array()) ** 2
-    k = np.arange(len(c2), dtype=float)
-    moments = s ** (k + 1) / (k + 1) - s ** (k + 2) / (k + 2)
+    k1 = np.arange(1, len(c2) + 1, dtype=float)
+    moments = s**k1 * (1.0 + k1 * (1.0 - s)) / (k1 * (k1 + 1.0))
     return float(np.sum(c2 * moments))
 
 
@@ -271,31 +265,23 @@ def tight_discrepancy(
     (1-|z|^2)|f|^2 dA.  Both pieces share the log(1/(1-r^2)) normalization,
     so the result always dominates the inner-region value.
 
-    The annulus integral stops at |z|^2 = 1 - 1e-12; the neglected tail is
-    bounded by max|f|^2 * 5e-25 and a TruncationError is raised in the
-    (practically unreachable) case where that bound is not negligible.
+    The inner piece is one pass over the quadrature grid.  The annulus piece
+    is exact by coefficient orthogonality: with s = r^2, q = 1 - s, the
+    moment of |c_k|^2 is the integral of u^k (1-u) du over [s, 1], that is
+    q^2 sum_{j<=k} (j+1) s^j / ((k+1)(k+2)), a sum of positive terms where
+    weighted_square_mass(f, 1) - weighted_square_mass(f, r) would cancel.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
     quad = _quadrature_for(r, quad)
-    # Annulus piece: integrate (1-u)|f|^2 dA over r^2 <= u <= 1 - edge with
-    # the same t = -log(1-u) substitution (dA = e^{-t} dt x uniform angle).
-    rule = gauss_legendre(quad.n_radial, -math.log1p(-r * r), -math.log(_ANNULUS_EDGE))
-    u = -np.expm1(-rule.nodes)
+    n = np.arange(1, f.degree + 2, dtype=float)
+    moments = ((1.0 - r) * (1.0 + r)) ** 2 * np.cumsum(n * (r * r) ** (n - 1.0)) / (n * (n + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         inner = float(quad.hyperbolic_weights @ _circle_means(
             f, quad.u_nodes, quad.n_angular, lambda u, modulus: ((1.0 - u) * modulus - 1.0) ** 2))
-        ring_sq = _circle_means(f, u, quad.n_angular, lambda u, modulus: modulus**2)
-        annulus = float((rule.weights * (1.0 - u) ** 2) @ ring_sq)
-    value = _finite_or_overflow((inner + annulus) / quad.normalization)
-
-    peak_sq = float(np.sum(np.abs(f.array()))) ** 2
-    tail_bound = peak_sq * _ANNULUS_EDGE**2 / 2.0
-    if tail_bound > 1e-12 * max(annulus, 1.0):
-        raise TruncationError(
-            f"annulus tail bound {tail_bound:.2e} is not negligible"
-        )
-    return value
+        annulus = float(np.sum(np.abs(f.array()) ** 2 * moments))
+        value = (inner + annulus) / quad.normalization
+    return _finite_or_overflow(value)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +370,22 @@ def halfdisk_identity_check(
     minimizing the mean-square mismatch is b_f = integral of |f| dA, and the
     minimum itself collapses to log(4/3) - b_f^2.  Returns (lhs, rhs,
     |lhs - rhs|) with lhs the quadrature value and rhs the closed form.
+
+    One pass over the grid gives b_f and Q2, the quadrature value of
+    integral of (1-|z|^2)|f|^2 dA; expanding the square, lhs =
+    b_f^2 (Q2/mass - 2) + log(4/3).  The gap b_f^2 |Q2/mass - 1| compares
+    the quadrature with the exact mass, so it measures quadrature error.
     """
     if f.is_zero():
         raise ValueError("candidate must be nonzero")
     mass = weighted_square_mass(f, 0.5)
     quad = _quadrature_for(0.5, quad)
-    modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular) / math.sqrt(mass)
-    b_f = quad.integrate_area(modulus)
-    weight = (1.0 - quad.u_nodes)[:, None]
-    lhs = quad.integrate_hyperbolic((b_f * weight * modulus - 1.0) ** 2)
+    means = _circle_means(f, quad.u_nodes, quad.n_angular,
+                          lambda u, modulus: np.stack((modulus, (1.0 - u) * modulus**2)))
+    area_weights = quad.hyperbolic_weights * (1.0 - quad.u_nodes)
+    b_f = float(area_weights @ means[0]) / math.sqrt(mass)
+    q2 = float(area_weights @ means[1])
+    lhs = b_f * b_f * (q2 / mass - 2.0) + quad.normalization
     rhs = math.log(4.0 / 3.0) - b_f * b_f
     return lhs, rhs, abs(lhs - rhs)
 
@@ -443,23 +436,24 @@ class InequalityReport:
         )
 
 
-def _gradient_magnitude(f: DiskFunction, z: complex, fd: DiskFunction | None = None) -> float:
-    """Exact |grad((1-|z|^2)|f(z)|)| off the zeros of f.
+def _gradient_magnitude(f: DiskFunction, z, fd: DiskFunction | None = None):
+    """Exact |grad((1-|z|^2)|f(z)|)| off the zeros of f, elementwise over z.
 
     For holomorphic f, grad|f| is the vector (Re, -Im) of conj(f) f' / |f|;
     combining with grad(1-|z|^2) = -2(x, y) gives the two real components in
     closed form.  At a zero of f the map is not differentiable; the crude
     triangle bound 2|z||f| + (1-|z|^2)|f'| is used there instead.  fd, if given, is f'.
     """
-    fv = complex(f.values(z))
-    dv = complex((f.derivative() if fd is None else fd).values(z))
-    if abs(fv) < 1e-300:
-        return 2.0 * abs(z) * abs(fv) + (1.0 - abs(z) ** 2) * abs(dv)
+    z = np.asarray(z, dtype=complex)
+    fv = f.values(z)
+    dv = (f.derivative() if fd is None else fd).values(z)
+    modulus, weight = np.abs(fv), 1.0 - np.abs(z) ** 2
+    at_zero = modulus < 1e-300
     # d|f|/dx + i d|f|/dy = 2 d|f|/dzbar = f conj(f')/|f|, i.e. conj(unit).
-    unit = fv.conjugate() * dv / abs(fv)
-    gx = -2.0 * z.real * abs(fv) + (1.0 - abs(z) ** 2) * unit.real
-    gy = -2.0 * z.imag * abs(fv) - (1.0 - abs(z) ** 2) * unit.imag
-    return math.hypot(gx, gy)
+    unit = np.conj(fv) * dv / np.where(at_zero, 1.0, modulus)
+    gx = -2.0 * z.real * modulus + weight * unit.real
+    gy = -2.0 * z.imag * modulus - weight * unit.imag
+    return np.where(at_zero, 2.0 * np.abs(z) * modulus + weight * np.abs(dv), np.hypot(gx, gy))[()]
 
 
 def inequality_suite(
@@ -484,41 +478,29 @@ def inequality_suite(
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    points = [complex(z) for z in test_points]
-    if not points:
-        raise ValueError("need at least one test point")
-    for z in points:
-        if abs(z) >= r:
-            raise ValueError(f"test point {z} lies outside D(0, {r})")
+    z = np.asarray(list(test_points), dtype=complex)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("need a flat, non-empty sequence of test points")
+    outside = np.abs(z) >= r
+    if outside.any():
+        raise ValueError(f"test point {complex(z[outside][0])} lies outside D(0, {r})")
 
     mass = weighted_square_mass(f, r)
     fd = f.derivative()
-    value_margin = math.inf
-    derivative_margin = math.inf
-    gradient_margin = math.inf
-    for z in points:
-        gap = r * r - abs(z) ** 2
-        value_bound = 2.0 * r**4 / gap**3 * mass
-        value_margin = min(value_margin, value_bound - abs(complex(f.values(z))) ** 2)
-        deriv_bound = 24.0 * r**6 / gap**5 * mass
-        derivative_margin = min(
-            derivative_margin, deriv_bound - abs(complex(fd.values(z))) ** 2
-        )
-        grad_bound = (
-            (8.0 + 5.0 * (1.0 - r * r) / gap)
-            * r**3
-            / gap**1.5
-            * math.sqrt(mass)
-        )
-        gradient_margin = min(
-            gradient_margin, grad_bound - _gradient_magnitude(f, z, fd)
-        )
+    gap = r * r - np.abs(z) ** 2
+    value_bound = 2.0 * r**4 / gap**3 * mass
+    value_margin = float(np.min(value_bound - np.abs(f.values(z)) ** 2))
+    deriv_bound = 24.0 * r**6 / gap**5 * mass
+    derivative_margin = float(np.min(deriv_bound - np.abs(fd.values(z)) ** 2))
+    grad_bound = (8.0 + 5.0 * (1.0 - r * r) / gap) * r**3 / gap**1.5 * math.sqrt(mass)
+    gradient_margin = float(np.min(grad_bound - _gradient_magnitude(f, z, fd)))
 
     # Dilational estimate: quadrature for the area integral of |f(r w)| over
-    # the unit disk (plain Gauss-Legendre in u = |w|^2; no hyperbolic weight).
+    # the unit disk (plain Gauss-Legendre in u = |w|^2; no hyperbolic weight),
+    # i.e. circle means of |f| on |z|^2 = r^2 u.
     rule = gauss_legendre(512, 0.0, 1.0)
-    dilate_abs = _abs_on_circles(f, r * np.sqrt(rule.nodes), 256)
-    dilate_norm = float(rule.weights @ dilate_abs.mean(axis=1))
+    dilate_norm = float(rule.weights @ _circle_means(f, r * r * rule.nodes, 256,
+                                                     lambda u, modulus: modulus))
     full_mass = weighted_square_mass(f, 1.0)
     dil_bound = (
         math.sqrt(-math.log1p(-r * r)) / (r * r) * math.sqrt(full_mass)
@@ -530,7 +512,7 @@ def inequality_suite(
         derivative_margin=derivative_margin,
         gradient_margin=gradient_margin,
         dilational_margin=dilational_margin,
-        points_checked=len(points),
+        points_checked=z.size,
     )
 
 

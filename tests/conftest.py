@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import zeropack
 from zeropack import (
     RngStream,
     SphereQuadrature,
@@ -11,6 +15,15 @@ from zeropack import (
     make_disk_quadrature,
     make_triangular_profile,
 )
+
+
+SRC = Path(zeropack.__file__).resolve().parents[1]
+
+
+def checkout_env(**env):
+    """The environment of a child interpreter that imports this checkout first."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
 
 
 @pytest.fixture(scope="session")

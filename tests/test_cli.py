@@ -11,17 +11,15 @@ the installed script wherever one is on ``PATH``.
 
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import zeropack
+from conftest import SRC, checkout_env
 from zeropack import cli, fock, hyperbolic, numerics, sphere
 from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
 from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
@@ -33,15 +31,6 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-SRC = Path(zeropack.__file__).resolve().parents[1]
-
-
-def checkout_env(**env):
-    """The environment of a child interpreter that imports this checkout first."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **env}
 
 
 def run_module(argv, **env):

@@ -21,7 +21,6 @@ from oracles import (
 from zeropack import hyperbolic
 from zeropack.hyperbolic import (
     DiskFunction,
-    _abs_on_circles,
     _gradient_magnitude,
     case_iia_integral,
     halfdisk_identity_check,
@@ -39,12 +38,18 @@ from zeropack.hyperbolic import (
     tight_discrepancy,
     weighted_square_mass,
 )
-from zeropack.numerics import RngStream, gauss_legendre
+from zeropack.numerics import RngStream, _polar_values
 from zeropack.planar import TruncationError
 
 
 def disk(*coeffs) -> DiskFunction:
     return DiskFunction(coeffs=tuple(coeffs))
+
+
+def _abs_on_circles(f: DiskFunction, radii, n_angular: int) -> np.ndarray:
+    """|f| at n_angular uniform angles on every circle |z| = radii[i], in one pass."""
+    c = f.array()
+    return np.abs(_polar_values(c, np.zeros(c.size), radii, n_angular))
 
 
 class TestDiskFunction:
@@ -79,6 +84,10 @@ class TestWeightedSquareMass:
         s = 0.49
         got = weighted_square_mass(disk(0.0, 0.0, 1.0), math.sqrt(s))
         assert got == pytest.approx(s**3 / 3.0 - s**4 / 4.0, rel=1e-14)
+        # At s = 1 the difference form cancels: 1/(k+1) - 1/(k+2) = 1/((k+1)(k+2)).
+        for k in (1000, 4096):
+            got = weighted_square_mass(disk(*[0.0] * k, 1.0), 1.0)
+            assert got == pytest.approx(float(Fraction(1, (k + 1) * (k + 2))), rel=1e-15)
 
     def test_matches_quadrature_route(self, disk_quad_09, coeff_factory):
         f = DiskFunction(coeffs=coeff_factory(17, 7))
@@ -179,7 +188,8 @@ class TestHyperbolicDiscrepancy:
 
 class TestBlockedDiskGrid:
     """hyperbolic_discrepancy and tight_discrepancy visit the grid in blocks of circles; the
-    reference evaluates the whole grid in one pass, as the functions did before."""
+    reference evaluates the whole grid in one pass, as the functions did before; the tight
+    annulus term is the exact orthogonality integral."""
 
     @pytest.mark.parametrize(  # the default grid, and one full block of circles plus a part
         "n_radial, n_angular", [(2048, 512), (hyperbolic._DISK_BLOCK + 36, 32)])
@@ -192,12 +202,23 @@ class TestBlockedDiskGrid:
         plain = quad.integrate_hyperbolic(((1.0 - u) ** 1.5 * modulus**0.75 - 1.0) ** 2)
         assert hyperbolic_discrepancy(f, r, 1.5, 0.75, quad=quad) == plain / quad.normalization
 
-        rule = gauss_legendre(n_radial, -math.log1p(-r * r), -math.log(hyperbolic._ANNULUS_EDGE))
-        ring_u = -np.expm1(-rule.nodes)
-        ring_sq = _abs_on_circles(f, np.sqrt(ring_u), n_angular) ** 2
         inner = quad.integrate_hyperbolic(((1.0 - u) * modulus - 1.0) ** 2)
-        annulus = float((rule.weights * (1.0 - ring_u) ** 2) @ ring_sq.mean(axis=1))
-        assert tight_discrepancy(f, r, quad=quad) == (inner + annulus) / quad.normalization
+        annulus = annulus_power_mass(f.coeffs, r * r, 1.0)
+        assert tight_discrepancy(f, r, quad=quad) == pytest.approx(
+            (inner + annulus) / quad.normalization, rel=1e-15)
+
+    def test_one_grid_pass_per_call(self, monkeypatch, disk_quad_half, coeff_factory):
+        passes, rules = [], []
+        circle_means, gauss_legendre = hyperbolic._circle_means, hyperbolic.gauss_legendre
+        monkeypatch.setattr(hyperbolic, "_circle_means",
+                            lambda *args: passes.append(args[1].size) or circle_means(*args))
+        monkeypatch.setattr(hyperbolic, "gauss_legendre",
+                            lambda *args: rules.append(args) or gauss_legendre(*args))
+        f = DiskFunction(coeffs=coeff_factory(5, 7))
+        tight_discrepancy(f, 0.5, quad=disk_quad_half)
+        assert passes == [disk_quad_half.n_radial] and rules == []
+        halfdisk_identity_check(f, quad=disk_quad_half)
+        assert passes == [disk_quad_half.n_radial] * 2
 
 
 class TestTightDiscrepancy:
@@ -337,6 +358,12 @@ class TestHalfdiskIdentity:
     def test_zero_candidate_rejected(self):
         with pytest.raises(ValueError):
             halfdisk_identity_check(disk(0.0))
+
+    def test_gap_sees_quadrature_error(self, coeff_factory):
+        # 8 angles alias |f|^2 of a degree-12 candidate: the quadrature misses the exact mass.
+        f = DiskFunction(coeffs=coeff_factory(12, 13))
+        _, _, gap = halfdisk_identity_check(f, quad=make_disk_quadrature(0.5, 8, 8))
+        assert gap > 1e-10
 
 
 class TestInequalitySuite:

@@ -11,11 +11,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import zeropack
+from conftest import checkout_env
 from zeropack import fock, hyperbolic, numerics, planar, reports, sphere, weierstrass
 
 PUBLIC_NAMES = [
@@ -120,11 +120,8 @@ LOADS = {  # id: (argv, modules it must not load, modules it must load)
 
 
 def loaded_modules(argv) -> set[str]:
-    src = str(Path(zeropack.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=checkout_env(OPENBLAS_NUM_THREADS="1"), timeout=120, check=True)
     return set(json.loads(proc.stdout))
 
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import checkout_env
 from zeropack import sphere
 from zeropack.numerics import RngStream
 from zeropack.sphere import (
@@ -516,9 +515,7 @@ def test_passes_at_64_points_stay_within_32_mb():
         sphere.discrepancy(config, 1.0, quad)
         print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     """
-    src = str(Path(sphere.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          timeout=120, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 32 * 1024
