@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {  # module -> the public names the package re-exports from it
     "numerics": (
         "QuadratureRule1D", "RngStream", "gamma_real", "gauss_legendre", "map_indexed",
-        "resolve_threads", "sample_complex_gaussians", "sample_standard_complex_gaussian",
+        "resolve_threads", "sample_complex_gaussians",
     ),
     "reports": ("DiscrepancyReport", "make_report"),
     "weierstrass": (

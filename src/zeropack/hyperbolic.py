@@ -28,6 +28,7 @@ from .numerics import (
     TruncationError,
     _gaf_mc,
     _polar_values,
+    _power_of_two_at_least,
     gaf_expected,
     gauss_legendre,
     sample_complex_gaussians,
@@ -306,13 +307,21 @@ def hyperbolic_gaf_tail(r: float, N: int) -> float:
 
 
 def hyperbolic_gaf_truncation(r: float, tol: float = 1e-6) -> int:
-    """Smallest degree N with hyperbolic_gaf_tail(r, N) < tol."""
+    """Smallest degree N < 200,000 with hyperbolic_gaf_tail(r, N) < tol, by bisection.
+
+    With x = r^2 the tail x^{N+1} (N + 2 - (N+1) x) falls by the factor
+    x (1 + (1-x) / (N + 2 - (N+1) x)) < 1 from N to N + 1, so the first N below
+    tol is found in at most 19 evaluations.
+    """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    for N in range(1, 200_000):
-        if hyperbolic_gaf_tail(r, N) < tol:
-            return N
-    raise TruncationError(f"no admissible truncation below 200000 for r={r}")
+    low, high = 0, 199_999  # tail(low) >= tol unless low = 0; tail(high) < tol
+    if not hyperbolic_gaf_tail(r, high) < tol:
+        raise TruncationError(f"no admissible truncation below 200000 for r={r}")
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if hyperbolic_gaf_tail(r, mid) < tol else (mid, high)
+    return high
 
 
 def sample_hyperbolic_gaf(truncation_N: int, rng: RngStream) -> DiskFunction:
@@ -333,15 +342,23 @@ def hyperbolic_gaf_mc(
     trials: int,
     rng: RngStream,
     threads: int = 1,
-    n_radial: int = 256,
-    n_angular: int = 128,
+    n_radial: int = 32,
+    n_angular: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the amplitude-b GAF discrepancy.
 
     Each trial draws an independent truncated GAF sample from its own
     substream, evaluates the alpha = beta = 1 discrepancy over D(0,r) at
-    amplitude b, and the trials are averaged.  The truncation must keep the
-    discarded tail variance below 1e-6 at radius r, else TruncationError.
+    amplitude b, less the control term of numerics._gaf_mc, and the trials
+    are averaged.  The truncation must keep the discarded tail variance
+    below 1e-6 at radius r, else TruncationError.
+
+    The field decorrelates over a hyperbolic distance of order 1: the circle
+    |z| = r is 4 pi r / (1 - r^2) long, and n_angular is by default the power
+    of two >= that, clamped to [16, 128].  The radial rule is Gauss-Legendre
+    in t = -log(1 - |z|^2), about twice the distance from 0, so 32 nodes
+    serve every r.  Any grid gives an unbiased trial; a finer one only lowers
+    its variance.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -350,6 +367,8 @@ def hyperbolic_gaf_mc(
         raise TruncationError(
             f"truncation_N={truncation_N} leaves tail variance {tail:.2e} >= 1e-6"
         )
+    if n_angular is None:
+        n_angular = _power_of_two_at_least(4.0 * math.pi * r / ((1.0 - r) * (1.0 + r)), 16, 128)
     quad = make_disk_quadrature(r, n_radial=n_radial, n_angular=n_angular)
     log_scales = 0.5 * np.log(np.arange(1, truncation_N + 2, dtype=float))
     return _gaf_mc(log_scales, np.sqrt(quad.u_nodes), quad.hyperbolic_weights / quad.normalization,
@@ -378,14 +397,15 @@ def halfdisk_identity_check(
     """
     if f.is_zero():
         raise ValueError("candidate must be nonzero")
-    mass = weighted_square_mass(f, 0.5)
     quad = _quadrature_for(0.5, quad)
-    means = _circle_means(f, quad.u_nodes, quad.n_angular,
-                          lambda u, modulus: np.stack((modulus, (1.0 - u) * modulus**2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _finite_or_overflow(weighted_square_mass(f, 0.5))
+        means = _circle_means(f, quad.u_nodes, quad.n_angular,
+                              lambda u, modulus: np.stack((modulus, (1.0 - u) * modulus**2)))
     area_weights = quad.hyperbolic_weights * (1.0 - quad.u_nodes)
     b_f = float(area_weights @ means[0]) / math.sqrt(mass)
     q2 = float(area_weights @ means[1])
-    lhs = b_f * b_f * (q2 / mass - 2.0) + quad.normalization
+    lhs = _finite_or_overflow(b_f * b_f * (q2 / mass - 2.0) + quad.normalization)
     rhs = math.log(4.0 / 3.0) - b_f * b_f
     return lhs, rhs, abs(lhs - rhs)
 
@@ -485,33 +505,34 @@ def inequality_suite(
     if outside.any():
         raise ValueError(f"test point {complex(z[outside][0])} lies outside D(0, {r})")
 
-    mass = weighted_square_mass(f, r)
-    fd = f.derivative()
-    gap = r * r - np.abs(z) ** 2
-    value_bound = 2.0 * r**4 / gap**3 * mass
-    value_margin = float(np.min(value_bound - np.abs(f.values(z)) ** 2))
-    deriv_bound = 24.0 * r**6 / gap**5 * mass
-    derivative_margin = float(np.min(deriv_bound - np.abs(fd.values(z)) ** 2))
-    grad_bound = (8.0 + 5.0 * (1.0 - r * r) / gap) * r**3 / gap**1.5 * math.sqrt(mass)
-    gradient_margin = float(np.min(grad_bound - _gradient_magnitude(f, z, fd)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        mass = weighted_square_mass(f, r)
+        fd = f.derivative()
+        gap = r * r - np.abs(z) ** 2
+        value_bound = 2.0 * r**4 / gap**3 * mass
+        value_margin = float(np.min(value_bound - np.abs(f.values(z)) ** 2))
+        deriv_bound = 24.0 * r**6 / gap**5 * mass
+        derivative_margin = float(np.min(deriv_bound - np.abs(fd.values(z)) ** 2))
+        grad_bound = (8.0 + 5.0 * (1.0 - r * r) / gap) * r**3 / gap**1.5 * math.sqrt(mass)
+        gradient_margin = float(np.min(grad_bound - _gradient_magnitude(f, z, fd)))
 
-    # Dilational estimate: quadrature for the area integral of |f(r w)| over
-    # the unit disk (plain Gauss-Legendre in u = |w|^2; no hyperbolic weight),
-    # i.e. circle means of |f| on |z|^2 = r^2 u.
-    rule = gauss_legendre(512, 0.0, 1.0)
-    dilate_norm = float(rule.weights @ _circle_means(f, r * r * rule.nodes, 256,
-                                                     lambda u, modulus: modulus))
-    full_mass = weighted_square_mass(f, 1.0)
+        # Dilational estimate: quadrature for the area integral of |f(r w)| over
+        # the unit disk (plain Gauss-Legendre in u = |w|^2; no hyperbolic weight),
+        # i.e. circle means of |f| on |z|^2 = r^2 u.
+        rule = gauss_legendre(512, 0.0, 1.0)
+        dilate_norm = float(rule.weights @ _circle_means(f, r * r * rule.nodes, 256,
+                                                         lambda u, modulus: modulus))
+        full_mass = weighted_square_mass(f, 1.0)
     dil_bound = (
         math.sqrt(-math.log1p(-r * r)) / (r * r) * math.sqrt(full_mass)
     )
     dilational_margin = dil_bound - dilate_norm
 
     return InequalityReport(
-        value_margin=value_margin,
-        derivative_margin=derivative_margin,
-        gradient_margin=gradient_margin,
-        dilational_margin=dilational_margin,
+        value_margin=_finite_or_overflow(value_margin),
+        derivative_margin=_finite_or_overflow(derivative_margin),
+        gradient_margin=_finite_or_overflow(gradient_margin),
+        dilational_margin=_finite_or_overflow(dilational_margin),
         points_checked=z.size,
     )
 

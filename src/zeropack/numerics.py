@@ -213,15 +213,6 @@ class RngStream:
         return RngStream(seed=self.seed, stream_index=index)
 
 
-def sample_standard_complex_gaussian(rng: RngStream | np.random.Generator) -> complex:
-    """One draw with density e^{-|zeta|^2} dA(zeta), dA = dx dy / pi.
-
-    Real and imaginary parts are independent N(0, 1/2), so E|zeta|^2 = 1
-    and E|zeta| = sqrt(pi)/2.
-    """
-    return complex(sample_complex_gaussians(rng, 1)[0])
-
-
 def sample_complex_gaussians(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
     """n independent draws of the standard complex Gaussian, as a complex array."""
     g = rng.generator() if isinstance(rng, RngStream) else rng
@@ -286,15 +277,46 @@ def gaf_expected(b: float) -> float:
     return b * b - b * math.sqrt(math.pi) + 1.0
 
 
+def _power_of_two_at_least(x: float, low: int, high: int) -> int:
+    """The least power of two >= x, clamped to [low, high] (low a power of two, high = low 2^k)."""
+    n = low
+    while n < high and n < x:
+        n *= 2
+    return n
+
+
+def _gaf_mean_square(log_scales, radii, weights, log_envelope, n_angular: int) -> float:
+    """Exact E A, A = weights @ (mean over angles of e^{2 log_envelope} |F|^2), F as in _gaf_mc.
+
+    E |F(z)|^2 = sum_j e^{2 log_scales[j]} |z|^{2j}, so E A = sum_i weights[i] sum_j
+    e^{2 (log_scales[j] + j log radii[i] + log_envelope[i])}: positive terms formed in log
+    space, n_angular columns at a time, so no block is larger than one trial's grid.
+    """
+    log_r = np.log(radii)[:, None]
+    shift = np.asarray(log_envelope, dtype=float)[:, None]
+    per_radius = np.zeros(log_r.shape[0])
+    for start in range(0, len(log_scales), n_angular):
+        j = np.arange(start, min(start + n_angular, len(log_scales)))
+        per_radius += np.exp(2.0 * (log_scales[j] + j * log_r + shift)).sum(axis=1)
+    return float(weights @ per_radius)
+
+
 def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, trials: int,
             rng: RngStream, threads: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error of a GAF mismatch over a polar product rule.
 
     Trial i draws eta_j (j < len(log_scales)) from rng.substream(i), sums
-    F = sum eta_j e^{log_scales[j]} z^j on the grid radii x n_angular angles, and returns
-    weights @ mean over angles of (b e^{log_envelope} |F| - 1)^2.  The envelope enters each
+    F = sum eta_j e^{log_scales[j]} z^j on the grid radii x n_angular angles, and takes
+    X = weights @ mean over angles of (b e^{log_envelope} |F| - 1)^2.  The envelope enters each
     term in log space, so F may outgrow a double where e^{log_envelope} |F| does not.  The
-    planar and disk GAFs differ only in their scales, radial rule and envelope.  Trials are
+    planar and disk GAFs differ only in their scales, radial rule and envelope.
+
+    Every normalized value e^{log_envelope} F is a standard complex Gaussian, so X is unbiased
+    for E(b|zeta| - 1)^2 on any grid whose weights sum to 1; the grid sets only its variance.
+    A trial returns X - c (A - E A), with A the same quadrature of e^{2 log_envelope} |F|^2 and
+    E A exact (_gaf_mean_square), so the estimate stays unbiased.  The fixed
+    c = b^2 - b sqrt(pi)/2 is the pointwise regression coefficient b^2 - 2b Cov(|zeta|, |zeta|^2)
+    / Var|zeta|^2; it vanishes at b = sqrt(pi)/2, where the trial is the plain X.  Trials are
     indexed, so the estimate is thread-count independent.
     """
     if not (b > 0.0):
@@ -303,12 +325,16 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
         raise ValueError(f"need at least 2 trials, got {trials}")
     if trials > _MAX_TRIALS:
         raise ValueError(f"trial count must be at most {_MAX_TRIALS}, got {trials}")
+    c = b * (b - math.sqrt(math.pi) / 2.0)
+    mean_a = _gaf_mean_square(log_scales, radii, weights, log_envelope, n_angular)
 
     def one_trial(i: int) -> float:
         eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
         modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
         with np.errstate(over="ignore"):  # a huge b: reported below as an OverflowError
-            return float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
+            x = float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
+        a = float(weights @ (modulus * modulus).mean(axis=1))
+        return x - c * (a - mean_a)
 
     vals = np.array(map_indexed(one_trial, trials, threads))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, TruncationError, _gaf_mc, gaf_expected, gauss_legendre, richardson
+from .numerics import (RngStream, TruncationError, _gaf_mc, _power_of_two_at_least, gaf_expected,
+                       gauss_legendre, richardson)
 from .reports import DiscrepancyReport, make_report
 from .weierstrass import (
     WeierstrassContext,
@@ -223,17 +224,21 @@ def planar_gaf_mc(
     trials: int,
     rng: RngStream,
     threads: int = 1,
-    n_radial: int = 192,
-    n_angular: int = 256,
+    n_radial: int | None = None,
+    n_angular: int | None = None,
 ):
     """Monte Carlo mean and standard error of the disk-averaged GAF discrepancy.
 
     Each trial draws coefficients for F(z) = sum xi_j 2^{j/2} z^j / sqrt(j!)
     on its own substream of `rng` and integrates
-    (b |F| e^{-|z|^2} - 1)^2 / R^2 over D(0, R) by a polar product rule.
-    F is summed on the grid by the polar FFT kernel with the scales 2^{j/2} / sqrt(j!)
-    in log space, so no term underflows (in plain double every scale from j = 356 on is 0).
-    Trial results are indexed, so the estimate is thread-count independent.
+    (b |F| e^{-|z|^2} - 1)^2 / R^2 over D(0, R) by a polar product rule, less the control
+    term of numerics._gaf_mc.  F is summed on the grid by the polar FFT kernel with the scales
+    2^{j/2} / sqrt(j!) in log space, so no term underflows (in plain double every scale from
+    j = 356 on is 0).  Trial results are indexed, so the estimate is thread-count independent.
+
+    The field decorrelates over a distance of order 1, so by default the grid follows R:
+    n_radial = ceil(4R) and n_angular the power of two >= 8 pi R, clamped to [16, 192] and
+    [16, 256].  Any grid gives an unbiased trial; a finer one only lowers its variance.
     """
     if not (0 < R):
         raise ValueError(f"R must be positive, got {R}")
@@ -242,6 +247,10 @@ def planar_gaf_mc(
         raise TruncationError(
             f"truncation_N = {truncation_N} leaves tail bound {tail:.3e} >= 1e-8 at R = {R}"
         )
+    if n_radial is None:
+        n_radial = min(192, max(16, math.ceil(4.0 * R)))
+    if n_angular is None:
+        n_angular = _power_of_two_at_least(8.0 * math.pi * R, 16, 256)
     rule = gauss_legendre(n_radial, 0.0, R)
     j = np.arange(truncation_N + 1)
     log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))

@@ -280,6 +280,20 @@ class TestGafClosedForms:
         assert hyperbolic_gaf_tail(r, N) < 1e-6
         assert hyperbolic_gaf_tail(r, N - 1) >= 1e-6
 
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-10])
+    def test_truncation_matches_the_linear_search(self, r, tol):
+        # The search the bisection replaces: every degree in turn, from 1.
+        N = 1
+        while hyperbolic_gaf_tail(r, N) >= tol:
+            N += 1
+        assert hyperbolic_gaf_truncation(r, tol) == N
+
+    def test_truncation_beyond_the_degree_limit(self):
+        assert hyperbolic_gaf_tail(0.99999, 199_999) >= 1e-6
+        with pytest.raises(TruncationError):
+            hyperbolic_gaf_truncation(0.99999)
+
     def test_sampler_reproducible_with_correct_scales(self):
         f = sample_hyperbolic_gaf(50, RngStream(seed=40))
         g = sample_hyperbolic_gaf(50, RngStream(seed=40))
@@ -318,11 +332,18 @@ class TestGafMonteCarlo:
         mean, stderr = hyperbolic_gaf_mc(r, b, N, 2, rng, n_radial=8, n_angular=16)
         quad = make_disk_quadrature(r, 8, 16)
         weight = (1.0 - quad.u_nodes)[:, None]
+        # Control term c (A - E A): A is the same quadrature of (1-|z|^2)^2 |G|^2, and
+        # E (1-|z|^2)^2 |G(z)|^2 = (1-|z|^2)^2 sum_{j<=N} (j+1) |z|^{2j} for the truncated series.
+        c = b * b - b * math.sqrt(math.pi) / 2.0
+        k = np.arange(N + 1)
+        series = (1.0 - quad.u_nodes) ** 2 * ((k + 1.0) * quad.u_nodes[:, None] ** k).sum(axis=1)
+        mean_a = float(quad.hyperbolic_weights @ series) / quad.normalization
         trials = []
         for i in range(2):
             modulus = np.abs(sample_hyperbolic_gaf(N, rng.substream(i)).values(quad.grid()))
             mismatch = (b * weight * modulus - 1.0) ** 2
-            trials.append(quad.integrate_hyperbolic(mismatch) / quad.normalization)
+            a = quad.integrate_hyperbolic((weight * modulus) ** 2) / quad.normalization
+            trials.append(quad.integrate_hyperbolic(mismatch) / quad.normalization - c * (a - mean_a))
         assert mean == pytest.approx(0.5 * (trials[0] + trials[1]), abs=1e-12)
         assert stderr == pytest.approx(0.5 * abs(trials[0] - trials[1]), abs=1e-12)
 
@@ -359,6 +380,11 @@ class TestHalfdiskIdentity:
         with pytest.raises(ValueError):
             halfdisk_identity_check(disk(0.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_candidate_is_an_overflow_error(self):
+        with pytest.raises(OverflowError, match="overflow"):
+            halfdisk_identity_check(disk(1e200))
+
     def test_gap_sees_quadrature_error(self, coeff_factory):
         # 8 angles alias |f|^2 of a degree-12 candidate: the quadrature misses the exact mass.
         f = DiskFunction(coeffs=coeff_factory(12, 13))
@@ -367,6 +393,12 @@ class TestHalfdiskIdentity:
 
 
 class TestInequalitySuite:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c, z", [(1e200, 0.1), (1e150, 0.4999)])  # the mass, the bounds
+    def test_overflowing_candidate_is_an_overflow_error(self, c, z):
+        with pytest.raises(OverflowError, match="overflow"):
+            inequality_suite(disk(c), 0.5, [z])
+
     def test_known_candidates_pass_everywhere(self):
         points = [0.2 + 0.1j, -0.3j, 0.35, -0.2 - 0.25j]
         for f in (disk(1.0), disk(0.0, 1.0), disk(1.0, 1.0, 0.5j)):

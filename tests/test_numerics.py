@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from oracles import gauss_legendre_mp
+from zeropack import hyperbolic, planar
 from zeropack.hyperbolic import (
     DiskFunction,
     hyperbolic_discrepancy,
+    hyperbolic_gaf_mc,
+    hyperbolic_gaf_truncation,
     make_disk_quadrature,
     tight_discrepancy,
 )
@@ -20,18 +23,20 @@ from zeropack.numerics import (
     QuadratureRule1D,
     RngStream,
     _STIELTJES_MIN,
+    _gaf_mean_square,
     _legendre_cosines,
     _legendre_stieltjes,
     _legendre_unit,
     _polar_values,
+    gaf_expected,
     gamma_real,
     gauss_legendre,
     map_indexed,
     resolve_threads,
     richardson,
     sample_complex_gaussians,
-    sample_standard_complex_gaussian,
 )
+from zeropack.planar import planar_gaf_mc, planar_gaf_truncation
 
 
 class TestGammaReal:
@@ -186,9 +191,11 @@ class TestRngStream:
         )
 
     def test_single_draw_matches_batch_layout(self):
-        z = sample_standard_complex_gaussian(RngStream(seed=9))
-        batch = sample_complex_gaussians(RngStream(seed=9), 1)
-        assert z == complex(batch[0])
+        # n draws take 2n normals of the stream: the n real parts first, then the n imaginary.
+        normals = RngStream(seed=9).generator().normal(scale=math.sqrt(0.5), size=6)
+        assert list(sample_complex_gaussians(RngStream(seed=9), 3)) == list(normals[:3] + 1j * normals[3:])
+        single = sample_complex_gaussians(RngStream(seed=9).generator(), 1)
+        assert single.shape == (1,) and complex(single[0]) == complex(normals[0], normals[1])
 
 
 class TestResolveThreads:
@@ -300,3 +307,85 @@ class TestPolarValues:
         z = radii[:, None] * np.exp(0.5j * np.pi * np.arange(4))[None, :]
         want = np.polynomial.polynomial.polyval(z, coeffs * np.exp(log_scales))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+_GAF = {  # mode -> (module, Monte Carlo, truncation degree)
+    "planar": (planar, planar_gaf_mc, planar_gaf_truncation),
+    "hyperbolic": (hyperbolic, hyperbolic_gaf_mc, hyperbolic_gaf_truncation),
+}
+
+
+def _gaf_args(mode, extent, b, trials, rng):
+    """The arguments planar_gaf_mc / hyperbolic_gaf_mc hand to _gaf_mc, without running it."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return 0.0, 0.0
+
+    module, mc, truncation = _GAF[mode]
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(module, "_gaf_mc", record)
+        mc(extent, b, truncation(extent), trials, rng)
+    (args,) = seen
+    return args
+
+
+def _grid_of(mode, extent):
+    args = _gaf_args(mode, extent, 1.0, 2, RngStream(seed=1))
+    return len(args[1]), args[5]
+
+
+class TestGafMonteCarlo:
+    @pytest.mark.parametrize("mode, extent", [("planar", 2.0), ("hyperbolic", 0.9)])
+    def test_optimal_amplitude_gives_the_plain_estimator_bitwise(self, mode, extent):
+        # c = b^2 - b sqrt(pi)/2 is exactly 0: no control term, the plain mean of X.
+        b, trials, rng = math.sqrt(math.pi) / 2.0, 5, RngStream(seed=4)
+        log_scales, radii, weights, log_envelope, _, n_angular, *_ = _gaf_args(mode, extent, b, trials, rng)
+        vals = []
+        for i in range(trials):
+            eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
+            modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
+            vals.append(float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1)))
+        vals = np.array(vals)
+        plain = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)))
+        _, mc, truncation = _GAF[mode]
+        got = mc(extent, b, truncation(extent), trials, rng, threads=2)
+        assert [x.hex() for x in got] == [x.hex() for x in plain]
+
+    @pytest.mark.parametrize("mode, extent", [("planar", 4.0), ("planar", 30.0), ("hyperbolic", 0.95)])
+    def test_mean_square_matches_brute_force(self, mode, extent):
+        # 16 angles: the series (degree 68, 2043 and 162) is summed in many column blocks.
+        log_scales, radii, weights, log_envelope, *_ = _gaf_args(mode, extent, 1.0, 2, RngStream(seed=1))
+        j = np.arange(len(log_scales))
+        terms = np.exp(log_scales[None, :] + j * np.log(radii)[:, None] + log_envelope[:, None])
+        brute = float(np.sum(weights[:, None] * terms**2))
+        got = _gaf_mean_square(log_scales, radii, weights, log_envelope, 16)
+        assert got == pytest.approx(brute, rel=1e-14)
+        assert 0.99 < got <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("mode, extent", [("planar", 2.0), ("hyperbolic", 0.9)])
+    def test_control_variate_is_unbiased_on_a_coarse_grid(self, mode, extent):
+        # b = 1.4 gives the control term its largest weight in the bench range of amplitudes.
+        b, rng = 1.4, RngStream(seed=21)
+        _, mc, truncation = _GAF[mode]
+        mean, stderr = mc(extent, b, truncation(extent), 4000, rng, threads=2, n_radial=16, n_angular=16)
+        assert abs(mean - gaf_expected(b)) < 4.0 * stderr
+
+    @pytest.mark.parametrize("mode, extent, grid", [
+        ("planar", 2.0, (16, 64)), ("planar", 4.0, (16, 128)), ("hyperbolic", 0.9, (32, 64)),
+        ("hyperbolic", 0.95, (32, 128)), ("planar", 1e-300, (16, 16)), ("planar", 27.0, (108, 256)),
+        ("hyperbolic", 0.99, (32, 128)),
+    ])
+    def test_default_grid_follows_the_extent(self, mode, extent, grid):
+        assert _grid_of(mode, extent) == grid
+
+    def test_default_grid_never_exceeds_the_fixed_one(self):
+        # The CLI accepts R in (0.01, 4] and r in (0.01, 0.95]; the fixed grids were 192 x 256
+        # (plane) and 256 x 128 (disk).
+        for R in [*np.geomspace(0.01, 4.0, 40), 1e-300, 27.0, 100.0]:
+            n_radial, n_angular = _grid_of("planar", float(R))
+            assert 16 <= n_radial <= 192 and 16 <= n_angular <= 256
+        for r in [*np.linspace(0.01, 0.95, 40), 1e-3, 0.999]:
+            n_radial, n_angular = _grid_of("hyperbolic", float(r))
+            assert n_radial <= 256 and 16 <= n_angular <= 128

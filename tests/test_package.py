@@ -35,7 +35,7 @@ PUBLIC_NAMES = [
     "planar_lattice_density", "profile_value", "proof_constants_report",
     "quasi_period_residual", "random_configuration", "resolve_threads", "rho1_closed",
     "rho2_closed", "sample_complex_gaussians", "sample_hyperbolic_gaf",
-    "sample_standard_complex_gaussian", "schafli_area", "schafli_solutions", "sigma",
+    "schafli_area", "schafli_solutions", "sigma",
     "sigma_parts", "stationary_residual", "tight_discrepancy", "torus_monopole",
     "weierstrass_zeta", "weighted_square_mass",
 ]
@@ -44,7 +44,7 @@ MODULES = (numerics, reports, weierstrass, planar, fock, sphere, hyperbolic)
 
 class TestPublicApi:
     def test_exported_names_are_unchanged(self):
-        assert len(PUBLIC_NAMES) == 72
+        assert len(PUBLIC_NAMES) == 71
         assert sorted(zeropack.__all__) == PUBLIC_NAMES
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)

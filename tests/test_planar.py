@@ -312,17 +312,26 @@ class TestPlanarGafLargeRadius:
         mean, stderr = planar_gaf_mc(R, b, N, 2, rng, n_radial=n_radial, n_angular=n_angular)
         x, w = np.polynomial.legendre.leggauss(n_radial)
         nodes, weights = 0.5 * R * (x + 1.0), 0.5 * R * w
+        # Control term c (A - E A): A is the same quadrature of e^{-2|z|^2} |F|^2, and
+        # E e^{-2|z|^2} |F(z)|^2 = e^{-2|z|^2} sum_{j<=N} (2|z|^2)^j / j! for the truncated series.
+        c = b * b - b * math.sqrt(math.pi) / 2.0
+        with mpmath.workdps(40):
+            mean_a = float(sum(
+                wr * r * mpmath.exp(-2 * mpmath.mpf(r) ** 2)
+                * sum((2 * mpmath.mpf(r) ** 2) ** j / mpmath.factorial(j) for j in range(N + 1))
+                for r, wr in zip(nodes, weights)
+            ) * 2 / (R * R))
         trials = []
         for i in range(2):
             coeffs = _mp_planar_gaf_coeffs(sample_complex_gaussians(rng.substream(i), N + 1))
-            total = 0.0
+            total = total_a = 0.0
             for r, wr in zip(nodes, weights):
-                ring = sum(
-                    (b * abs(_mp_planar_gaf(coeffs, r * np.exp(2j * math.pi * k / n_angular))) - 1.0) ** 2
-                    for k in range(n_angular)
-                )
-                total += wr * r * ring
-            trials.append(2.0 * total / (R * R * n_angular))
+                ring = [abs(_mp_planar_gaf(coeffs, r * np.exp(2j * math.pi * k / n_angular)))
+                        for k in range(n_angular)]
+                total += wr * r * sum((b * v - 1.0) ** 2 for v in ring)
+                total_a += wr * r * sum(v * v for v in ring)
+            x_trial, a = (2.0 * t / (R * R * n_angular) for t in (total, total_a))
+            trials.append(x_trial - c * (a - mean_a))
         assert mean == pytest.approx(0.5 * (trials[0] + trials[1]), abs=_log_space_tol(R))
         assert stderr == pytest.approx(0.5 * abs(trials[0] - trials[1]), abs=_log_space_tol(R))
 
