@@ -27,8 +27,9 @@ import sys
 
 from . import __version__
 
-_CURVE_HEADER = "beta,rho,m1,m2,b_opt,error_estimate"
+_DENSITY_FIELDS = ("rho", "m1", "m2", "b_opt", "error_estimate")
 _GRID_HELP = "finest midpoint grid of the extrapolation ladder, 16-8192; 128 and up give one report"
+_COEFFS_HELP = "JSON array: numbers or [re, im] pairs"
 
 
 class CliError(ValueError):
@@ -55,9 +56,7 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
         elif isinstance(item, list) and len(item) == 2 and all(map(_is_number, item)):
             parts = item
         else:
-            raise CliError(
-                f"coefficient {item!r} must be a number or a [re, im] pair"
-            )
+            raise CliError(f"coefficient {item!r} must be a number or a [re, im] pair")
         try:
             out.append(complex(*parts))
         except OverflowError as exc:
@@ -67,19 +66,6 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
 
 def _complex_pairs(coeffs) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in coeffs]
-
-
-def _provenance(command: str, parameters: dict, seed=None, threads=None) -> dict:
-    block = {
-        "package": f"zeropack {__version__}",
-        "command": command,
-        "parameters": parameters,
-    }
-    if seed is not None:
-        block["seed"] = int(seed)
-    if threads is not None:
-        block["threads"] = int(threads)
-    return block
 
 
 def _finite_float(text: str) -> float:
@@ -93,51 +79,46 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise ArithmeticError(f"report holds a non-finite value: {exc}") from exc
-    if out_path is None:
+def _requires(ns, switch: str, *flags: str) -> None:
+    """Reject each of `flags` given without the boolean `switch` that enables it."""
+    if not getattr(ns, switch):
+        for flag in flags:
+            if getattr(ns, flag) is not None:
+                raise CliError(f"--{flag} requires --{switch}")
+
+
+def _write(text: str, path: str | None) -> None:
+    """The one report writer: stdout, or the same bytes to `path` (unwritable: exit 2)."""
+    if path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {out_path}: {exc}") from exc
-
-
-def emit_curve(rows, path: str) -> None:
-    """Write (beta, DiscrepancyReport) rows as deterministic CSV.
-
-    One row per beta, 17 significant digits, fixed column order; identical
-    inputs give byte-identical files.
-    """
-    rows = list(rows)
-    if not rows:
-        raise CliError("curve needs at least one beta")
-    lines = [_CURVE_HEADER]
-    for beta, rep in rows:
-        lines.append(
-            ",".join(
-                f"{x:.17g}"
-                for x in (
-                    beta,
-                    rep.rho,
-                    rep.m1,
-                    rep.m2,
-                    rep.b_opt,
-                    rep.error_estimate,
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(payload: dict, path: str | None) -> None:
+    """Write `payload` as strict JSON; a non-finite value is a numeric failure."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ArithmeticError(f"report holds a non-finite value: {exc}") from exc
+    _write(text, path)
+
+
+def _report(ns, parameters: dict, payload: dict, *, seed=None, threads=None) -> int:
+    """Emit `payload` with the provenance block last; seed and threads only where they act."""
+    recorded = {"seed": seed, "threads": threads}
+    payload["provenance"] = {
+        "package": f"zeropack {__version__}",
+        "command": ns.command,
+        "parameters": parameters,
+        **{key: int(value) for key, value in recorded.items() if value is not None},
+    }
+    _emit(payload, ns.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +129,13 @@ def _cmd_planar(ns) -> int:
     from . import planar
 
     rep = planar.planar_lattice_density(ns.beta, ns.grid)
-    payload = {
-        "beta": ns.beta,
-        "grid": ns.grid,
-        "rho": rep.rho,
-        "m1": rep.m1,
-        "m2": rep.m2,
-        "b_opt": rep.b_opt,
-        "error_estimate": rep.error_estimate,
-        "provenance": _provenance(
-            "planar", {"beta": ns.beta, "grid": ns.grid}
-        ),
-    }
-    _emit(payload, ns.out)
-    return 0
+    parameters = {"beta": ns.beta, "grid": ns.grid}
+    fields = {name: getattr(rep, name) for name in _DENSITY_FIELDS}
+    return _report(ns, parameters, {**parameters, **fields})
 
 
 def _cmd_curve(ns) -> int:
+    """Write one CSV row per beta: 17 significant digits, fixed column order."""
     try:
         betas = [float(tok) for tok in ns.betas.split(",") if tok.strip()]
     except ValueError as exc:
@@ -175,8 +146,11 @@ def _cmd_curve(ns) -> int:
         raise CliError("--betas must be finite")
     from . import planar
 
-    rows = planar.density_curve(betas, ns.grid)
-    emit_curve(rows, ns.out)
+    lines = [",".join(("beta", *_DENSITY_FIELDS))]
+    for beta, rep in planar.density_curve(betas, ns.grid):
+        values = (beta, *(getattr(rep, name) for name in _DENSITY_FIELDS))
+        lines.append(",".join(f"{x:.17g}" for x in values))
+    _write("\n".join(lines) + "\n", ns.out)
     return 0
 
 
@@ -206,30 +180,13 @@ def _cmd_gaf(ns) -> int:
     mean, stderr = monte_carlo(
         extent, ns.b, N, ns.trials, RngStream(seed=ns.seed), threads=threads
     )
-    payload = {
-        "mode": ns.mode,
-        "b": ns.b,
-        flag: extent,
-        "trials": ns.trials,
-        "truncation_N": N,
-        "mean": mean,
-        "stderr": stderr,
-        "provenance": _provenance(
-            "gaf",
-            {"mode": ns.mode, "b": ns.b, flag: extent, "trials": ns.trials},
-            seed=ns.seed,
-            threads=threads,
-        ),
-    }
-    _emit(payload, ns.out)
-    return 0
+    parameters = {"mode": ns.mode, "b": ns.b, flag: extent, "trials": ns.trials}
+    payload = {**parameters, "truncation_N": N, "mean": mean, "stderr": stderr}
+    return _report(ns, parameters, payload, seed=ns.seed, threads=threads)
 
 
 def _cmd_sphere(ns) -> int:
-    if not ns.flow:
-        for flag, name in ((ns.step, "--step"), (ns.iters, "--iters"), (ns.tol, "--tol")):
-            if flag is not None:
-                raise CliError(f"{name} requires --flow")
+    _requires(ns, "flow", "step", "iters", "tol")
     from . import sphere
     from .numerics import RngStream
 
@@ -259,14 +216,9 @@ def _cmd_sphere(ns) -> int:
         "error_estimate": rep.error_estimate,
         "residual": residual,
         "iters": iterations,
-        "provenance": _provenance(
-            "sphere",
-            {"n": ns.n, "beta": ns.beta, "flow": ns.flow},
-            seed=ns.seed,
-        ),
     }
-    _emit(payload, ns.out)
-    return 0
+    parameters = {"n": ns.n, "beta": ns.beta, "flow": ns.flow}
+    return _report(ns, parameters, payload, seed=ns.seed)
 
 
 def _cmd_hyperbolic(ns) -> int:
@@ -282,61 +234,34 @@ def _cmd_hyperbolic(ns) -> int:
         value = hyperbolic.tight_discrepancy(f, ns.r)
     else:
         value = hyperbolic.hyperbolic_discrepancy(f, ns.r, alpha=alpha, beta=beta)
-    payload = {
-        "r": ns.r,
-        "alpha": alpha,
-        "beta": beta,
-        "tight": bool(ns.tight),
-        "degree": f.degree,
-        "value": value,
-        "provenance": _provenance(
-            "hyperbolic",
-            {
-                "r": ns.r,
-                "alpha": alpha,
-                "beta": beta,
-                "tight": bool(ns.tight),
-                "degree": f.degree,
-            },
-        ),
+    parameters = {
+        "r": ns.r, "alpha": alpha, "beta": beta, "tight": bool(ns.tight), "degree": f.degree
     }
-    _emit(payload, ns.out)
-    return 0
+    return _report(ns, parameters, {**parameters, "value": value})
 
 
 def _cmd_fock(ns) -> int:
-    if ns.iters is not None and not ns.solve:
-        raise CliError("--iters requires --solve")
+    _requires(ns, "solve", "iters")
     coeffs = _parse_coeffs(ns.coeffs)
     from . import fock
 
     f = fock.FockPolynomial(coeffs=coeffs)
+    payload = {"omega": ns.omega, "mode": "solve" if ns.solve else "project"}
     if ns.solve:
         iters = 200 if ns.iters is None else ns.iters
         solution, history = fock.fixed_point_solve(f, ns.omega, iters, 1e-12)
-        payload = {
-            "omega": ns.omega,
-            "mode": "solve",
-            "coeffs": _complex_pairs(solution.coeffs),
-            "residual": history[-1],
-            "iters": len(history),
-        }
-        params = {"omega": ns.omega, "solve": True, "iters": iters}
+        payload.update(coeffs=_complex_pairs(solution.coeffs), residual=history[-1],
+                       iters=len(history))
+        parameters = {"omega": ns.omega, "solve": True, "iters": iters}
     else:
-        projected = fock.cubic_projection(f)
-        payload = {
-            "omega": ns.omega,
-            "mode": "project",
-            "coeffs": _complex_pairs(projected.coeffs),
-            "residual": fock.stationary_residual(f, ns.omega),
-        }
-        params = {"omega": ns.omega, "solve": False}
-    payload["provenance"] = _provenance("fock", params)
-    _emit(payload, ns.out)
-    return 0
+        payload.update(coeffs=_complex_pairs(fock.cubic_projection(f).coeffs),
+                       residual=fock.stationary_residual(f, ns.omega))
+        parameters = {"omega": ns.omega, "solve": False}
+    return _report(ns, parameters, payload)
 
 
 def _cmd_verify(ns) -> int:
+    """The proof-constant report as it stands: it echoes no parameters and has no provenance."""
     from . import hyperbolic
 
     report = hyperbolic.proof_constants_report()
@@ -348,75 +273,66 @@ def _cmd_verify(ns) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _subcommand(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """Add the subparser `name` that runs `handler`; its --out is added after all flags."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zeropack",
         description="Zero-packing discrepancy densities and their verifiers.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"zeropack {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"zeropack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("planar", help="triangular-lattice profile density")
+    p = _subcommand(sub, "planar", _cmd_planar, "triangular-lattice profile density")
     p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=1024, help=_GRID_HELP)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_planar)
 
-    p = sub.add_parser("curve", help="density across a list of beta values")
+    p = _subcommand(sub, "curve", _cmd_curve, "density across a list of beta values")
     p.add_argument("--betas", required=True, help="comma-separated floats")
     p.add_argument("--grid", type=int, default=1024, help=_GRID_HELP)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_curve)
 
-    p = sub.add_parser("gaf", help="Gaussian analytic function Monte Carlo")
+    p = _subcommand(sub, "gaf", _cmd_gaf, "Gaussian analytic function Monte Carlo")
     p.add_argument("--mode", choices=("planar", "hyperbolic"), required=True)
     p.add_argument("--b", type=_finite_float, required=True)
-    p.add_argument("--R", type=_finite_float, default=None, help="planar radius")
-    p.add_argument("--r", type=_finite_float, default=None, help="hyperbolic radius")
+    p.add_argument("--R", type=_finite_float, help="planar radius")
+    p.add_argument("--r", type=_finite_float, help="hyperbolic radius")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_gaf)
+    p.add_argument("--threads", type=int)
 
-    p = sub.add_parser("sphere", help="monopole configuration discrepancy")
+    p = _subcommand(sub, "sphere", _cmd_sphere, "monopole configuration discrepancy")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--flow", action="store_true")
-    p.add_argument("--step", type=_finite_float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--step", type=_finite_float)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--tol", type=_finite_float)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_sphere)
 
-    p = sub.add_parser("hyperbolic", help="disk-candidate discrepancy witness")
-    p.add_argument(
-        "--coeffs", required=True, help="JSON array: numbers or [re, im] pairs"
-    )
+    p = _subcommand(sub, "hyperbolic", _cmd_hyperbolic, "disk-candidate discrepancy witness")
+    p.add_argument("--coeffs", required=True, help=_COEFFS_HELP)
     p.add_argument("--r", type=_finite_float, required=True)
-    p.add_argument("--alpha", type=_finite_float, default=None)
-    p.add_argument("--beta", type=_finite_float, default=None)
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
     p.add_argument("--tight", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_hyperbolic)
 
-    p = sub.add_parser("fock", help="cubic projection / stationary solve")
-    p.add_argument(
-        "--coeffs", required=True, help="JSON array: numbers or [re, im] pairs"
-    )
+    p = _subcommand(sub, "fock", _cmd_fock, "cubic projection / stationary solve")
+    p.add_argument("--coeffs", required=True, help=_COEFFS_HELP)
     p.add_argument("--omega", type=_finite_float, required=True)
     p.add_argument("--solve", action="store_true")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_fock)
+    p.add_argument("--iters", type=int)
 
-    p = sub.add_parser("verify", help="explicit proof-constant checks")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_verify)
+    _subcommand(sub, "verify", _cmd_verify, "explicit proof-constant checks")
 
+    # --out goes last so that every usage line keeps ending with it;
+    # `curve` has no stdout form.
+    for name, p in sub.choices.items():
+        p.add_argument("--out", required=name == "curve")
     return parser
 
 

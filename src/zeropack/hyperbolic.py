@@ -156,39 +156,9 @@ class DiskQuadrature:
         return self.u_nodes.size
 
     @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
-
-    @property
     def normalization(self) -> float:
         """log(1/(1-radius^2)), the hyperbolic measure of D(0, radius)."""
         return -math.log1p(-self.radius**2)
-
-    def grid(self) -> np.ndarray:
-        """Complex sample points, shape (n_radial, n_angular)."""
-        radii = np.sqrt(self.u_nodes)
-        return radii[:, None] * np.exp(1j * self.angles)[None, :]
-
-    def _angular_means(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != (self.n_radial, self.n_angular):
-            raise ValueError(f"samples must have shape {(self.n_radial, self.n_angular)}")
-        return samples.mean(axis=1)
-
-    def integrate_hyperbolic(self, samples: np.ndarray) -> float:
-        """Integrate g dA/(1-|z|^2) from samples g(z) on the grid."""
-        return float(self.hyperbolic_weights @ self._angular_means(samples))
-
-    def integrate_area(self, samples: np.ndarray) -> float:
-        """Integrate g dA (dA = dx dy / pi) from samples g(z) on the grid."""
-        return float(self.hyperbolic_weights * (1.0 - self.u_nodes) @ self._angular_means(samples))
-
-    def half_resolution(self) -> "DiskQuadrature":
-        return make_disk_quadrature(
-            self.radius,
-            n_radial=max(4, self.n_radial // 2),
-            n_angular=max(4, self.n_angular // 2),
-        )
 
 
 def make_disk_quadrature(

@@ -195,8 +195,23 @@ def _planar_gaf_terms(R: float, start: int, floor: float = 1e-30):
 
 
 def planar_gaf_tail(R: float, N: int) -> float:
-    """Tail bound sum_{j>N} 2^j R^{2j} / j! * e^{-2R^2} for the mean-square of F."""
-    return sum(itertools.islice(_planar_gaf_terms(R, N + 1), 1999))
+    """Tail bound sum_{j>N} 2^j R^{2j} / j! * e^{-2R^2} for the mean-square of F.
+
+    The terms are the Poisson(2R^2) probabilities.  Past the peak the tail is summed upward;
+    below it, it is 1 less the head sum_{j<=N}, whose terms fall geometrically from j = N down.
+    """
+    if not (0.0 < R < math.inf):
+        raise ValueError(f"R must be positive and finite, got {R}")
+    peak = 2.0 * R * R  # inf for R above 1e154: then every head term is 0 and the tail is 1
+    if N + 1 > peak:
+        return sum(_planar_gaf_terms(R, N + 1))
+    head = term = 0.0 if N < 0 else next(_planar_gaf_terms(R, N))
+    for j in range(N, 0, -1):
+        if term < 1e-30:
+            break
+        term *= j / peak
+        head += term
+    return 1.0 - head
 
 
 def planar_gaf_truncation(R: float, tol: float = 1e-8) -> int:
@@ -243,7 +258,7 @@ def planar_gaf_mc(
     if not (0 < R):
         raise ValueError(f"R must be positive, got {R}")
     tail = planar_gaf_tail(R, truncation_N)
-    if tail >= 1e-8:
+    if not (tail < 1e-8):
         raise TruncationError(
             f"truncation_N = {truncation_N} leaves tail bound {tail:.3e} >= 1e-8 at R = {R}"
         )
@@ -265,6 +280,8 @@ def torus_monopole(p: TriangularProfile, z: complex, w: complex, grid_m: int = 2
     The free additive constant is fixed by the convention that the rhombus
     average of the monopole vanishes.
     """
+    if not (16 <= grid_m <= _MAX_GRID):
+        raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
     return float(log_profile(p, complex(z) - complex(w))) - _log_profile_mean(p, grid_m)
 
 

@@ -294,7 +294,9 @@ class TestPolarValues:
         quad = make_disk_quadrature(0.9, 256, 64)
         parts = RngStream(seed=degree).generator().normal(size=(2, degree + 1))
         coeffs = parts[0] + 1j * parts[1]
-        want = np.polynomial.polynomial.polyval(quad.grid(), coeffs)
+        angles = 2.0 * np.pi * np.arange(64) / 64
+        grid = np.sqrt(quad.u_nodes)[:, None] * np.exp(1j * angles)[None, :]
+        want = np.polynomial.polynomial.polyval(grid, coeffs)
         got = _polar_values(coeffs, np.zeros(degree + 1), np.sqrt(quad.u_nodes), 64)
         assert got.shape == (256, 64)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

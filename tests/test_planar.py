@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import poisson
 
 from zeropack import planar
 from zeropack.numerics import RngStream, _polar_values, sample_complex_gaussians
@@ -248,6 +249,25 @@ class TestPlanarGaf:
         with pytest.raises(TruncationError):
             planar_gaf_mc(4.0, 1.0, 5, 4, RngStream(seed=1))
 
+    @pytest.mark.parametrize("R, N", [(0.5, 0), (0.5, 3), (3.0, 10), (3.0, 17), (3.0, 18),
+                                      (3.0, 30), (12.0, 250), (50.0, 40), (50.0, 4990),
+                                      (50.0, 5000)])
+    def test_tail_is_the_poisson_survival_function(self, R, N):
+        # Degrees on both sides of the peak 2R^2, including N + 1 <= 2R^2 (tail near 1).
+        assert planar_gaf_tail(R, N) == pytest.approx(poisson.sf(N, 2.0 * R * R), rel=1e-10)
+
+    def test_tail_of_a_degree_far_below_the_peak(self):
+        assert planar_gaf_tail(50.0, 40) == 1.0
+        assert planar_gaf_tail(1e100, 40) == 1.0
+        assert planar_gaf_tail(1e200, 40) == 1.0  # 2R^2 overflows
+        with pytest.raises(TruncationError):
+            planar_gaf_mc(50.0, 1.0, 40, 4, RngStream(seed=1))
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0])
+    def test_tail_rejects_a_radius_outside_the_positive_reals(self, R):
+        with pytest.raises(ValueError):
+            planar_gaf_tail(R, 40)
+
 
 def _mp_planar_gaf_coeffs(eta):
     """eta_j 2^{j/2} / sqrt(j!) in 40-digit arithmetic."""
@@ -356,6 +376,11 @@ class TestTorusMonopole:
         a = torus_monopole(profile, 0.2 + 0.3j, 0.0)
         b = torus_monopole(profile, 0.2 + 0.3j + p1, 0.0)
         assert a == pytest.approx(b, abs=1e-10)
+
+    @pytest.mark.parametrize("grid_m", [-4, 0, 15, _MAX_GRID + 1])
+    def test_grid_outside_the_accepted_range_is_rejected(self, profile, grid_m):
+        with pytest.raises(ValueError, match="grid_m"):
+            torus_monopole(profile, 0.4 + 0.1j, 0.1 - 0.2j, grid_m=grid_m)
 
     def test_centering_constant_converges(self, profile):
         assert _log_profile_mean(profile, 256) == pytest.approx(
