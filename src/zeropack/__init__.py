@@ -12,19 +12,19 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the public names the package re-exports from it
     "numerics": (
-        "QuadratureRule1D", "RngStream", "gamma_real", "gauss_legendre", "map_indexed",
-        "resolve_threads", "sample_complex_gaussians",
+        "QuadratureRule1D", "RngStream", "gauss_legendre", "map_indexed", "resolve_threads",
+        "sample_complex_gaussians",
     ),
     "reports": ("DiscrepancyReport", "make_report"),
     "weierstrass": (
-        "DegenerateLatticeError", "Lattice", "LatticePoleError", "WeierstrassContext",
-        "cell_coordinates", "log_abs_sigma", "log_abs_sigma_grid", "make_context",
-        "quasi_period_residual", "sigma", "sigma_parts", "weierstrass_zeta",
+        "DegenerateLatticeError", "Lattice", "WeierstrassContext", "cell_coordinates",
+        "log_abs_sigma", "log_abs_sigma_grid", "make_context", "quasi_period_residual", "sigma",
+        "sigma_parts",
     ),
     "planar": (
         "TriangularProfile", "TruncationError", "density_curve", "log_profile",
         "make_triangular_profile", "planar_gaf_expected", "planar_gaf_mc", "planar_gaf_tail",
-        "planar_gaf_truncation", "planar_lattice_density", "profile_value", "torus_monopole",
+        "planar_gaf_truncation", "planar_lattice_density",
     ),
     "fock": (
         "DivergenceError", "FockOverflowError", "FockPolynomial", "cubic_projection",
@@ -32,16 +32,16 @@ _EXPORTS = {  # module -> the public names the package re-exports from it
     ),
     "sphere": (
         "SphereConfiguration", "SphereQuadrature", "StepCollapseError", "discrepancy",
-        "equilibrium_residual", "gradient_flow", "monopole", "partition_function",
-        "random_configuration", "rho1_closed", "rho2_closed",
+        "equilibrium_residual", "gradient_flow", "partition_function", "random_configuration",
+        "rho1_closed", "rho2_closed",
     ),
     "hyperbolic": (
         "DiskFunction", "DiskQuadrature", "InequalityReport", "ProofConstantsReport",
         "ThresholdCheck", "case_iia_integral", "halfdisk_identity_check", "hyperbolic_discrepancy",
         "hyperbolic_gaf_expected", "hyperbolic_gaf_mc", "hyperbolic_gaf_tail",
         "hyperbolic_gaf_truncation", "inequality_suite", "make_disk_quadrature",
-        "proof_constants_report", "sample_hyperbolic_gaf", "schafli_area", "schafli_solutions",
-        "tight_discrepancy", "weighted_square_mass",
+        "proof_constants_report", "schafli_area", "schafli_solutions", "tight_discrepancy",
+        "weighted_square_mass",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -115,8 +115,8 @@ def stationary_residual(f: FockPolynomial, omega: float) -> float:
     return _defect_norm(cubic_projection(f).array(), f.array(), omega)
 
 
-def _truncate(coeffs: np.ndarray, cap: int) -> np.ndarray:
-    out = coeffs[: cap + 1]
+def _truncate(coeffs: np.ndarray) -> np.ndarray:
+    out = coeffs[: DEGREE_CAP + 1]
     return out if out.size else np.zeros(1, dtype=complex)
 
 
@@ -125,14 +125,13 @@ def fixed_point_solve(
     omega: float,
     max_iters: int,
     tol: float,
-    degree_cap: int = DEGREE_CAP,
 ):
     """Iterate f <- projection(f) / omega with unit-norm renormalization.
 
     Returns (final polynomial, residual history).  Convergence is not
     guaranteed; the history always comes back, and the caller sees a
     DivergenceError (carrying the history) if the residual climbs to ten
-    times its running minimum.  Iterates are truncated back to `degree_cap`
+    times its running minimum.  Iterates are truncated back to DEGREE_CAP
     (projection doubles the degree each step).
     """
     if omega == 0.0:
@@ -142,7 +141,7 @@ def fixed_point_solve(
     norm0 = fock_norm(f0)
     if norm0 < _MIN_DIVISOR:
         raise ValueError(f"f0 must have a weighted norm of at least {_MIN_DIVISOR:g}, got {norm0:g}")
-    cur = FockPolynomial(tuple(_truncate(f0.array() / norm0, degree_cap)))
+    cur = FockPolynomial(tuple(_truncate(f0.array() / norm0)))
     history: list[float] = []
     for _ in range(max_iters):
         g = cubic_projection(cur).array()
@@ -155,7 +154,7 @@ def fixed_point_solve(
                 f"residual {res:.3e} grew 10x from its minimum {min(history):.3e}", history
             )
         with np.errstate(over="ignore", invalid="ignore"):  # omega below _MIN_DIVISOR
-            nxt = _truncate(g / omega, degree_cap)
+            nxt = _truncate(g / omega)
         if not np.all(np.isfinite(nxt)):
             raise FockOverflowError(f"projection / omega exceeds double range at omega = {omega:g}")
         nn = fock_norm(FockPolynomial(tuple(nxt)))

@@ -31,7 +31,6 @@ from .numerics import (
     _power_of_two_at_least,
     gaf_expected,
     gauss_legendre,
-    sample_complex_gaussians,
 )
 
 if TYPE_CHECKING:  # the exact-arithmetic functions below import it when called: only verify runs them
@@ -292,17 +291,6 @@ def hyperbolic_gaf_truncation(r: float, tol: float = 1e-6) -> int:
         mid = (low + high) // 2
         low, high = (low, mid) if hyperbolic_gaf_tail(r, mid) < tol else (mid, high)
     return high
-
-
-def sample_hyperbolic_gaf(truncation_N: int, rng: RngStream) -> DiskFunction:
-    """Draw a truncated disk GAF: coefficients eta_j sqrt(j+1), j = 0..N."""
-    if truncation_N < 1:
-        raise ValueError(f"truncation_N must be >= 1, got {truncation_N}")
-    if truncation_N > DEGREE_CAP:
-        raise ValueError(f"truncation_N exceeds degree cap {DEGREE_CAP}")
-    eta = sample_complex_gaussians(rng, truncation_N + 1)
-    scale = np.sqrt(np.arange(1, truncation_N + 2, dtype=float))
-    return DiskFunction(coeffs=tuple(eta * scale))
 
 
 def hyperbolic_gaf_mc(

@@ -1,4 +1,4 @@
-"""Shared numeric substrate: gamma, Gauss-Legendre rules, reproducible RNG streams, GAF Monte Carlo.
+"""Shared numeric substrate: Gauss-Legendre rules, reproducible RNG streams, GAF Monte Carlo.
 
 Everything here is pure and reentrant; rule and stream objects are immutable
 after construction and freely shareable across threads.
@@ -9,30 +9,14 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
-_GAMMA_MAX = 170.0  # gamma overflows double just above 171.6
 _MAX_THREADS = 256  # largest worker count accepted from a flag, the environment or a caller
 _MAX_TRIALS = 100_000  # largest Monte Carlo trial count: every trial is queued up front, 1-2 KB each
 _STIELTJES_MIN = 20.0  # n sin(theta) above which P_n(cos theta) comes from the Stieltjes expansion
 _STIELTJES_TERMS = 20  # terms of that expansion
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function for positive real arguments.
-
-    Valid for 0 < x <= 170; relative error is at the few-ulp level
-    (far below 1e-12) on that range.
-
-    Raises ValueError outside the domain.
-    """
-    if not (x > 0.0):
-        raise ValueError(f"gamma_real requires x > 0, got {x!r}")
-    if x > _GAMMA_MAX:
-        raise ValueError(f"gamma_real restricted to x <= {_GAMMA_MAX} (overflow range), got {x!r}")
-    return math.gamma(x)
 
 
 @dataclass(frozen=True)

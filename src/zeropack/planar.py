@@ -33,7 +33,6 @@ from .weierstrass import (
     make_context,
 )
 
-_BLOCK_POINTS = 65536  # grid points per evaluation block (64 rows up to grid 1024)
 _MAX_GRID = 8192  # largest accepted grid_m
 _LADDER_TOP = 128  # finest extrapolation level: past it a finer grid buys no accuracy
 _MAX_TRUNCATION = 100_000  # largest planar GAF series degree
@@ -78,29 +77,16 @@ def log_profile(p: TriangularProfile, z) -> np.ndarray:
     return -p.weight_scale * np.abs(z) ** 2 + quad + log_abs_sigma(p.ctx, z)
 
 
-def profile_value(p: TriangularProfile, z: complex) -> float:
-    """P(z) = e^{-c|z|^2 + Re(eta z^2)} |sigma(z)| at a single point."""
-    return float(np.exp(log_profile(p, complex(z))))
-
-
-def _log_profile_rows(p: TriangularProfile, m: int, rows: slice) -> np.ndarray:
-    """log P on rows `rows` of the m x m midpoint grid of the rhombus, shape (rows, m).
+def _log_profile_rows(p: TriangularProfile, m: int) -> np.ndarray:
+    """log P on the m x m midpoint grid of the rhombus, shape (m, m) with rows along t.
 
     log_abs_sigma_grid plus the quadratic part -c|z|^2 + Re(eta z^2), both separable in
     the rhombus coordinates, so no complex z grid is formed.
     """
     s = (np.arange(m) + 0.5) / m
-    t = s[rows]
-    out = log_abs_sigma_grid(p.ctx, s, t).T
-    out += _quadratic_grid(2.0 * p.ctx.omega2, 2.0 * p.ctx.omega1, t, s, p.eta, -p.weight_scale)
+    out = log_abs_sigma_grid(p.ctx, s, s).T
+    out += _quadratic_grid(2.0 * p.ctx.omega2, 2.0 * p.ctx.omega1, s, s, p.eta, -p.weight_scale)
     return out
-
-
-def _log_profile_blocks(p: TriangularProfile, m: int):
-    """log P on the m x m midpoint grid of the rhombus, <= 64 rows or ~_BLOCK_POINTS at a time."""
-    rows = min(64, max(1, _BLOCK_POINTS // m))
-    for start in range(0, m, rows):
-        yield _log_profile_rows(p, m, slice(start, start + rows))
 
 
 @functools.lru_cache(maxsize=8)
@@ -111,7 +97,7 @@ def _log_profile_ladder(p: TriangularProfile, top: int) -> tuple[np.ndarray, tup
     points at top = 128.
     """
     sizes = (top >> 3, top >> 2, top >> 1, top)
-    flat = np.concatenate([_log_profile_rows(p, m, slice(None)).ravel() for m in sizes])
+    flat = np.concatenate([_log_profile_rows(p, m).ravel() for m in sizes])
     flat.setflags(write=False)
     return flat, sizes
 
@@ -219,8 +205,10 @@ def planar_gaf_truncation(R: float, tol: float = 1e-8) -> int:
     candidate's tail is a suffix sum of the same terms, accumulated from the smallest up."""
     if not (R > 0.0 and tol > 0.0):
         raise ValueError(f"R and tol must be positive, got R = {R}, tol = {tol}")
+    if 2.0 * R * R > _MAX_TRUNCATION:  # N >= 2R^2; for R above 1e154 that is inf
+        raise TruncationError(f"no admissible truncation degree up to {_MAX_TRUNCATION}, R = {R}")
     first = max(8, int(2.0 * R * R))
-    terms = [] if first > _MAX_TRUNCATION else list(_planar_gaf_terms(R, first + 1, 1e-22 * tol))
+    terms = list(_planar_gaf_terms(R, first + 1, 1e-22 * tol))
     N, tail = first + len(terms), 0.0
     for k in reversed(range(len(terms))):
         tail += terms[k]
@@ -272,22 +260,3 @@ def planar_gaf_mc(
     weights = 2.0 * (rule.nodes / R) * (rule.weights / R)  # R * R underflows for R below 1e-154
     return _gaf_mc(log_scales, rule.nodes, weights, -rule.nodes**2, b, n_angular, trials, rng,
                    threads)
-
-
-def torus_monopole(p: TriangularProfile, z: complex, w: complex, grid_m: int = 256) -> float:
-    """Logarithmic monopole on the rhombus torus: log P(z - w), centered.
-
-    The free additive constant is fixed by the convention that the rhombus
-    average of the monopole vanishes.
-    """
-    if not (16 <= grid_m <= _MAX_GRID):
-        raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
-    return float(log_profile(p, complex(z) - complex(w))) - _log_profile_mean(p, grid_m)
-
-
-@functools.lru_cache(maxsize=16)
-def _log_profile_mean(p: TriangularProfile, m: int) -> float:
-    total = 0.0
-    for lp in _log_profile_blocks(p, m):
-        total += float(np.sum(lp))
-    return total / (m * m)

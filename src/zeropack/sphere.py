@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, gamma_real, gauss_legendre
+from .numerics import RngStream, gauss_legendre
 from .reports import DiscrepancyReport, make_report
 
 _MIN_PAIR_DIST = 1e-9
@@ -99,16 +99,6 @@ def random_configuration(n: int, rng: RngStream) -> SphereConfiguration:
     pts = g.normal(size=(n, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return SphereConfiguration(points=pts)
-
-
-def monopole(p, q) -> float:
-    """Logarithmic monopole log(||p - q|| / 2); symmetric, zero for antipodes."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = float(np.linalg.norm(p - q))
-    if d == 0.0:
-        raise ValueError("monopole is singular at p = q")
-    return math.log(d / 2.0)
 
 
 @dataclass(frozen=True)
@@ -311,8 +301,8 @@ def rho2_closed(beta: float) -> float:
     """
     if not (0.0 < beta <= 30.0):
         raise ValueError(f"beta must lie in (0, 30], got {beta}")
-    num = 2.0 ** (-4.0 * beta) * math.pi**2 * gamma_real(2.0 + 2.0 * beta)
-    den = (1.0 + beta) ** 2 * gamma_real((1.0 + beta) / 2.0) ** 4
+    num = 2.0 ** (-4.0 * beta) * math.pi**2 * math.gamma(2.0 + 2.0 * beta)
+    den = (1.0 + beta) ** 2 * math.gamma((1.0 + beta) / 2.0) ** 4
     return 1.0 - num / den
 
 

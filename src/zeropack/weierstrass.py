@@ -1,4 +1,4 @@
-"""Weierstrass sigma and zeta functions for a general oriented lattice.
+"""Weierstrass sigma and its quasi-periods eta_j = zeta(omega_j) for a general oriented lattice.
 
 The lattice is 2*omega1*Z + 2*omega2*Z given by its half-periods.  Evaluation
 goes through the first Jacobi theta function's q-series:
@@ -30,10 +30,6 @@ _DIRECT_WINDOW = (-1.0, 2.0)  # (s, t) box evaluated without reduction
 
 class DegenerateLatticeError(ValueError):
     """Half-periods do not span an oriented lattice usable by the series."""
-
-
-class LatticePoleError(ValueError):
-    """zeta evaluated at a lattice point (a pole)."""
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,7 @@ def _theta_series(v, q: complex, nterms: int):
     s2 = 2.0 * s1 * c1
     c2 = 1.0 - 2.0 * s1 * s1
     sk, ck = s1, c1
-    t1 = s1.copy() if isinstance(s1, np.ndarray) else s1
-    t1p = c1.copy() if isinstance(c1, np.ndarray) else c1
+    t1, t1p = s1, c1
     for n, coef in enumerate(_series_coefficients(q, nterms)[1:], start=1):
         sk, ck = sk * c2 + ck * s2, ck * c2 - sk * s2
         t1 = t1 + coef * sk
@@ -295,31 +290,6 @@ def log_abs_sigma_grid(ctx: WeierstrassContext, s, t) -> np.ndarray:
     out += _quadratic_grid(2.0 * ctx.omega2, p1, t, s, ctx.eta1 / p1)
     out += math.log(abs(p1 / (math.pi * ctx.t1p0)))
     return out.T
-
-
-def weierstrass_zeta(ctx: WeierstrassContext, z: complex) -> complex:
-    """Weierstrass zeta = sigma'/sigma at a single point.
-
-    Raises LatticePoleError at lattice points (simple poles).
-    """
-    z = complex(z)
-    s, t = cell_coordinates(ctx, z)
-    s, t = float(s), float(t)
-    ds = s - round(s)
-    dt = t - round(t)
-    if abs(ds) < 1e-12 and abs(dt) < 1e-12:
-        raise LatticePoleError(f"zeta has a pole at the lattice point near z = {z!r}")
-    lo, hi = _DIRECT_WINDOW
-    if lo <= s <= hi and lo <= t <= hi:
-        m = n = 0
-        z0 = z
-    else:
-        m, n = math.floor(s), math.floor(t)
-        z0 = z - 2.0 * ctx.omega1 * m - 2.0 * ctx.omega2 * n
-    v = math.pi * z0 / (2.0 * ctx.omega1)
-    t1, t1p = _theta_series(v, ctx.nome, ctx.nterms)
-    base = ctx.eta1 * z0 / ctx.omega1 + math.pi / (2.0 * ctx.omega1) * t1p / t1
-    return complex(base + 2.0 * m * ctx.eta1 + 2.0 * n * ctx.eta2)
 
 
 def quasi_period_residual(ctx: WeierstrassContext, z: complex, j: int) -> float:

@@ -290,6 +290,14 @@ class TestGafCommand:
         assert (code, err) == (0, "")
         assert math.isfinite(json.loads(out)["mean"])
 
+    @pytest.mark.parametrize("R", ["300", "1e200"])
+    def test_planar_radius_beyond_the_degree_limit_exits_2(self, capsys, R):
+        # 2R^2 overflows a double at R = 1e200; both radii get the same TruncationError.
+        argv = ["gaf", "--mode", "planar", "--b", "1", "--R", R, "--trials", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no admissible truncation degree") and "Traceback" not in err
+
     def test_mean_independent_of_thread_count(self, capsys):
         means = []
         for threads in ("1", "3"):

@@ -158,8 +158,8 @@ class TestFixedPointSolve:
 
     def test_truncation_cap_respected(self):
         f0 = FockPolynomial(coeffs=tuple([0.0] * 60 + [1.0]))
-        sol, _ = fixed_point_solve(f0, 0.5, 3, 1e-12, degree_cap=40)
-        assert sol.degree <= 40
+        sol, _ = fixed_point_solve(f0, 0.5, 3, 1e-12)
+        assert sol.degree <= 64
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -32,13 +32,12 @@ from zeropack.hyperbolic import (
     inequality_suite,
     make_disk_quadrature,
     proof_constants_report,
-    sample_hyperbolic_gaf,
     schafli_area,
     schafli_solutions,
     tight_discrepancy,
     weighted_square_mass,
 )
-from zeropack.numerics import RngStream, _polar_values
+from zeropack.numerics import RngStream, _polar_values, sample_complex_gaussians
 from zeropack.planar import TruncationError
 
 
@@ -295,22 +294,6 @@ class TestGafClosedForms:
         with pytest.raises(TruncationError):
             hyperbolic_gaf_truncation(0.99999)
 
-    def test_sampler_reproducible_with_correct_scales(self):
-        f = sample_hyperbolic_gaf(50, RngStream(seed=40))
-        g = sample_hyperbolic_gaf(50, RngStream(seed=40))
-        assert f.coeffs == g.coeffs
-        assert f.degree == 50
-        # Coefficient j has variance j+1: check the aggregate scale.
-        c = np.abs(f.array()) ** 2 / np.arange(1, 52)
-        assert float(np.mean(c)) == pytest.approx(1.0, abs=0.5)
-
-    def test_sampler_validation(self):
-        with pytest.raises(ValueError):
-            sample_hyperbolic_gaf(0, RngStream(seed=1))
-        with pytest.raises(ValueError):
-            sample_hyperbolic_gaf(5000, RngStream(seed=1))
-
-
 class TestGafMonteCarlo:
     def test_reproducible_and_thread_independent(self):
         N = hyperbolic_gaf_truncation(0.8, 1e-6)
@@ -341,7 +324,8 @@ class TestGafMonteCarlo:
         mean_a = float(quad.hyperbolic_weights @ series) / quad.normalization
         trials = []
         for i in range(2):
-            modulus = np.abs(sample_hyperbolic_gaf(N, rng.substream(i)).values(disk_grid(quad)))
+            coeffs = sample_complex_gaussians(rng.substream(i), N + 1) * np.sqrt(k + 1.0)
+            modulus = np.abs(DiskFunction(coeffs=tuple(coeffs)).values(disk_grid(quad)))
             mismatch = (b * weight * modulus - 1.0) ** 2
             a = quad.hyperbolic_weights @ ((weight * modulus) ** 2).mean(axis=1) / quad.normalization
             trials.append(

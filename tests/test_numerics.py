@@ -1,4 +1,4 @@
-"""Substrate checks: gamma, quadrature exactness, RNG reproducibility, threading."""
+"""Substrate checks: quadrature exactness, RNG reproducibility, threading."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from zeropack.numerics import (
     _legendre_unit,
     _polar_values,
     gaf_expected,
-    gamma_real,
     gauss_legendre,
     map_indexed,
     resolve_threads,
@@ -37,21 +36,6 @@ from zeropack.numerics import (
     sample_complex_gaussians,
 )
 from zeropack.planar import planar_gaf_mc, planar_gaf_truncation
-
-
-class TestGammaReal:
-    def test_matches_factorial_on_integers(self):
-        for n in range(1, 12):
-            assert gamma_real(n) == pytest.approx(math.factorial(n - 1), rel=1e-15)
-
-    def test_half_integer(self):
-        assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-        assert gamma_real(2.5) == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-15)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, 171.0, float("nan")])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            gamma_real(bad)
 
 
 class TestGaussLegendre:

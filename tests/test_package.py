@@ -21,30 +21,26 @@ from zeropack import fock, hyperbolic, numerics, planar, reports, sphere, weiers
 PUBLIC_NAMES = [
     "DegenerateLatticeError", "DiscrepancyReport", "DiskFunction", "DiskQuadrature",
     "DivergenceError", "FockOverflowError", "FockPolynomial", "InequalityReport", "Lattice",
-    "LatticePoleError", "ProofConstantsReport", "QuadratureRule1D", "RngStream",
-    "SphereConfiguration", "SphereQuadrature", "StepCollapseError", "ThresholdCheck",
-    "TriangularProfile", "TruncationError", "WeierstrassContext", "case_iia_integral",
-    "cell_coordinates", "cubic_projection", "density_curve", "discrepancy",
-    "equilibrium_residual", "fixed_point_solve", "fock_norm", "gamma_real", "gauss_legendre",
-    "gradient_flow", "halfdisk_identity_check", "hyperbolic_discrepancy",
-    "hyperbolic_gaf_expected", "hyperbolic_gaf_mc", "hyperbolic_gaf_tail",
+    "ProofConstantsReport", "QuadratureRule1D", "RngStream", "SphereConfiguration",
+    "SphereQuadrature", "StepCollapseError", "ThresholdCheck", "TriangularProfile",
+    "TruncationError", "WeierstrassContext", "case_iia_integral", "cell_coordinates",
+    "cubic_projection", "density_curve", "discrepancy", "equilibrium_residual", "fixed_point_solve",
+    "fock_norm", "gauss_legendre", "gradient_flow", "halfdisk_identity_check",
+    "hyperbolic_discrepancy", "hyperbolic_gaf_expected", "hyperbolic_gaf_mc", "hyperbolic_gaf_tail",
     "hyperbolic_gaf_truncation", "inequality_suite", "log_abs_sigma", "log_abs_sigma_grid",
-    "log_profile", "make_context", "make_disk_quadrature", "make_report",
-    "make_triangular_profile", "map_indexed", "monopole", "partition_function",
-    "planar_gaf_expected", "planar_gaf_mc", "planar_gaf_tail", "planar_gaf_truncation",
-    "planar_lattice_density", "profile_value", "proof_constants_report",
+    "log_profile", "make_context", "make_disk_quadrature", "make_report", "make_triangular_profile",
+    "map_indexed", "partition_function", "planar_gaf_expected", "planar_gaf_mc", "planar_gaf_tail",
+    "planar_gaf_truncation", "planar_lattice_density", "proof_constants_report",
     "quasi_period_residual", "random_configuration", "resolve_threads", "rho1_closed",
-    "rho2_closed", "sample_complex_gaussians", "sample_hyperbolic_gaf",
-    "schafli_area", "schafli_solutions", "sigma",
-    "sigma_parts", "stationary_residual", "tight_discrepancy", "torus_monopole",
-    "weierstrass_zeta", "weighted_square_mass",
+    "rho2_closed", "sample_complex_gaussians", "schafli_area", "schafli_solutions", "sigma",
+    "sigma_parts", "stationary_residual", "tight_discrepancy", "weighted_square_mass",
 ]
 MODULES = (numerics, reports, weierstrass, planar, fock, sphere, hyperbolic)
 
 
 class TestPublicApi:
     def test_exported_names_are_unchanged(self):
-        assert len(PUBLIC_NAMES) == 71
+        assert len(PUBLIC_NAMES) == 64
         assert sorted(zeropack.__all__) == PUBLIC_NAMES
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)

@@ -17,8 +17,6 @@ from zeropack.planar import (
     _MAX_GRID,
     TruncationError,
     _ladder_means,
-    _log_profile_blocks,
-    _log_profile_mean,
     density_curve,
     log_profile,
     make_triangular_profile,
@@ -27,8 +25,6 @@ from zeropack.planar import (
     planar_gaf_tail,
     planar_gaf_truncation,
     planar_lattice_density,
-    profile_value,
-    torus_monopole,
 )
 
 
@@ -61,9 +57,9 @@ class TestProfileConstruction:
                 base, abs=2e-11
             )
 
-    def test_profile_value_positive_off_lattice(self, profile):
-        assert profile_value(profile, 0.3 + 0.2j) > 0.0
-        assert profile_value(profile, 0.0) == 0.0  # lattice zero
+    def test_log_profile_finite_off_lattice(self, profile):
+        assert math.isfinite(float(log_profile(profile, 0.3 + 0.2j)))
+        assert float(log_profile(profile, 0.0)) == -math.inf  # lattice zero
 
 
 class TestLatticeDensity:
@@ -137,12 +133,6 @@ class TestLatticeDensity:
         with pytest.raises(ValueError, match="grid_m"):
             planar_lattice_density(1.0, _MAX_GRID + 1)
         assert calls == []
-
-    @pytest.mark.parametrize("m, rows", [(64, 64), (1024, 64), (2048, 32), (8192, 8), (100000, 1)])
-    def test_blocks_are_sized_by_point_count(self, profile, m, rows):
-        # Up to grid 1024 the blocks keep their 64 rows, so those sums are unchanged.
-        block = next(_log_profile_blocks(profile, m))
-        assert block.shape == (rows, m)
 
 
 # rho(beta) to 25 digits: Richardson-extrapolated midpoint sums at grids up to 2048,
@@ -222,6 +212,11 @@ class TestPlanarGaf:
                 planar_gaf_truncation(R, tol)
         with pytest.raises(TruncationError):
             planar_gaf_truncation(300.0)  # needs a degree above 2 * 300^2
+
+    @pytest.mark.parametrize("R", [1e160, 1e200])
+    def test_truncation_where_two_r_squared_overflows(self, R):
+        with pytest.raises(TruncationError, match="no admissible truncation degree"):
+            planar_gaf_truncation(R)
 
     def test_mc_reproducible_and_thread_independent(self):
         R, b = 2.0, 1.0
@@ -355,34 +350,3 @@ class TestPlanarGafLargeRadius:
         assert mean == pytest.approx(0.5 * (trials[0] + trials[1]), abs=_log_space_tol(R))
         assert stderr == pytest.approx(0.5 * abs(trials[0] - trials[1]), abs=_log_space_tol(R))
 
-
-class TestTorusMonopole:
-    def test_is_centered_log_profile_of_difference(self, profile):
-        z, w = 0.4 + 0.1j, 0.1 - 0.2j
-        got = torus_monopole(profile, z, w)
-        expected = float(log_profile(profile, z - w)) - _log_profile_mean(
-            profile, 256
-        )
-        assert got == expected
-
-    def test_depends_only_on_displacement(self, profile):
-        shift = 0.07 - 0.23j
-        a = torus_monopole(profile, 0.31 + 0.12j, 0.05 + 0.02j)
-        b = torus_monopole(profile, 0.31 + 0.12j + shift, 0.05 + 0.02j + shift)
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_periodic_in_first_argument(self, profile):
-        p1 = 2.0 * profile.ctx.omega1
-        a = torus_monopole(profile, 0.2 + 0.3j, 0.0)
-        b = torus_monopole(profile, 0.2 + 0.3j + p1, 0.0)
-        assert a == pytest.approx(b, abs=1e-10)
-
-    @pytest.mark.parametrize("grid_m", [-4, 0, 15, _MAX_GRID + 1])
-    def test_grid_outside_the_accepted_range_is_rejected(self, profile, grid_m):
-        with pytest.raises(ValueError, match="grid_m"):
-            torus_monopole(profile, 0.4 + 0.1j, 0.1 - 0.2j, grid_m=grid_m)
-
-    def test_centering_constant_converges(self, profile):
-        assert _log_profile_mean(profile, 256) == pytest.approx(
-            _log_profile_mean(profile, 512), abs=1e-3
-        )

@@ -19,7 +19,6 @@ from zeropack.sphere import (
     discrepancy,
     equilibrium_residual,
     gradient_flow,
-    monopole,
     partition_function,
     random_configuration,
     rho1_closed,
@@ -83,24 +82,6 @@ class TestConfiguration:
         for block in (1, 7, 120, 1000, 1 << 16):  # 1, 1, 2, 20 and 50 rows per block
             monkeypatch.setattr(sphere, "_PAIR_BLOCK", block)
             assert sphere._min_pair_distance(pts) == direct
-
-
-class TestMonopole:
-    def test_symmetric(self):
-        p, q = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-        assert monopole(p, q) == monopole(q, p)
-
-    def test_antipodal_is_zero(self):
-        assert monopole(NORTH, SOUTH) == 0.0
-
-    def test_orthogonal_value(self):
-        assert monopole(NORTH, (1.0, 0.0, 0.0)) == pytest.approx(
-            -0.5 * math.log(2.0), rel=1e-15
-        )
-
-    def test_singular_at_coincidence(self):
-        with pytest.raises(ValueError):
-            monopole(NORTH, NORTH)
 
 
 class TestQuadrature:

@@ -9,22 +9,15 @@ import numpy as np
 import pytest
 
 from oracles import log_abs_sigma_jtheta, sigma_product, zeta_half_period_sum
-from zeropack.planar import (
-    _log_profile_blocks,
-    _log_profile_ladder,
-    log_profile,
-    make_triangular_profile,
-)
+from zeropack.planar import _log_profile_ladder, log_profile, make_triangular_profile
 from zeropack.weierstrass import (
     DegenerateLatticeError,
-    LatticePoleError,
     cell_coordinates,
     log_abs_sigma,
     log_abs_sigma_grid,
     make_context,
     quasi_period_residual,
     sigma,
-    weierstrass_zeta,
 )
 
 
@@ -43,11 +36,6 @@ class TestContext:
         assert abs(profile.ctx.eta1 - oracle) < 1e-12
         oracle_sq = zeta_half_period_sum(square_ctx.omega1, square_ctx.omega2)
         assert abs(square_ctx.eta1 - oracle_sq) < 1e-10
-
-    def test_zeta_at_half_periods_gives_quasi_periods(self, profile):
-        ctx = profile.ctx
-        assert abs(weierstrass_zeta(ctx, ctx.omega1) - ctx.eta1) < 1e-13
-        assert abs(weierstrass_zeta(ctx, ctx.omega2) - ctx.eta2) < 1e-13
 
     def test_cell_coordinates_roundtrip(self, square_ctx):
         z = 0.3 - 1.7j
@@ -190,20 +178,6 @@ class TestSigmaGrid:
             log_abs_sigma_grid(profile.ctx, np.array(s), np.array(t))
 
     @pytest.mark.parametrize("weight_scale", [1.0, 0.5, 7.3])
-    def test_planar_blocks_match_pointwise_log_profile(self, weight_scale):
-        # The full 128 x 128 midpoint grid of the rhombus, block by block.
-        p = make_triangular_profile(weight_scale)
-        s = (np.arange(128) + 0.5) / 128
-        start = 0
-        for got in _log_profile_blocks(p, 128):
-            t = s[start:start + got.shape[0]]
-            Z = 2.0 * p.ctx.omega1 * s[None, :] + 2.0 * p.ctx.omega2 * t[:, None]
-            assert got.shape == Z.shape
-            np.testing.assert_allclose(got, log_profile(p, Z), rtol=0.0, atol=1e-12)
-            start += t.size
-        assert start == 128
-
-    @pytest.mark.parametrize("weight_scale", [1.0, 7.3])
     def test_planar_ladder_matches_pointwise_log_profile(self, weight_scale):
         # Every level of the cached 16-128 extrapolation ladder, read-only.
         p = make_triangular_profile(weight_scale)
@@ -217,49 +191,6 @@ class TestSigmaGrid:
             got = flat[start:start + m * m].reshape(m, m)
             np.testing.assert_allclose(got, log_profile(p, Z), rtol=0.0, atol=1e-12)
             start += m * m
-
-
-class TestZeta:
-    def test_odd_function(self, square_ctx):
-        for z in (0.31 + 0.22j, -0.6 + 0.4j):
-            assert abs(
-                weierstrass_zeta(square_ctx, -z) + weierstrass_zeta(square_ctx, z)
-            ) < 1e-12
-
-    def test_quasi_periodicity(self, profile):
-        ctx = profile.ctx
-        z = 0.23 + 0.31j
-        for (dm, dn) in ((1, 0), (0, 1), (-2, 3)):
-            shifted = weierstrass_zeta(
-                ctx, z + 2.0 * ctx.omega1 * dm + 2.0 * ctx.omega2 * dn
-            )
-            expected = (
-                weierstrass_zeta(ctx, z) + 2.0 * dm * ctx.eta1 + 2.0 * dn * ctx.eta2
-            )
-            assert abs(shifted - expected) < 1e-11
-
-    def test_pole_near_origin(self, profile):
-        # zeta ~ 1/z at the origin.
-        z = 1e-4 + 2e-4j
-        assert weierstrass_zeta(profile.ctx, z) * z == pytest.approx(1.0, abs=1e-6)
-
-    def test_raises_on_lattice_points(self, profile):
-        ctx = profile.ctx
-        with pytest.raises(LatticePoleError):
-            weierstrass_zeta(ctx, 0.0)
-        with pytest.raises(LatticePoleError):
-            weierstrass_zeta(ctx, 2.0 * ctx.omega1 + 2.0 * ctx.omega2)
-
-    def test_sum_over_symmetric_triple_vanishes(self, profile):
-        # zeta(z) + zeta(w) + zeta(-z - w) relates to a finite expression;
-        # here just the antisymmetry consequence zeta(z) + zeta(-z) = 0 at a
-        # reduced and an unreduced representative of the same point.
-        ctx = profile.ctx
-        z = 0.4 + 0.2j
-        far = z + 2.0 * ctx.omega1 * 3
-        assert abs(
-            weierstrass_zeta(ctx, far) - 6.0 * ctx.eta1 - weierstrass_zeta(ctx, z)
-        ) < 1e-11
 
 
 def test_sigma_scaling_between_contexts():
