@@ -83,12 +83,19 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
     """Mean of integrand(u[:, None], |f|) over n_angular angles on each circle |z|^2 = u[i].
 
     _DISK_BLOCK circles at a time: row for row the values of one pass over the whole grid.
-    The integrand may return a stack (..., circles, angles); its leading axes are kept."""
+    Every block is summed into one buffer allocated per call, so no block's values are
+    faulted in afresh.  The integrand may return a stack (..., circles, angles); its leading
+    axes are kept."""
     c = f.array()
-    blocks = (u[i : i + _DISK_BLOCK] for i in range(0, u.size, _DISK_BLOCK))
-    return np.concatenate(
-        [integrand(b[:, None], np.abs(_polar_values(c, np.zeros(c.size), np.sqrt(b), n_angular))).mean(-1)
-         for b in blocks], axis=-1)
+    zeros = np.zeros(c.size)
+    values = np.empty((min(_DISK_BLOCK, u.size), n_angular), dtype=complex)
+    modulus = np.empty(values.shape)
+    means = []
+    for i in range(0, u.size, _DISK_BLOCK):
+        b = u[i : i + _DISK_BLOCK]
+        np.abs(_polar_values(c, zeros, np.sqrt(b), n_angular, out=values[: b.size]), out=modulus[: b.size])
+        means.append(integrand(b[:, None], modulus[: b.size]).mean(-1))
+    return np.concatenate(means, axis=-1)
 
 
 def weighted_square_mass(f: DiskFunction, radius: float) -> float:

@@ -14,7 +14,9 @@ from typing import Callable, TypeVar
 import numpy as np
 
 _MAX_THREADS = 256  # largest worker count accepted from a flag, the environment or a caller
-_MAX_TRIALS = 100_000  # largest Monte Carlo trial count: every trial is queued up front, 1-2 KB each
+_MAX_TRIALS = 100_000  # largest Monte Carlo trial count: one float per trial is kept until the end
+_BATCH_POINTS = 8192  # grid points (trials x radii x angles) a GAF batch sums at once
+_SCALES_MAX = 2**20  # largest term-scale table (radii x terms) a GAF call keeps; larger ones go per batch
 _STIELTJES_MIN = 20.0  # n sin(theta) above which P_n(cos theta) comes from the Stieltjes expansion
 _STIELTJES_TERMS = 20  # terms of that expansion
 
@@ -151,23 +153,37 @@ def richardson(values, steps, powers) -> tuple[float, float]:
     return e[-1], e[-1] - coarser
 
 
-def _polar_values(coeffs, log_scales, radii, n_angular: int, log_offset=None) -> np.ndarray:
-    """F = sum_j coeffs[j] e^{log_scales[j]} z^j at z = radii[i] e^{2 pi i k/n}, shape (radii, n).
+def _term_scales(log_scales, radii, n_angular: int, log_offset=None):
+    """The scales exp(log_scales[j] + j log radii[i] + log_offset[i]) of _polar_values.
 
-    Terms coeffs[j] exp(log_scales[j] + j log r) are formed in log space (radii > 0), so no
-    scale underflows alone; z^j depends on j mod n on the circle, so they fold mod n into t
-    and F(r e^{2 pi i k/n}) = n ifft(t)[k].  t holds min(n, len(coeffs)) columns and the FFT
-    zero-pads it, so below degree n the result is the only (radii, n) array allocated.
-    log_offset, one value per radius, multiplies row i by e^{log_offset[i]} inside the
-    exponent, so an envelope that tames the growth of F keeps every term in range.
-    """
+    One (radii, columns) array per block of n_angular terms, as _polar_values folds them."""
     log_r = np.log(radii)[:, None]
     shift = 0.0 if log_offset is None else np.asarray(log_offset, dtype=float)[:, None]
-    folded = np.zeros((log_r.shape[0], min(n_angular, len(coeffs))), dtype=complex)
-    for start in range(0, len(coeffs), n_angular):
-        j = np.arange(start, min(start + n_angular, len(coeffs)))
-        folded[:, : j.size] += coeffs[j] * np.exp(log_scales[j] + j * log_r + shift)
-    return np.fft.ifft(folded, n=n_angular, axis=1) * n_angular
+    for start in range(0, len(log_scales), n_angular):
+        j = np.arange(start, min(start + n_angular, len(log_scales)))
+        yield np.exp(log_scales[j] + j * log_r + shift)
+
+
+def _polar_values(coeffs, log_scales, radii, n_angular: int, log_offset=None, out=None,
+                  scales=None) -> np.ndarray:
+    """F = sum_j coeffs[..., j] e^{log_scales[j]} z^j at z = radii[i] e^{2 pi i k/n}.
+
+    coeffs is one series or a stack of them; F has shape (..., radii, n).  The terms
+    coeffs[j] exp(log_scales[j] + j log r) are formed in log space (radii > 0, _term_scales),
+    so no scale underflows alone; log_offset, one value per radius, multiplies row i by
+    e^{log_offset[i]} inside the exponent, so an envelope that tames the growth of F keeps every
+    term in range.  A caller that sums many stacks on one grid passes the scale blocks once as
+    `scales`.  z^j depends on j mod n on the circle, so the terms fold mod n into t and
+    F(r e^{2 pi i k/n}) is the unnormalized inverse FFT of t at k (norm="forward"); t holds
+    min(n, len(coeffs)) columns and the FFT zero-pads it into `out` when given, so a caller
+    can reuse one buffer.
+    """
+    if scales is None:
+        scales = _term_scales(log_scales, radii, n_angular, log_offset)
+    folded = np.zeros((*coeffs.shape[:-1], len(radii), min(n_angular, coeffs.shape[-1])), dtype=complex)
+    for start, block in zip(range(0, coeffs.shape[-1], n_angular), scales):
+        folded[..., : block.shape[1]] += coeffs[..., None, start : start + block.shape[1]] * block
+    return np.fft.ifft(folded, n=n_angular, axis=-1, norm="forward", out=out)
 
 
 @dataclass(frozen=True)
@@ -204,6 +220,21 @@ def sample_complex_gaussians(rng: RngStream | np.random.Generator, n: int) -> np
     return parts[0] + 1j * parts[1]
 
 
+def _substream_draws(rng: RngStream, indices, n: int):
+    """sample_complex_gaussians(rng.substream(i), n) for each i, in order, from one generator.
+
+    The Philox generator is re-keyed to (seed, i) with a zero counter and an empty buffer by
+    setting its state, which costs a tenth of building one.  The state and its key array
+    belong to this call, so concurrent calls share nothing."""
+    gen = rng.generator()
+    state = gen.bit_generator.state  # a fresh copy: counter 0, buffer empty
+    key = state["state"]["key"]
+    for i in indices:
+        key[1] = i
+        gen.bit_generator.state = state
+        yield sample_complex_gaussians(gen, n)
+
+
 def resolve_threads(flag: int | None = None) -> int:
     """Worker count: ZEROPACK_THREADS overrides the flag; default is machine parallelism.
 
@@ -216,31 +247,43 @@ def resolve_threads(flag: int | None = None) -> int:
             raise ValueError(f"ZEROPACK_THREADS must be in [1, {_MAX_THREADS}], got {env!r}")
         return n
     if flag is not None:
-        if not 1 <= flag <= _MAX_THREADS:
-            raise ValueError(f"thread count must be in [1, {_MAX_THREADS}], got {flag}")
-        return flag
+        return _checked_threads(flag)
     return min(os.cpu_count() or 1, _MAX_THREADS)
+
+
+def _checked_threads(threads: int) -> int:
+    """threads, if it is a worker count in [1, _MAX_THREADS]; ValueError otherwise."""
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError(f"thread count must be in [1, {_MAX_THREADS}], got {threads}")
+    return threads
 
 
 _T = TypeVar("_T")
 
 
+def _split(count: int, parts: int) -> list[range]:
+    """range(count) cut into `parts` contiguous ranges whose lengths differ by at most one."""
+    edges = [count * k // parts for k in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def map_indexed(fn: Callable[[int], _T], count: int, threads: int = 1) -> list[_T]:
     """Evaluate fn(0..count-1), possibly on a thread pool, in index order.
 
-    Results are collected by index, so the output (and any reduction over
-    it) is independent of the thread count.
+    On more than one thread the indices are cut into min(threads, count) contiguous ranges,
+    one pool task each.  Results are collected by index, so the output (and any reduction
+    over it) is independent of the thread count.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if threads > _MAX_THREADS:
-        raise ValueError(f"thread count must be at most {_MAX_THREADS}, got {threads}")
-    if threads <= 1 or count <= 1:
+    if _checked_threads(threads) == 1 or count <= 1:
         return [fn(i) for i in range(count)]
     from concurrent.futures import ThreadPoolExecutor  # ~7 ms (logging, queue): only when threaded
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    ranges = _split(count, min(threads, count))
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        tasks = [pool.submit(lambda part: [fn(i) for i in part], part) for part in ranges]
+        return [value for task in tasks for value in task.result()]
 
 
 class TruncationError(ValueError):
@@ -300,8 +343,13 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
     A trial returns X - c (A - E A), with A the same quadrature of e^{2 log_envelope} |F|^2 and
     E A exact (_gaf_mean_square), so the estimate stays unbiased.  The fixed
     c = b^2 - b sqrt(pi)/2 is the pointwise regression coefficient b^2 - 2b Cov(|zeta|, |zeta|^2)
-    / Var|zeta|^2; it vanishes at b = sqrt(pi)/2, where the trial is the plain X.  Trials are
-    indexed, so the estimate is thread-count independent.
+    / Var|zeta|^2; it vanishes at b = sqrt(pi)/2, where the trial is the plain X.
+
+    The term scales are formed once per call (per batch above _SCALES_MAX).  The trials are cut
+    into one contiguous range per thread (map_indexed); a range is summed in batches of about
+    _BATCH_POINTS grid points through buffers it allocates once, with its own re-keyed
+    generator (_substream_draws).  Each trial is still reduced on its own, so every value, and
+    the estimate, is independent of the batch size and the thread count.
     """
     if not (b > 0.0):
         raise ValueError(f"b must be positive, got {b}")
@@ -311,16 +359,32 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
         raise ValueError(f"trial count must be at most {_MAX_TRIALS}, got {trials}")
     c = b * (b - math.sqrt(math.pi) / 2.0)
     mean_a = _gaf_mean_square(log_scales, radii, weights, log_envelope, n_angular)
+    grid = (len(radii), n_angular)
+    scales = None
+    if len(radii) * len(log_scales) <= _SCALES_MAX:
+        scales = list(_term_scales(log_scales, radii, n_angular, log_envelope))
+    batch = max(1, _BATCH_POINTS // (grid[0] * grid[1]))
 
-    def one_trial(i: int) -> float:
-        eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
-        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
-        with np.errstate(over="ignore"):  # a huge b: reported below as an OverflowError
-            x = float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
-        a = float(weights @ (modulus * modulus).mean(axis=1))
-        return x - c * (a - mean_a)
+    def run(part: range) -> list[float]:
+        draws = _substream_draws(rng, part, len(log_scales))
+        eta = np.empty((batch, len(log_scales)), dtype=complex)
+        values = np.empty((batch, *grid), dtype=complex)
+        modulus = np.empty((batch, *grid))
+        out = []
+        for start in range(part.start, part.stop, batch):
+            rows = min(batch, part.stop - start)
+            for k in range(rows):
+                eta[k] = next(draws)
+            m = np.abs(_polar_values(eta[:rows], log_scales, radii, n_angular, log_envelope, values[:rows],
+                                     scales), out=modulus[:rows])
+            with np.errstate(over="ignore"):  # a huge b: reported below as an OverflowError
+                x = ((b * m - 1.0) ** 2).mean(axis=-1)
+            a = (m * m).mean(axis=-1)
+            out += [float(weights @ x[k]) - c * (float(weights @ a[k]) - mean_a) for k in range(rows)]
+        return out
 
-    vals = np.array(map_indexed(one_trial, trials, threads))
+    parts = _split(trials, min(_checked_threads(threads), trials))
+    vals = np.array([v for part in map_indexed(lambda t: run(parts[t]), len(parts), threads) for v in part])
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
     if not (math.isfinite(mean) and math.isfinite(stderr)):

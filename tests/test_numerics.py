@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from oracles import gauss_legendre_mp
-from zeropack import hyperbolic, planar
+from zeropack import hyperbolic, numerics, planar
 from zeropack.hyperbolic import (
     DiskFunction,
     hyperbolic_discrepancy,
@@ -28,6 +30,9 @@ from zeropack.numerics import (
     _legendre_stieltjes,
     _legendre_unit,
     _polar_values,
+    _split,
+    _substream_draws,
+    _term_scales,
     gaf_expected,
     gauss_legendre,
     map_indexed,
@@ -181,6 +186,18 @@ class TestRngStream:
         single = sample_complex_gaussians(RngStream(seed=9).generator(), 1)
         assert single.shape == (1,) and complex(single[0]) == complex(normals[0], normals[1])
 
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    def test_rekeyed_draws_equal_fresh_substreams(self, seed):
+        # One generator re-keyed per index: counter and buffer start afresh every time, so
+        # consecutive, repeated and extreme indices give the draws of a freshly built substream.
+        rng = RngStream(seed=seed, stream_index=5)
+        indices = [0, 1, 2, 2**64 - 1, 7, 2, 0]
+        for n in (1, 7, 64):
+            drawn = list(_substream_draws(rng, indices, n))
+            assert len(drawn) == len(indices)
+            for i, draws in zip(indices, drawn):
+                assert draws.tobytes() == sample_complex_gaussians(rng.substream(i), n).tobytes(), (i, n)
+
 
 class TestResolveThreads:
     def test_env_overrides_flag(self, monkeypatch):
@@ -234,6 +251,35 @@ class TestMapIndexed:
         assert map_indexed(lambda i: i, 0) == []
         with pytest.raises(ValueError):
             map_indexed(lambda i: i, -1)
+
+    @pytest.mark.parametrize("count, threads", [(0, 3), (1, 2), (2, 5), (3, 3), (10, 3), (11, 4), (64, 2)])
+    def test_each_index_once_in_order(self, count, threads):
+        calls = []
+
+        def work(i: int) -> int:
+            calls.append((i, threading.get_ident()))
+            return -i
+
+        assert map_indexed(work, count, threads=threads) == [-i for i in range(count)]
+        assert sorted(i for i, _ in calls) == list(range(count))
+        # One pool task per contiguous range: along the indices the thread changes at most at
+        # the boundaries between ranges.
+        owners = [thread for _, thread in sorted(calls)]
+        assert sum(a != b for a, b in zip(owners, owners[1:])) <= max(min(threads, count) - 1, 0)
+
+    @pytest.mark.parametrize("count, parts", [(10, 3), (11, 4), (2, 2), (5, 1), (64, 2), (3, 3)])
+    def test_split_is_contiguous_and_even(self, count, parts):
+        ranges = _split(count, parts)
+        assert len(ranges) == parts
+        assert [i for part in ranges for i in part] == list(range(count))
+        assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_counts_below_one_are_rejected(self, threads):
+        calls = []
+        with pytest.raises(ValueError, match="thread count"):
+            map_indexed(calls.append, 4, threads=threads)
+        assert calls == []
 
 
 class TestRichardson:
@@ -294,6 +340,20 @@ class TestPolarValues:
         want = np.polynomial.polynomial.polyval(z, coeffs * np.exp(log_scales))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
+    def test_stack_equals_its_rows_bitwise(self):
+        # A stack of series, with the scale blocks handed in and a caller's output buffer, gives
+        # each row's one-series values bit for bit (degree 70 folds mod 32).
+        radii = np.linspace(0.05, 2.0, 9)
+        log_scales = 0.5 * np.log(np.arange(1.0, 72.0))
+        log_offset = -radii**2
+        parts = RngStream(seed=3).generator().normal(size=(2, 5, 71))
+        stack = parts[0] + 1j * parts[1]
+        scales = list(_term_scales(log_scales, radii, 32, log_offset))
+        out = np.empty((5, 9, 32), dtype=complex)
+        assert _polar_values(stack, log_scales, radii, 32, log_offset, out=out, scales=scales) is out
+        for row, values in zip(stack, out):
+            assert values.tobytes() == _polar_values(row, log_scales, radii, 32, log_offset).tobytes()
+
 
 _GAF = {  # mode -> (module, Monte Carlo, truncation degree)
     "planar": (planar, planar_gaf_mc, planar_gaf_truncation),
@@ -315,6 +375,22 @@ def _gaf_args(mode, extent, b, trials, rng):
         mc(extent, b, truncation(extent), trials, rng)
     (args,) = seen
     return args
+
+
+def _per_trial_reference(args, trials):
+    """(mean, stderr) of _gaf_mc on its arguments, one trial at a time through the one-series kernel."""
+    log_scales, radii, weights, log_envelope, b, n_angular, _, rng, _ = args
+    c = b * (b - math.sqrt(math.pi) / 2.0)
+    mean_a = _gaf_mean_square(log_scales, radii, weights, log_envelope, n_angular)
+    vals = []
+    for i in range(trials):
+        eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
+        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
+        x = float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
+        a = float(weights @ (modulus * modulus).mean(axis=1))
+        vals.append(x - c * (a - mean_a))
+    vals = np.array(vals)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
 def _grid_of(mode, extent):
@@ -375,3 +451,40 @@ class TestGafMonteCarlo:
         for r in [*np.linspace(0.01, 0.95, 40), 1e-3, 0.999]:
             n_radial, n_angular = _grid_of("hyperbolic", float(r))
             assert n_radial <= 256 and 16 <= n_angular <= 128
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("mode, extent", [("planar", 2.0), ("hyperbolic", 0.9)])
+    def test_batches_equal_the_per_trial_reference_bitwise(self, mode, extent, threads):
+        # b = 1.3: c != 0, so every trial carries its control term.
+        b, rng = 1.3, RngStream(seed=8)
+        args = _gaf_args(mode, extent, b, 2, rng)
+        batch = numerics._BATCH_POINTS // (len(args[1]) * args[5])
+        assert batch >= 2
+        _, mc, truncation = _GAF[mode]
+        for trials in sorted({2, batch - 1, batch, batch + 1, 2 * batch + 1}):
+            got = mc(extent, b, truncation(extent), trials, rng, threads=threads)
+            assert [x.hex() for x in got] == [x.hex() for x in _per_trial_reference(args, trials)], trials
+
+    @pytest.mark.parametrize("mode, extent", [("planar", 2.0), ("hyperbolic", 0.9)])
+    def test_scales_formed_per_batch_give_the_same_trials(self, monkeypatch, mode, extent):
+        # Above _SCALES_MAX the scale table is formed per batch instead of once per call.
+        b, rng = 1.3, RngStream(seed=8)
+        args = _gaf_args(mode, extent, b, 2, rng)
+        monkeypatch.setattr(numerics, "_SCALES_MAX", 0)
+        _, mc, truncation = _GAF[mode]
+        got = mc(extent, b, truncation(extent), 11, rng, threads=2)
+        assert [x.hex() for x in got] == [x.hex() for x in _per_trial_reference(args, 11)]
+
+    def test_concurrent_tasks_share_no_generator_state(self):
+        # More tasks than cores, and a switch interval short enough to interleave them inside a
+        # batch: a generator or key shared between tasks would change some trial.
+        R, b = 2.0, 1.3
+        N = planar_gaf_truncation(R)
+        want = planar_gaf_mc(R, b, N, 40, RngStream(seed=12), threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = planar_gaf_mc(R, b, N, 40, RngStream(seed=12), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
