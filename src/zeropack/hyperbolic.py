@@ -29,6 +29,7 @@ from .numerics import (
     _gaf_mc,
     _polar_values,
     _power_of_two_at_least,
+    _term_scales,
     gaf_expected,
     gauss_legendre,
 )
@@ -80,12 +81,12 @@ class DiskFunction:
 
 
 def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> np.ndarray:
-    """Mean of integrand(u[:, None], |f|) over n_angular angles on each circle |z|^2 = u[i].
+    """integrand(u[:, None], |f|) on the circles |z|^2 = u[i], n_angular angles each, in order.
 
-    _DISK_BLOCK circles at a time: row for row the values of one pass over the whole grid.
-    Every block is summed into one buffer allocated per call, so no block's values are
-    faulted in afresh.  The integrand may return a stack (..., circles, angles); its leading
-    axes are kept."""
+    The integrand takes the means over angles itself and returns them with the circles on its
+    last axis.  _DISK_BLOCK circles at a time: row for row the values of one pass over the
+    whole grid.  |f| of every block lands in one buffer allocated per call, so no block's
+    values are faulted in afresh; the integrand may overwrite it."""
     c = f.array()
     zeros = np.zeros(c.size)
     values = np.empty((min(_DISK_BLOCK, u.size), n_angular), dtype=complex)
@@ -93,8 +94,9 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
     means = []
     for i in range(0, u.size, _DISK_BLOCK):
         b = u[i : i + _DISK_BLOCK]
-        np.abs(_polar_values(c, zeros, np.sqrt(b), n_angular, out=values[: b.size]), out=modulus[: b.size])
-        means.append(integrand(b[:, None], modulus[: b.size]).mean(-1))
+        scales = _term_scales(zeros, np.sqrt(b), n_angular)
+        np.abs(_polar_values(c, scales, values[: b.size]), out=modulus[: b.size])
+        means.append(integrand(b[:, None], modulus[: b.size]))
     return np.concatenate(means, axis=-1)
 
 
@@ -225,8 +227,9 @@ def hyperbolic_discrepancy(
         raise ValueError(f"beta must be positive, got {beta}")
     quad = _quadrature_for(r, quad)
     with np.errstate(over="ignore", invalid="ignore"):
-        means = _circle_means(f, quad.u_nodes, quad.n_angular,
-                              lambda u, modulus: ((1.0 - u) ** alpha * modulus**beta - 1.0) ** 2)
+        means = _circle_means(
+            f, quad.u_nodes, quad.n_angular,
+            lambda u, modulus: (((1.0 - u) ** alpha * modulus**beta - 1.0) ** 2).mean(-1))
         value = float(quad.hyperbolic_weights @ means) / quad.normalization
     return _finite_or_overflow(value)
 
@@ -236,29 +239,24 @@ def tight_discrepancy(
 ) -> float:
     """Variant charging the candidate's weighted mass outside D(0,r) as well.
 
-    Inside D(0,r) the integrand is ((1-|z|^2)|f|-1)^2/(1-|z|^2) as in
-    hyperbolic_discrepancy with alpha = beta = 1; on the annulus
-    r <= |z| < 1 the reference constant is dropped and the contribution is
-    (1-|z|^2)|f|^2 dA.  Both pieces share the log(1/(1-r^2)) normalization,
-    so the result always dominates the inner-region value.
+    Inside D(0,r) the value is hyperbolic_discrepancy(f, r) with
+    alpha = beta = 1; on the annulus r <= |z| < 1 the reference constant is
+    dropped and the contribution is (1-|z|^2)|f|^2 dA.  Both pieces share the
+    log(1/(1-r^2)) normalization, and the annulus is nonnegative, so the
+    result always dominates the inner-region value.
 
-    The inner piece is one pass over the quadrature grid.  The annulus piece
-    is exact by coefficient orthogonality: with s = r^2, q = 1 - s, the
-    moment of |c_k|^2 is the integral of u^k (1-u) du over [s, 1], that is
-    q^2 sum_{j<=k} (j+1) s^j / ((k+1)(k+2)), a sum of positive terms where
-    weighted_square_mass(f, 1) - weighted_square_mass(f, r) would cancel.
+    The annulus piece is exact by coefficient orthogonality: with s = r^2,
+    q = 1 - s, the moment of |c_k|^2 is the integral of u^k (1-u) du over
+    [s, 1], that is q^2 sum_{j<=k} (j+1) s^j / ((k+1)(k+2)), a sum of positive
+    terms where weighted_square_mass(f, 1) - weighted_square_mass(f, r) would
+    cancel.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    quad = _quadrature_for(r, quad)
+    inner = hyperbolic_discrepancy(f, r, quad=quad)
     n = np.arange(1, f.degree + 2, dtype=float)
     moments = ((1.0 - r) * (1.0 + r)) ** 2 * np.cumsum(n * (r * r) ** (n - 1.0)) / (n * (n + 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = float(quad.hyperbolic_weights @ _circle_means(
-            f, quad.u_nodes, quad.n_angular, lambda u, modulus: ((1.0 - u) * modulus - 1.0) ** 2))
+    with np.errstate(over="ignore"):  # |c_k| above 1e154: reported below as an OverflowError
         annulus = float(np.sum(np.abs(f.array()) ** 2 * moments))
-        value = (inner + annulus) / quad.normalization
-    return _finite_or_overflow(value)
+    return _finite_or_overflow(inner + annulus / -math.log1p(-r**2))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +342,14 @@ def hyperbolic_gaf_mc(
 # Half-disk mean-one identity
 # ---------------------------------------------------------------------------
 
+def _modulus_and_weighted_square(u: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """The means over angles of |f| and of (1-u) |f|^2, the second squared in place."""
+    mean_modulus = modulus.mean(-1)
+    np.square(modulus, out=modulus)
+    modulus *= 1.0 - u
+    return np.stack((mean_modulus, modulus.mean(-1)))
+
+
 def halfdisk_identity_check(
     f: DiskFunction, quad: DiskQuadrature | None = None
 ) -> tuple[float, float, float]:
@@ -365,8 +371,7 @@ def halfdisk_identity_check(
     quad = _quadrature_for(0.5, quad)
     with np.errstate(over="ignore", invalid="ignore"):
         mass = _finite_or_overflow(weighted_square_mass(f, 0.5))
-        means = _circle_means(f, quad.u_nodes, quad.n_angular,
-                              lambda u, modulus: np.stack((modulus, (1.0 - u) * modulus**2)))
+        means = _circle_means(f, quad.u_nodes, quad.n_angular, _modulus_and_weighted_square)
     area_weights = quad.hyperbolic_weights * (1.0 - quad.u_nodes)
     b_f = float(area_weights @ means[0]) / math.sqrt(mass)
     q2 = float(area_weights @ means[1])
@@ -486,7 +491,7 @@ def inequality_suite(
         # i.e. circle means of |f| on |z|^2 = r^2 u.
         rule = gauss_legendre(512, 0.0, 1.0)
         dilate_norm = float(rule.weights @ _circle_means(f, r * r * rule.nodes, 256,
-                                                         lambda u, modulus: modulus))
+                                                         lambda u, modulus: modulus.mean(-1)))
         full_mass = weighted_square_mass(f, 1.0)
     dil_bound = (
         math.sqrt(-math.log1p(-r * r)) / (r * r) * math.sqrt(full_mass)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -154,9 +154,11 @@ def richardson(values, steps, powers) -> tuple[float, float]:
 
 
 def _term_scales(log_scales, radii, n_angular: int, log_offset=None):
-    """The scales exp(log_scales[j] + j log radii[i] + log_offset[i]) of _polar_values.
+    """The scales exp(log_scales[j] + j log radii[i] + log_offset[i]), as _polar_values folds them.
 
-    One (radii, columns) array per block of n_angular terms, as _polar_values folds them."""
+    One (radii, columns) array per block of n_angular terms, formed in log space (radii > 0): no
+    scale underflows alone, and log_offset, one value per radius, keeps every term of an
+    enveloped series in range where the series itself would overflow."""
     log_r = np.log(radii)[:, None]
     shift = 0.0 if log_offset is None else np.asarray(log_offset, dtype=float)[:, None]
     for start in range(0, len(log_scales), n_angular):
@@ -164,23 +166,24 @@ def _term_scales(log_scales, radii, n_angular: int, log_offset=None):
         yield np.exp(log_scales[j] + j * log_r + shift)
 
 
-def _polar_values(coeffs, log_scales, radii, n_angular: int, log_offset=None, out=None,
-                  scales=None) -> np.ndarray:
-    """F = sum_j coeffs[..., j] e^{log_scales[j]} z^j at z = radii[i] e^{2 pi i k/n}.
+def _radial_variance(scales) -> np.ndarray:
+    """sigma_i^2 = sum_j scales[i, j]^2 over the blocks of _term_scales, one value per radius.
 
-    coeffs is one series or a stack of them; F has shape (..., radii, n).  The terms
-    coeffs[j] exp(log_scales[j] + j log r) are formed in log space (radii > 0, _term_scales),
-    so no scale underflows alone; log_offset, one value per radius, multiplies row i by
-    e^{log_offset[i]} inside the exponent, so an envelope that tames the growth of F keeps every
-    term in range.  A caller that sums many stacks on one grid passes the scale blocks once as
-    `scales`.  z^j depends on j mod n on the circle, so the terms fold mod n into t and
-    F(r e^{2 pi i k/n}) is the unnormalized inverse FFT of t at k (norm="forward"); t holds
-    min(n, len(coeffs)) columns and the FFT zero-pads it into `out` when given, so a caller
-    can reuse one buffer.
+    E |F|^2 on circle i of F = sum_j eta_j scales[i, j] z^j with standard complex Gaussian eta_j."""
+    return sum((block * block).sum(axis=1) for block in scales)
+
+
+def _polar_values(coeffs, scales, out) -> np.ndarray:
+    """F = sum_j coeffs[..., j] scales[i, j] e^{2 pi i jk/n} into out, of shape (..., radii, n).
+
+    coeffs is one series or a stack of them, and scales are the blocks of _term_scales on the
+    same n: with scales[i, j] = e^{log_scales[j]} radii[i]^j, F is the series at z = radii[i]
+    e^{2 pi i k/n}.  z^j depends on j mod n on the circle, so the terms fold mod n into t and F
+    is the unnormalized inverse FFT of t at k (norm="forward"); t holds min(n, len(coeffs))
+    columns, which the FFT zero-pads into the caller's buffer out.
     """
-    if scales is None:
-        scales = _term_scales(log_scales, radii, n_angular, log_offset)
-    folded = np.zeros((*coeffs.shape[:-1], len(radii), min(n_angular, coeffs.shape[-1])), dtype=complex)
+    n_radii, n_angular = out.shape[-2:]
+    folded = np.zeros((*coeffs.shape[:-1], n_radii, min(n_angular, coeffs.shape[-1])), dtype=complex)
     for start, block in zip(range(0, coeffs.shape[-1], n_angular), scales):
         folded[..., : block.shape[1]] += coeffs[..., None, start : start + block.shape[1]] * block
     return np.fft.ifft(folded, n=n_angular, axis=-1, norm="forward", out=out)
@@ -312,22 +315,6 @@ def _power_of_two_at_least(x: float, low: int, high: int) -> int:
     return n
 
 
-def _gaf_mean_square(log_scales, radii, weights, log_envelope, n_angular: int) -> float:
-    """Exact E A, A = weights @ (mean over angles of e^{2 log_envelope} |F|^2), F as in _gaf_mc.
-
-    E |F(z)|^2 = sum_j e^{2 log_scales[j]} |z|^{2j}, so E A = sum_i weights[i] sum_j
-    e^{2 (log_scales[j] + j log radii[i] + log_envelope[i])}: positive terms formed in log
-    space, n_angular columns at a time, so no block is larger than one trial's grid.
-    """
-    log_r = np.log(radii)[:, None]
-    shift = np.asarray(log_envelope, dtype=float)[:, None]
-    per_radius = np.zeros(log_r.shape[0])
-    for start in range(0, len(log_scales), n_angular):
-        j = np.arange(start, min(start + n_angular, len(log_scales)))
-        per_radius += np.exp(2.0 * (log_scales[j] + j * log_r + shift)).sum(axis=1)
-    return float(weights @ per_radius)
-
-
 def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, trials: int,
             rng: RngStream, threads: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error of a GAF mismatch over a polar product rule.
@@ -341,15 +328,17 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
     Every normalized value e^{log_envelope} F is a standard complex Gaussian, so X is unbiased
     for E(b|zeta| - 1)^2 on any grid whose weights sum to 1; the grid sets only its variance.
     A trial returns X - c (A - E A), with A the same quadrature of e^{2 log_envelope} |F|^2 and
-    E A exact (_gaf_mean_square), so the estimate stays unbiased.  The fixed
-    c = b^2 - b sqrt(pi)/2 is the pointwise regression coefficient b^2 - 2b Cov(|zeta|, |zeta|^2)
-    / Var|zeta|^2; it vanishes at b = sqrt(pi)/2, where the trial is the plain X.
+    E A = weights @ sigma^2 exact, sigma^2 summed from the scales the trials fold
+    (_radial_variance), so the estimate stays unbiased.  The fixed c = b^2 - b sqrt(pi)/2 is the
+    pointwise regression coefficient b^2 - 2b Cov(|zeta|, |zeta|^2) / Var|zeta|^2; it vanishes
+    at b = sqrt(pi)/2, where the trial is the plain X.
 
-    The term scales are formed once per call (per batch above _SCALES_MAX).  The trials are cut
-    into one contiguous range per thread (map_indexed); a range is summed in batches of about
-    _BATCH_POINTS grid points through buffers it allocates once, with its own re-keyed
-    generator (_substream_draws).  Each trial is still reduced on its own, so every value, and
-    the estimate, is independent of the batch size and the thread count.
+    The scales (_term_scales, envelope included) are formed once per call into one table, or
+    above _SCALES_MAX afresh for E A and for each batch.  The trials are cut into one contiguous
+    range per thread (map_indexed); a range is summed in batches of about _BATCH_POINTS grid
+    points through buffers it allocates once, with its own re-keyed generator
+    (_substream_draws).  Each trial is still reduced on its own, so every value, and the
+    estimate, is independent of the batch size and the thread count.
     """
     if not (b > 0.0):
         raise ValueError(f"b must be positive, got {b}")
@@ -358,11 +347,10 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
     if trials > _MAX_TRIALS:
         raise ValueError(f"trial count must be at most {_MAX_TRIALS}, got {trials}")
     c = b * (b - math.sqrt(math.pi) / 2.0)
-    mean_a = _gaf_mean_square(log_scales, radii, weights, log_envelope, n_angular)
     grid = (len(radii), n_angular)
-    scales = None
-    if len(radii) * len(log_scales) <= _SCALES_MAX:
-        scales = list(_term_scales(log_scales, radii, n_angular, log_envelope))
+    blocks = partial(_term_scales, log_scales, radii, n_angular, log_envelope)
+    table = list(blocks()) if len(radii) * len(log_scales) <= _SCALES_MAX else None
+    mean_a = float(weights @ _radial_variance(table or blocks()))
     batch = max(1, _BATCH_POINTS // (grid[0] * grid[1]))
 
     def run(part: range) -> list[float]:
@@ -375,8 +363,7 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
             rows = min(batch, part.stop - start)
             for k in range(rows):
                 eta[k] = next(draws)
-            m = np.abs(_polar_values(eta[:rows], log_scales, radii, n_angular, log_envelope, values[:rows],
-                                     scales), out=modulus[:rows])
+            m = np.abs(_polar_values(eta[:rows], table or blocks(), values[:rows]), out=modulus[:rows])
             with np.errstate(over="ignore"):  # a huge b: reported below as an OverflowError
                 x = ((b * m - 1.0) ** 2).mean(axis=-1)
             a = (m * m).mean(axis=-1)

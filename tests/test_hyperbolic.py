@@ -37,7 +37,7 @@ from zeropack.hyperbolic import (
     tight_discrepancy,
     weighted_square_mass,
 )
-from zeropack.numerics import RngStream, _polar_values, sample_complex_gaussians
+from zeropack.numerics import RngStream, _polar_values, _term_scales, sample_complex_gaussians
 from zeropack.planar import TruncationError
 
 
@@ -54,7 +54,8 @@ def disk_grid(quad) -> np.ndarray:
 def _abs_on_circles(f: DiskFunction, radii, n_angular: int) -> np.ndarray:
     """|f| at n_angular uniform angles on every circle |z| = radii[i], in one pass."""
     c = f.array()
-    return np.abs(_polar_values(c, np.zeros(c.size), radii, n_angular))
+    scales = _term_scales(np.zeros(c.size), radii, n_angular)
+    return np.abs(_polar_values(c, scales, np.empty((len(radii), n_angular), dtype=complex)))
 
 
 class TestDiskFunction:
@@ -187,9 +188,9 @@ class TestHyperbolicDiscrepancy:
 
 
 class TestBlockedDiskGrid:
-    """hyperbolic_discrepancy and tight_discrepancy visit the grid in blocks of circles; the
-    reference evaluates the whole grid in one pass, as the functions did before; the tight
-    annulus term is the exact orthogonality integral."""
+    """hyperbolic_discrepancy, tight_discrepancy and halfdisk_identity_check visit the grid in
+    blocks of circles; the reference evaluates the whole grid in one pass, as the functions did
+    before; the tight annulus term is the exact orthogonality integral."""
 
     @pytest.mark.parametrize(  # the default grid, and one full block of circles plus a part
         "n_radial, n_angular", [(2048, 512), (hyperbolic._DISK_BLOCK + 36, 32)])
@@ -206,6 +207,17 @@ class TestBlockedDiskGrid:
         annulus = annulus_power_mass(f.coeffs, r * r, 1.0)
         assert tight_discrepancy(f, r, quad=quad) == pytest.approx(
             (inner + annulus) / quad.normalization, rel=1e-15)
+
+        half = make_disk_quadrature(0.5, n_radial, n_angular)
+        modulus = _abs_on_circles(f, np.sqrt(half.u_nodes), n_angular)
+        u = half.u_nodes[:, None]
+        mass = weighted_square_mass(f, 0.5)
+        area_weights = half.hyperbolic_weights * (1.0 - half.u_nodes)
+        b_f = float(area_weights @ modulus.mean(axis=1)) / math.sqrt(mass)
+        q2 = float(area_weights @ ((1.0 - u) * modulus**2).mean(axis=1))
+        lhs = b_f * b_f * (q2 / mass - 2.0) + half.normalization
+        rhs = math.log(4.0 / 3.0) - b_f * b_f
+        assert halfdisk_identity_check(f, quad=half) == (lhs, rhs, abs(lhs - rhs))
 
     def test_one_grid_pass_per_call(self, monkeypatch, disk_quad_half, coeff_factory):
         passes, rules = [], []

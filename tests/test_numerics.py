@@ -25,11 +25,11 @@ from zeropack.numerics import (
     QuadratureRule1D,
     RngStream,
     _STIELTJES_MIN,
-    _gaf_mean_square,
     _legendre_cosines,
     _legendre_stieltjes,
     _legendre_unit,
     _polar_values,
+    _radial_variance,
     _split,
     _substream_draws,
     _term_scales,
@@ -327,7 +327,8 @@ class TestPolarValues:
         angles = 2.0 * np.pi * np.arange(64) / 64
         grid = np.sqrt(quad.u_nodes)[:, None] * np.exp(1j * angles)[None, :]
         want = np.polynomial.polynomial.polyval(grid, coeffs)
-        got = _polar_values(coeffs, np.zeros(degree + 1), np.sqrt(quad.u_nodes), 64)
+        scales = _term_scales(np.zeros(degree + 1), np.sqrt(quad.u_nodes), 64)
+        got = _polar_values(coeffs, scales, np.empty((256, 64), dtype=complex))
         assert got.shape == (256, 64)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -335,14 +336,15 @@ class TestPolarValues:
         coeffs = np.array([1.0, 2.0 - 1.0j, 0.5j, -3.0, 1.5, 0.25 + 0.25j])
         log_scales = np.array([0.0, -1.0, 2.0, 0.5, -0.3, 1.1])
         radii = np.array([0.2, 0.7, 1.3])
-        got = _polar_values(coeffs, log_scales, radii, 4)  # degree 5 folds mod 4
+        got = _polar_values(coeffs, _term_scales(log_scales, radii, 4),  # degree 5 folds mod 4
+                            np.empty((3, 4), dtype=complex))
         z = radii[:, None] * np.exp(0.5j * np.pi * np.arange(4))[None, :]
         want = np.polynomial.polynomial.polyval(z, coeffs * np.exp(log_scales))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_stack_equals_its_rows_bitwise(self):
-        # A stack of series, with the scale blocks handed in and a caller's output buffer, gives
-        # each row's one-series values bit for bit (degree 70 folds mod 32).
+        # A stack of series gives each row's one-series values bit for bit, in the caller's
+        # output buffer (degree 70 folds mod 32).
         radii = np.linspace(0.05, 2.0, 9)
         log_scales = 0.5 * np.log(np.arange(1.0, 72.0))
         log_offset = -radii**2
@@ -350,9 +352,10 @@ class TestPolarValues:
         stack = parts[0] + 1j * parts[1]
         scales = list(_term_scales(log_scales, radii, 32, log_offset))
         out = np.empty((5, 9, 32), dtype=complex)
-        assert _polar_values(stack, log_scales, radii, 32, log_offset, out=out, scales=scales) is out
+        assert _polar_values(stack, scales, out) is out
         for row, values in zip(stack, out):
-            assert values.tobytes() == _polar_values(row, log_scales, radii, 32, log_offset).tobytes()
+            one = _polar_values(row, scales, np.empty((9, 32), dtype=complex))
+            assert values.tobytes() == one.tobytes()
 
 
 _GAF = {  # mode -> (module, Monte Carlo, truncation degree)
@@ -381,11 +384,12 @@ def _per_trial_reference(args, trials):
     """(mean, stderr) of _gaf_mc on its arguments, one trial at a time through the one-series kernel."""
     log_scales, radii, weights, log_envelope, b, n_angular, _, rng, _ = args
     c = b * (b - math.sqrt(math.pi) / 2.0)
-    mean_a = _gaf_mean_square(log_scales, radii, weights, log_envelope, n_angular)
+    scales = list(_term_scales(log_scales, radii, n_angular, log_envelope))
+    mean_a = float(weights @ _radial_variance(scales))
     vals = []
     for i in range(trials):
         eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
-        modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
+        modulus = np.abs(_polar_values(eta, scales, np.empty((len(radii), n_angular), dtype=complex)))
         x = float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
         a = float(weights @ (modulus * modulus).mean(axis=1))
         vals.append(x - c * (a - mean_a))
@@ -404,10 +408,11 @@ class TestGafMonteCarlo:
         # c = b^2 - b sqrt(pi)/2 is exactly 0: no control term, the plain mean of X.
         b, trials, rng = math.sqrt(math.pi) / 2.0, 5, RngStream(seed=4)
         log_scales, radii, weights, log_envelope, _, n_angular, *_ = _gaf_args(mode, extent, b, trials, rng)
+        scales = list(_term_scales(log_scales, radii, n_angular, log_envelope))
         vals = []
         for i in range(trials):
             eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
-            modulus = np.abs(_polar_values(eta, log_scales, radii, n_angular, log_envelope))
+            modulus = np.abs(_polar_values(eta, scales, np.empty((len(radii), n_angular), dtype=complex)))
             vals.append(float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1)))
         vals = np.array(vals)
         plain = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)))
@@ -415,14 +420,26 @@ class TestGafMonteCarlo:
         got = mc(extent, b, truncation(extent), trials, rng, threads=2)
         assert [x.hex() for x in got] == [x.hex() for x in plain]
 
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "per-batch"])
     @pytest.mark.parametrize("mode, extent", [("planar", 4.0), ("planar", 30.0), ("hyperbolic", 0.95)])
-    def test_mean_square_matches_brute_force(self, mode, extent):
-        # 16 angles: the series (degree 68, 2043 and 162) is summed in many column blocks.
+    def test_mean_square_matches_brute_force(self, monkeypatch, mode, extent, table):
+        # E A = weights @ sigma^2, sigma^2 summed from the scale blocks _gaf_mc folds: its table,
+        # or with _SCALES_MAX at 0 blocks formed afresh.  16 angles: the series (degree 68, 2043
+        # and 162) is summed in many column blocks.
         log_scales, radii, weights, log_envelope, *_ = _gaf_args(mode, extent, 1.0, 2, RngStream(seed=1))
         j = np.arange(len(log_scales))
         terms = np.exp(log_scales[None, :] + j * np.log(radii)[:, None] + log_envelope[:, None])
         brute = float(np.sum(weights[:, None] * terms**2))
-        got = _gaf_mean_square(log_scales, radii, weights, log_envelope, 16)
+        seen = []
+        monkeypatch.setattr(numerics, "_radial_variance",
+                            lambda scales: seen.append((type(scales), _radial_variance(scales))) or seen[-1][1])
+        if not table:
+            monkeypatch.setattr(numerics, "_SCALES_MAX", 0)
+        _, mc, truncation = _GAF[mode]
+        mc(extent, 1.0, truncation(extent), 2, RngStream(seed=1), n_angular=16)
+        ((kind, sigma2),) = seen
+        assert (kind is list) == table
+        got = float(weights @ sigma2)
         assert got == pytest.approx(brute, rel=1e-14)
         assert 0.99 < got <= 1.0 + 1e-12
 

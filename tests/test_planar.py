@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from zeropack import planar
-from zeropack.numerics import RngStream, _polar_values, sample_complex_gaussians
+from zeropack.numerics import RngStream, _polar_values, _term_scales, sample_complex_gaussians
 from zeropack.planar import (
     _MAX_GRID,
     TruncationError,
@@ -314,7 +314,8 @@ class TestPlanarGafLargeRadius:
         j = np.arange(N + 1)
         log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
         radii = np.array([0.5, R / 2.0, R - 0.5, R - 0.03])
-        F = _polar_values(eta, log_scales, radii, 256, log_offset=-radii**2)
+        F = _polar_values(eta, _term_scales(log_scales, radii, 256, log_offset=-radii**2),
+                          np.empty((len(radii), 256), dtype=complex))
         coeffs = _mp_planar_gaf_coeffs(eta)
         for i, k in [(0, 3), (1, 100), (2, 12), (3, 0), (3, 201)]:
             z = radii[i] * complex(math.cos(2 * math.pi * k / 256), math.sin(2 * math.pi * k / 256))
