@@ -38,7 +38,8 @@ if TYPE_CHECKING:  # the exact-arithmetic functions below import it when called:
     from fractions import Fraction
 
 DEGREE_CAP = 4096
-_DISK_BLOCK = 64  # circles of a disk grid evaluated at a time
+_DISK_BLOCK = 64 * 512  # grid points a disk integral evaluates at a time
+_SETTLED = 1e-13  # relative move of a circle mean below which its angle count stops doubling
 
 
 @dataclass(frozen=True)
@@ -81,23 +82,47 @@ class DiskFunction:
 
 
 def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> np.ndarray:
-    """integrand(u[:, None], |f|) on the circles |z|^2 = u[i], n_angular angles each, in order.
+    """integrand(u[:, None], |f|) on the circles |z|^2 = u[i], at most n_angular angles each.
 
-    The integrand takes the means over angles itself and returns them with the circles on its
-    last axis.  _DISK_BLOCK circles at a time: row for row the values of one pass over the
-    whole grid.  |f| of every block lands in one buffer allocated per call, so no block's
-    values are faulted in afresh; the integrand may overwrite it."""
+    The integrand takes the means over uniform angles itself and returns them with the circles
+    on its last axis.  Each circle starts at the least count of the chain n_angular / 2^k that
+    is >= max(16, 2 (degree + 1)), so the top term is not aliased (n_angular itself if it is
+    odd or below that), and doubles while a mean moves by more than _SETTLED max(1, |mean|):
+    the periodic trapezoid rule converges geometrically on a circle that passes no zero close
+    by (Trefethen and Weideman, SIAM Review 56, 2014).  A doubling evaluates only the n new
+    angles 2 pi (k + 1/2) / n, as the series twisted by e^{i pi j / n}, and averages their
+    mean with the old one, so a circle that reaches the cap has seen all n_angular angles of the
+    full grid.  Circles go _DISK_BLOCK points at a time through one buffer allocated per call;
+    the integrand may overwrite it."""
     c = f.array()
-    zeros = np.zeros(c.size)
-    values = np.empty((min(_DISK_BLOCK, u.size), n_angular), dtype=complex)
-    modulus = np.empty(values.shape)
-    means = []
-    for i in range(0, u.size, _DISK_BLOCK):
-        b = u[i : i + _DISK_BLOCK]
-        scales = _term_scales(zeros, np.sqrt(b), n_angular)
-        np.abs(_polar_values(c, scales, values[: b.size]), out=modulus[: b.size])
-        means.append(integrand(b[:, None], modulus[: b.size]))
-    return np.concatenate(means, axis=-1)
+    n = n_angular
+    while n % 2 == 0 and n // 2 >= max(16, 2 * c.size):
+        n //= 2
+    zeros, radii = np.zeros(c.size), np.sqrt(u)
+    values = np.empty(min(u.size * n_angular, max(_DISK_BLOCK, n_angular)), dtype=complex)
+    modulus = np.empty(values.size)
+
+    def level(coeffs, circles):
+        rows, means = values.size // n, []
+        for i in range(0, circles.size, rows):
+            b = circles[i : i + rows]
+            out = values[: b.size * n].reshape(b.size, n)
+            m = modulus[: out.size].reshape(out.shape)
+            np.abs(_polar_values(coeffs, _term_scales(zeros, radii[b], n), out), out=m)
+            means.append(integrand(u[b, None], m))
+        return np.concatenate(means, axis=-1)
+
+    circles = np.arange(u.size)
+    means = level(c, circles)
+    while n < n_angular and circles.size:
+        roots = np.exp(1j * np.pi / n * np.arange(2 * n))  # e^{i pi j / n} by j mod 2n
+        old = means[..., circles]
+        new = level(c * roots[np.arange(c.size) % (2 * n)], circles)
+        means[..., circles] = mean = 0.5 * (old + new)
+        moved = np.abs(mean - old) > _SETTLED * np.maximum(1.0, np.abs(mean))
+        circles = circles[moved.reshape(-1, circles.size).any(axis=0)]
+        n *= 2
+    return means
 
 
 def weighted_square_mass(f: DiskFunction, radius: float) -> float:
@@ -129,8 +154,10 @@ class DiskQuadrature:
     the 1/(1-u) weight, so a Gauss-Legendre rule in t integrates smooth
     radial profiles accurately even as radius -> 1 where the hyperbolic
     measure concentrates.  The weights sum to log(1/(1-radius^2)) exactly
-    up to rounding.  Angular nodes are n_angular uniform, equal-weight angles
-    2 pi k / n_angular by construction, so polynomials on the grid are one FFT.
+    up to rounding.  Angular nodes are uniform, equal-weight angles 2 pi k / n
+    by construction, so polynomials on a circle are one FFT.  n_angular is the
+    cap: each circle takes n = n_angular / 2^k angles, as few as its mean needs
+    (_circle_means).
     """
 
     radius: float
@@ -172,6 +199,7 @@ class DiskQuadrature:
 def make_disk_quadrature(
     radius: float, n_radial: int = 2048, n_angular: int = 512
 ) -> DiskQuadrature:
+    """n_radial Gauss-Legendre circles on D(0, radius), each with at most n_angular angles."""
     if not (0.0 < radius < 1.0):
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
     if n_radial < 4 or n_angular < 4:

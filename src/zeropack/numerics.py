@@ -239,9 +239,11 @@ def _substream_draws(rng: RngStream, indices, n: int):
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: ZEROPACK_THREADS overrides the flag; default is machine parallelism.
+    """Worker count: ZEROPACK_THREADS overrides the flag; the default is 1.
 
-    Counts above _MAX_THREADS are rejected, so a typo cannot start a huge thread pool.
+    One thread is the default because the per-trial numpy calls are small: two threads were
+    slower at most GAF sizes on a 2-core machine.  Counts above _MAX_THREADS are rejected, so
+    a typo cannot start a huge thread pool.
     """
     env = os.environ.get("ZEROPACK_THREADS")
     if env is not None:
@@ -249,9 +251,7 @@ def resolve_threads(flag: int | None = None) -> int:
         if not 1 <= n <= _MAX_THREADS:
             raise ValueError(f"ZEROPACK_THREADS must be in [1, {_MAX_THREADS}], got {env!r}")
         return n
-    if flag is not None:
-        return _checked_threads(flag)
-    return min(os.cpu_count() or 1, _MAX_THREADS)
+    return 1 if flag is None else _checked_threads(flag)
 
 
 def _checked_threads(threads: int) -> int:

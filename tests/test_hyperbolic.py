@@ -233,6 +233,94 @@ class TestBlockedDiskGrid:
         assert passes == [disk_quad_half.n_radial] * 2
 
 
+SHAPES = ((1.0, 1.0), (1.5, 0.75), (0.5, 1.0), (1.0, 2.0), (2.0, 1.0), (0.75, 1.5), (1.0, 0.5))
+
+
+def _assert_agrees(got: float, want: float):
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (got, want)
+
+
+def _assert_agrees_with_one_pass(f: DiskFunction, r: float, alpha: float, beta: float):
+    """hyperbolic_discrepancy, tight_discrepancy and halfdisk_identity_check on the default rule
+    against the same integrals with every circle at all 512 angles, in one pass."""
+    quad = make_disk_quadrature(r)
+    modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
+    u = quad.u_nodes[:, None]
+    plain = quad.hyperbolic_weights @ (((1.0 - u) ** alpha * modulus**beta - 1.0) ** 2).mean(axis=1)
+    _assert_agrees(hyperbolic_discrepancy(f, r, alpha, beta), plain / quad.normalization)
+    inner = quad.hyperbolic_weights @ (((1.0 - u) * modulus - 1.0) ** 2).mean(axis=1)
+    annulus = annulus_power_mass(f.coeffs, r * r, 1.0)
+    _assert_agrees(tight_discrepancy(f, r), (inner + annulus) / quad.normalization)
+
+    half = make_disk_quadrature(0.5)
+    modulus = _abs_on_circles(f, np.sqrt(half.u_nodes), half.n_angular)
+    mass = weighted_square_mass(f, 0.5)
+    area_weights = half.hyperbolic_weights * (1.0 - half.u_nodes)
+    b_f = float(area_weights @ modulus.mean(axis=1)) / math.sqrt(mass)
+    q2 = float(area_weights @ ((1.0 - half.u_nodes[:, None]) * modulus**2).mean(axis=1))
+    lhs = b_f * b_f * (q2 / mass - 2.0) + half.normalization
+    rhs = math.log(4.0 / 3.0) - b_f * b_f
+    for got, want in zip(halfdisk_identity_check(f), (lhs, rhs, abs(lhs - rhs))):
+        _assert_agrees(got, want)
+
+
+class TestAnglesPerCircle:
+    """Each circle starts at a count that cannot alias the top term and doubles until its mean
+    settles, at most to n_angular; the values stay those of the full grid to roundoff."""
+
+    @pytest.mark.parametrize("k", [7, 8, 15, 16, 31, 64, 200])
+    def test_binomials_agree_with_one_pass(self, k):
+        # |1 + z^k| depends on k theta alone: a count sharing a power of two with k sees few
+        # distinct values, where a wrongly settled circle would show.
+        f = disk(1.0, *[0.0] * (k - 1), 1.0)
+        for r, (alpha, beta) in zip((0.9, 0.99), SHAPES[k % 7 :] + SHAPES):
+            _assert_agrees_with_one_pass(f, r, alpha, beta)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_candidates_agree_with_one_pass(self, coeff_factory, seed):
+        f = DiskFunction(coeffs=coeff_factory(400 + seed, 2 + 47 * seed // 19))  # degree 1 to 48
+        for r in (0.5, 0.9, 0.99):
+            _assert_agrees_with_one_pass(f, r, *SHAPES[seed % len(SHAPES)])
+
+    @staticmethod
+    def _points(monkeypatch, call) -> int:
+        """Grid points _polar_values evaluates during call()."""
+        counted, polar_values = [], hyperbolic._polar_values
+        monkeypatch.setattr(hyperbolic, "_polar_values",
+                            lambda c, s, out: counted.append(out.size) or polar_values(c, s, out))
+        call()
+        return sum(counted)
+
+    def test_never_more_than_the_full_grid(self, monkeypatch, coeff_factory):
+        for degree, r in ((1, 0.5), (12, 0.9), (48, 0.99), (300, 0.9)):
+            f = DiskFunction(coeffs=coeff_factory(degree, degree + 1))
+            for quad in (make_disk_quadrature(r), make_disk_quadrature(r, 100, 96)):
+                points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, r, quad=quad))
+                assert 0 < points <= quad.n_radial * quad.n_angular
+
+    @pytest.mark.parametrize("coeffs", [(1.3,), (0.0, 0.7), (0.0,) * 7 + (2.0,), (0.0,) * 15 + (0.5j,)])
+    def test_constants_and_monomials_take_an_eighth(self, monkeypatch, disk_quad_09, coeffs):
+        f = disk(*coeffs)
+        points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09))
+        assert points <= disk_quad_09.n_radial * disk_quad_09.n_angular // 8
+
+    @pytest.mark.parametrize("n_angular, per_circle", [(512, 2 * 16), (96, 2 * 24), (15, 15), (8, 8)])
+    def test_a_constant_settles_after_one_doubling_of_its_start(self, monkeypatch, n_angular,
+                                                                per_circle):
+        # the start is the least of n_angular / 2^k that is >= 16; an odd or small cap is the start
+        quad = make_disk_quadrature(0.9, 100, n_angular)
+        points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(disk(1.3), 0.9, quad=quad))
+        assert points == 100 * per_circle
+
+    @pytest.mark.parametrize("degree", [100, 200])
+    def test_circles_at_the_cap_cost_the_full_grid(self, monkeypatch, disk_quad_09, coeff_factory,
+                                                   degree):
+        # degree 100 starts at 256 angles and doubles to the cap on every circle, 200 starts there
+        f = DiskFunction(coeffs=coeff_factory(degree, degree + 1))
+        points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09))
+        assert points == disk_quad_09.n_radial * disk_quad_09.n_angular
+
+
 class TestTightDiscrepancy:
     def test_monomial_against_adaptive_oracle(self):
         for k, a, r in ((0, 1.0, 0.5), (1, 2.0, 0.9), (3, 0.7, 0.8)):

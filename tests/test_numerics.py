@@ -207,8 +207,8 @@ class TestResolveThreads:
     def test_flag_without_env(self):
         assert resolve_threads(2) == 2
 
-    def test_default_is_machine(self):
-        assert resolve_threads(None) >= 1
+    def test_default_is_one_thread(self):
+        assert resolve_threads(None) == 1
 
     def test_invalid_env(self, monkeypatch):
         monkeypatch.setenv("ZEROPACK_THREADS", "0")

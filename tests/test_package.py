@@ -108,6 +108,9 @@ LOADS = {  # id: (argv, modules it must not load, modules it must load)
         ["gaf", "--mode", "hyperbolic", "--b", "1", "--r", "0.5", "--trials", "2", "--seed", "1",
          "--threads", "1"],
         SPECIALISTS - {"zeropack.hyperbolic"} | NEVER, {"zeropack.hyperbolic"}),
+    "gaf-hyperbolic-default-threads": (
+        ["gaf", "--mode", "hyperbolic", "--b", "1", "--r", "0.5", "--trials", "2", "--seed", "1"],
+        SPECIALISTS - {"zeropack.hyperbolic"} | NEVER, {"zeropack.hyperbolic"}),
     "gaf-planar-2-threads": (
         ["gaf", "--mode", "planar", "--b", "1", "--R", "1", "--trials", "2", "--seed", "1",
          "--threads", "2"],
