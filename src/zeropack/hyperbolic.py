@@ -86,19 +86,30 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
 
     The integrand takes the means over uniform angles itself and returns them with the circles
     on its last axis.  Each circle starts at the least count of the chain n_angular / 2^k that
-    is >= max(16, 2 (degree + 1)), so the top term is not aliased (n_angular itself if it is
-    odd or below that), and doubles while a mean moves by more than _SETTLED max(1, |mean|):
-    the periodic trapezoid rule converges geometrically on a circle that passes no zero close
-    by (Trefethen and Weideman, SIAM Review 56, 2014).  A doubling evaluates only the n new
-    angles 2 pi (k + 1/2) / n, as the series twisted by e^{i pi j / n}, and averages their
-    mean with the old one, so a circle that reaches the cap has seen all n_angular angles of the
-    full grid.  Circles go _DISK_BLOCK points at a time through one buffer allocated per call;
-    the integrand may overwrite it."""
+    is >= max(16, 2 (degree + 1)), so the top term is not aliased, and doubles while a mean
+    moves by more than _SETTLED max(1, |mean|): the periodic trapezoid rule converges
+    geometrically on a circle that passes no zero close by (Trefethen and Weideman, SIAM
+    Review 56, 2014).  The chain is n_angular alone if n_angular is below that bound or its odd
+    part exceeds 3.  For f = z^a h(z^g), |f| depends on g theta alone, g <= degree, and
+    doubling n angles refines the rule for it only if g has no more factors of two than n.  A
+    start >= 2 (degree + 1) with odd part at most 3 guarantees that; with a cap of 100,
+    1 + z^2 would start at 25 angles and settle falsely at 50.  A doubling evaluates only the
+    n new angles 2 pi (k + 1/2) / n, as the series twisted by e^{i pi j / n}, and averages
+    their mean with the old one, so a circle that reaches the cap has seen all n_angular angles
+    of the full grid.  Below the cap the term scales r^j fit one block at every level, so they
+    are formed once per call.  Circles go _DISK_BLOCK points at a time through one buffer
+    allocated per call; the integrand may overwrite it."""
     c = f.array()
     n = n_angular
-    while n % 2 == 0 and n // 2 >= max(16, 2 * c.size):
-        n //= 2
+    if n_angular // (n_angular & -n_angular) <= 3:  # the odd part of n_angular
+        while n % 2 == 0 and n // 2 >= max(16, 2 * c.size):
+            n //= 2
     zeros, radii = np.zeros(c.size), np.sqrt(u)
+    if n < n_angular:  # n >= 2 (degree + 1): one block of term scales, the same at every level
+        table = next(_term_scales(zeros, radii, n))
+        scales = lambda b: (table[b],)
+    else:
+        scales = lambda b: _term_scales(zeros, radii[b], n)
     values = np.empty(min(u.size * n_angular, max(_DISK_BLOCK, n_angular)), dtype=complex)
     modulus = np.empty(values.size)
 
@@ -108,7 +119,9 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
             b = circles[i : i + rows]
             out = values[: b.size * n].reshape(b.size, n)
             m = modulus[: out.size].reshape(out.shape)
-            np.abs(_polar_values(coeffs, _term_scales(zeros, radii[b], n), out), out=m)
+            if b[-1] - b[0] == b.size - 1:  # circles ascend: a run of them is a slice, not a copy
+                b = slice(b[0], b[-1] + 1)
+            np.abs(_polar_values(coeffs, scales(b), out), out=m)
             means.append(integrand(u[b, None], m))
         return np.concatenate(means, axis=-1)
 

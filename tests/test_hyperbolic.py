@@ -282,6 +282,23 @@ class TestAnglesPerCircle:
         for r in (0.5, 0.9, 0.99):
             _assert_agrees_with_one_pass(f, r, *SHAPES[seed % len(SHAPES)])
 
+    @pytest.mark.parametrize("n_angular, ks", [(100, (2, 4)), (320, (32,)), (1000, (2, 8, 40)),
+                                               (96, range(1, 48)), (48, range(1, 24))])
+    def test_caps_with_odd_factors_settle_no_circle_falsely(self, n_angular, ks):
+        # Under a cap of 100, 1 + z^2 would start at 25 angles; the 25 half-step angles give the
+        # same 25 values of |f|, so the mean would settle at 50 angles, not 100.  A cap whose odd
+        # part is at most 3 (96, 48) still halves, and must agree for every binomial it admits.
+        quad = make_disk_quadrature(0.9, 100, n_angular)
+        u = quad.u_nodes[:, None]
+        for k in ks:
+            f = disk(1.0, *[0.0] * (k - 1), 1.0)
+            modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), n_angular)
+            for alpha, beta in SHAPES[:3]:
+                mismatch = ((1.0 - u) ** alpha * modulus**beta - 1.0) ** 2
+                plain = quad.hyperbolic_weights @ mismatch.mean(axis=1)
+                _assert_agrees(hyperbolic_discrepancy(f, 0.9, alpha, beta, quad=quad),
+                               plain / quad.normalization)
+
     @staticmethod
     def _points(monkeypatch, call) -> int:
         """Grid points _polar_values evaluates during call()."""
@@ -304,10 +321,12 @@ class TestAnglesPerCircle:
         points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09))
         assert points <= disk_quad_09.n_radial * disk_quad_09.n_angular // 8
 
-    @pytest.mark.parametrize("n_angular, per_circle", [(512, 2 * 16), (96, 2 * 24), (15, 15), (8, 8)])
+    @pytest.mark.parametrize("n_angular, per_circle",
+                             [(512, 2 * 16), (96, 2 * 24), (100, 100), (320, 320), (15, 15), (8, 8)])
     def test_a_constant_settles_after_one_doubling_of_its_start(self, monkeypatch, n_angular,
                                                                 per_circle):
-        # the start is the least of n_angular / 2^k that is >= 16; an odd or small cap is the start
+        # the start is the least of n_angular / 2^k that is >= 16; a small cap, or one whose odd
+        # part exceeds 3, is the start
         quad = make_disk_quadrature(0.9, 100, n_angular)
         points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(disk(1.3), 0.9, quad=quad))
         assert points == 100 * per_circle
