@@ -28,6 +28,7 @@ from .numerics import (
     TruncationError,
     _gaf_mc,
     _polar_values,
+    _polynomial_zeros,
     _power_of_two_at_least,
     _term_scales,
     gaf_expected,
@@ -38,7 +39,11 @@ if TYPE_CHECKING:  # the exact-arithmetic functions below import it when called:
     from fractions import Fraction
 
 DEGREE_CAP = 4096
-_DISK_BLOCK = 64 * 512  # grid points a disk integral evaluates at a time
+_DISK_POINTS = 64 * 512  # grid points a disk integral evaluates at a time
+_PANEL_NODES = 128  # Gauss-Legendre circles per radial panel of a disk rule
+_ZERO_SEARCH_MAX = 128  # highest degree whose zero moduli split the disk rule's panels
+_UNIFORM_PANELS = 16  # panels of a disk rule above that degree: 2048 circles
+_EDGE_GAP = 1e-9  # least gap between panel edges, as a share of log(1/(1-r^2))
 _SETTLED = 1e-13  # relative move of a circle mean below which its angle count stops doubling
 
 
@@ -97,7 +102,7 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
     n new angles 2 pi (k + 1/2) / n, as the series twisted by e^{i pi j / n}, and averages
     their mean with the old one, so a circle that reaches the cap has seen all n_angular angles
     of the full grid.  Below the cap the term scales r^j fit one block at every level, so they
-    are formed once per call.  Circles go _DISK_BLOCK points at a time through one buffer
+    are formed once per call.  Circles go _DISK_POINTS points at a time through one buffer
     allocated per call; the integrand may overwrite it."""
     c = f.array()
     n = n_angular
@@ -110,7 +115,7 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
         scales = lambda b: (table[b],)
     else:
         scales = lambda b: _term_scales(zeros, radii[b], n)
-    values = np.empty(min(u.size * n_angular, max(_DISK_BLOCK, n_angular)), dtype=complex)
+    values = np.empty(min(u.size * n_angular, max(_DISK_POINTS, n_angular)), dtype=complex)
     modulus = np.empty(values.size)
 
     def level(coeffs, circles):
@@ -164,10 +169,13 @@ class DiskQuadrature:
     """Product rule for integrals over D(0, radius) against dA/(1-|z|^2).
 
     Radial nodes live in u = |z|^2; the substitution t = -log(1-u) absorbs
-    the 1/(1-u) weight, so a Gauss-Legendre rule in t integrates smooth
+    the 1/(1-u) weight, so Gauss-Legendre panels in t integrate smooth
     radial profiles accurately even as radius -> 1 where the hyperbolic
     measure concentrates.  The weights sum to log(1/(1-radius^2)) exactly
-    up to rounding.  Angular nodes are uniform, equal-weight angles 2 pi k / n
+    up to rounding.  With quad=None the disk integrals build one for each
+    candidate, with panels split at its zero moduli (_panel_quadrature);
+    make_disk_quadrature gives one panel of n_radial nodes for any candidate.
+    Angular nodes are uniform, equal-weight angles 2 pi k / n
     by construction, so polynomials on a circle are one FFT.  n_angular is the
     cap: each circle takes n = n_angular / 2^k angles, as few as its mean needs
     (_circle_means).
@@ -212,7 +220,11 @@ class DiskQuadrature:
 def make_disk_quadrature(
     radius: float, n_radial: int = 2048, n_angular: int = 512
 ) -> DiskQuadrature:
-    """n_radial Gauss-Legendre circles on D(0, radius), each with at most n_angular angles."""
+    """n_radial Gauss-Legendre circles on D(0, radius), each with at most n_angular angles.
+
+    One panel in t over the whole disk, the same for every candidate.  Passed as quad= it
+    overrides the rule the disk integrals otherwise build for each candidate
+    (_panel_quadrature)."""
     if not (0.0 < radius < 1.0):
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
     if n_radial < 4 or n_angular < 4:
@@ -225,9 +237,50 @@ def make_disk_quadrature(
     )
 
 
-def _quadrature_for(radius: float, quad: DiskQuadrature | None) -> DiskQuadrature:
+def _panel_edges(f: DiskFunction, radius: float) -> np.ndarray:
+    """Panel edges in t = -log(1 - |z|^2) on D(0, radius): 0, the t of each distinct zero modulus
+    of f in (0, radius), and log(1/(1 - radius^2)).
+
+    Above degree _ZERO_SEARCH_MAX the search costs more than the circles it saves, and the edges
+    split the disk into _UNIFORM_PANELS equal panels instead.  Edges closer than _EDGE_GAP of
+    the disk's measure to the one before, or to the rim, are dropped."""
+    total = -math.log1p(-radius * radius)
+    c = f.array()
+    terms = np.flatnonzero(c)
+    if terms.size < 2:  # no zeros off the origin
+        return np.array([0.0, total])
+    c = c[terms[0] : terms[-1] + 1]  # zeros at the origin sit on the first edge already
+    if c.size - 1 > _ZERO_SEARCH_MAX:
+        return np.linspace(0.0, total, _UNIFORM_PANELS + 1)
+    moduli = np.abs(_polynomial_zeros(c))
+    t = np.sort(-np.log1p(-moduli[moduli < radius] ** 2))
+    t = t[np.diff(t, prepend=0.0) > _EDGE_GAP * total]
+    return np.concatenate([[0.0], t[t < (1.0 - _EDGE_GAP) * total], [total]])
+
+
+def _panel_quadrature(f: DiskFunction, radius: float, n_angular: int = 512) -> DiskQuadrature:
+    """The disk rule for f on D(0, radius): _PANEL_NODES Gauss-Legendre circles per panel.
+
+    The mean of |f| over a circle is not smooth in the radius where the circle meets a zero of f,
+    so the panels split at the zero moduli (_panel_edges), and the Gauss rule in t = -log(1 - u)
+    is accurate on each panel.  The first panel is graded, t = b s^2 on its [0, b]: the mean of
+    |c z^k| is |c| u^(k/2), not smooth at u = 0 for odd k, and u^(k/2) is smooth in s (Davis
+    and Rabinowitz, Methods of Numerical Integration, ch. 2)."""
+    edges = _panel_edges(f, radius)
+    rule = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
+    s, w = rule.nodes, rule.weights
+    width = np.diff(edges)[:, None]
+    t = edges[:-1, None] + width * s
+    weights = width * w
+    t[0], weights[0] = width[0] * s * s, weights[0] * 2.0 * s
+    return DiskQuadrature(radius=radius, u_nodes=-np.expm1(-t.ravel()),
+                          hyperbolic_weights=weights.ravel(), n_angular=n_angular)
+
+
+def _disk_rule(f: DiskFunction, radius: float, quad: DiskQuadrature | None) -> DiskQuadrature:
+    """quad, whose radius must be radius, or if it is None the panel rule for f."""
     if quad is None:
-        return make_disk_quadrature(radius)
+        return _panel_quadrature(f, radius)
     if abs(quad.radius - radius) > 1e-12:
         raise ValueError(
             f"quadrature radius {quad.radius} does not match requested {radius}"
@@ -259,6 +312,10 @@ def hyperbolic_discrepancy(
 
     The value is an upper-bound witness for the infimum over candidates at
     the same (alpha, beta); no optimization is performed.
+
+    With quad=None the radial rule is built for f: 128 Gauss-Legendre circles
+    per panel in t = -log(1-|z|^2), split at the moduli of the zeros of f in
+    D(0,r), the first panel graded (_panel_quadrature).  quad overrides it.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -266,7 +323,7 @@ def hyperbolic_discrepancy(
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    quad = _quadrature_for(r, quad)
+    quad = _disk_rule(f, r, quad)
     with np.errstate(over="ignore", invalid="ignore"):
         means = _circle_means(
             f, quad.u_nodes, quad.n_angular,
@@ -409,7 +466,7 @@ def halfdisk_identity_check(
     """
     if f.is_zero():
         raise ValueError("candidate must be nonzero")
-    quad = _quadrature_for(0.5, quad)
+    quad = _disk_rule(f, 0.5, quad)
     with np.errstate(over="ignore", invalid="ignore"):
         mass = _finite_or_overflow(weighted_square_mass(f, 0.5))
         means = _circle_means(f, quad.u_nodes, quad.n_angular, _modulus_and_weighted_square)
@@ -527,12 +584,13 @@ def inequality_suite(
         grad_bound = (8.0 + 5.0 * (1.0 - r * r) / gap) * r**3 / gap**1.5 * math.sqrt(mass)
         gradient_margin = float(np.min(grad_bound - _gradient_magnitude(f, z, fd)))
 
-        # Dilational estimate: quadrature for the area integral of |f(r w)| over
-        # the unit disk (plain Gauss-Legendre in u = |w|^2; no hyperbolic weight),
-        # i.e. circle means of |f| on |z|^2 = r^2 u.
-        rule = gauss_legendre(512, 0.0, 1.0)
-        dilate_norm = float(rule.weights @ _circle_means(f, r * r * rule.nodes, 256,
-                                                         lambda u, modulus: modulus.mean(-1)))
+        # Dilational estimate: the area integral of |f(r w)| over the unit disk is
+        # 1/r^2 times that of |f| over D(0, r), on the panel rule for f with area
+        # weights dA = (1 - u) dA/(1-|z|^2).
+        rule = _panel_quadrature(f, r, 256)
+        area_weights = rule.hyperbolic_weights * (1.0 - rule.u_nodes)
+        dilate_norm = float(area_weights @ _circle_means(f, rule.u_nodes, rule.n_angular,
+                                                         lambda u, modulus: modulus.mean(-1))) / (r * r)
         full_mass = weighted_square_mass(f, 1.0)
     dil_bound = (
         math.sqrt(-math.log1p(-r * r)) / (r * r) * math.sqrt(full_mass)

@@ -1,4 +1,5 @@
-"""Shared numeric substrate: Gauss-Legendre rules, reproducible RNG streams, GAF Monte Carlo.
+"""Shared numeric substrate: Gauss-Legendre rules, polynomial zeros, reproducible RNG streams,
+GAF Monte Carlo.
 
 Everything here is pure and reentrant; rule and stream objects are immutable
 after construction and freely shareable across threads.
@@ -19,6 +20,8 @@ _BATCH_POINTS = 8192  # grid points (trials x radii x angles) a GAF batch sums a
 _SCALES_MAX = 2**20  # largest term-scale table (radii x terms) a GAF call keeps; larger ones go per batch
 _STIELTJES_MIN = 20.0  # n sin(theta) above which P_n(cos theta) comes from the Stieltjes expansion
 _STIELTJES_TERMS = 20  # terms of that expansion
+_ZERO_STEP = 1e-8  # relative Aberth step below which a zero counts as found
+_ZERO_STEPS = 100  # most Aberth steps of one search
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,73 @@ def richardson(values, steps, powers) -> tuple[float, float]:
         g = [eliminate(row) for row in g]
         coarser, e = e[0], eliminate(e)
     return e[-1], e[-1] - coarser
+
+
+def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
+    """Starting points for the zeros of sum_k coeffs[k] z^k, coeffs[0] and coeffs[-1] nonzero.
+
+    Each edge from k_a to k_b of the upper convex hull of the points (k, log|coeffs[k]|) puts
+    k_b - k_a points on the circle of radius (|coeffs[k_a]| / |coeffs[k_b]|)^(1 / (k_b - k_a)),
+    where that many zeros lie for a polynomial whose terms differ widely in size (Bini, Numer.
+    Algorithms 13, 1996).  The angles are uniform, turned by 2 pi k_a / degree + 0.7 so that no
+    two circles line up."""
+    k = np.flatnonzero(coeffs)
+    logs = np.log(np.abs(coeffs[k])).tolist()
+    k = k.tolist()
+    hull = []
+    for i in range(len(k)):  # monotone chain: drop the last vertex while it is not above the chord
+        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (k[i] - k[hull[-2]])
+                                  <= (logs[i] - logs[hull[-2]]) * (k[hull[-1]] - k[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    starts = []
+    for a, b in zip(hull, hull[1:]):
+        m = k[b] - k[a]
+        angles = 2.0 * np.pi * (np.arange(m) / m + k[a] / (coeffs.size - 1)) + 0.7
+        starts.append(np.exp((logs[a] - logs[b]) / m + 1j * angles))
+    return np.concatenate(starts)
+
+
+def _polynomial_zeros(coeffs) -> np.ndarray:
+    """The zeros of sum_k coeffs[k] z^k, coeffs[0] and coeffs[-1] nonzero, degree >= 1.
+
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from _newton_polygon_starts: each
+    step moves every estimate z_i by N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i = p / p'
+    at z_i.  p and p' come from the powers of z, or where |z| > 1 from the powers of 1/z with the
+    reversed coefficients, so no power exceeds 1 in modulus.  The iteration stops when every
+    estimate either moves by at most _ZERO_STEP of its modulus, which leaves an error of about
+    the step's cube at a simple zero, or has |p| <= 16 eps sum_k |coeffs[k]|, rounding level,
+    where a multiple zero ends; and after _ZERO_STEPS steps at most.  Elementwise numpy only,
+    O(degree^2) work and memory per step, with no LAPACK call, so the zeros do not depend on the
+    BLAS thread count; np.roots costs O(degree^3).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    c = c / np.max(np.abs(c))
+    n = c.size - 1
+    if n == 1:
+        return np.array([-c[0] / c[1]])
+    z = _newton_polygon_starts(c)
+    # rows p and p' of the polynomial, then of its reverse z^n p(1/z), against the powers 0..n
+    table = np.zeros((2, 2, n + 1), dtype=complex)
+    table[:, 0] = c, c[::-1]
+    table[:, 1, :-1] = table[:, 0, 1:] * np.arange(1, n + 1)
+    noise = 16.0 * np.finfo(float).eps * np.abs(c).sum()
+    diagonal = np.diag(np.full(n, np.inf))  # drops j = i from the sum over the other estimates
+    powers = np.ones((n, n + 1), dtype=complex)
+    with np.errstate(all="ignore"):  # a step that fails is not taken
+        for _ in range(_ZERO_STEPS):
+            flip = np.abs(z) > 1.0
+            x = np.where(flip, 1.0 / z, z)
+            powers[:, 1:] = x[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            p, dp = np.einsum("ikj,ij->ki", table[flip.view(np.int8)], powers)
+            newton = p / np.where(flip, (n * p - x * dp) * x, dp)
+            step = newton / (1.0 - newton * (1.0 / (z[:, None] - z + diagonal)).sum(axis=1))
+            step[~np.isfinite(step)] = 0.0
+            z -= step
+            if np.all((np.abs(step) <= _ZERO_STEP * np.abs(z)) | (np.abs(p) <= noise)):
+                break
+    return z
 
 
 def _term_scales(log_scales, radii, n_angular: int, log_offset=None):

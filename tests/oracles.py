@@ -259,3 +259,50 @@ def fock_projection_coefficients(
         val = 2.0 * (rw @ integrand.mean(axis=1))
         out[k] = val / math.factorial(k)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Radially exact disk oracles (closed forms and mpmath, alpha = beta = 1)
+# ---------------------------------------------------------------------------
+
+def disk_monomial_closed_form(k: int, c: float, r: float) -> float:
+    """alpha = beta = 1 discrepancy of c z^k on D(0, r) in closed form, at 30 digits.
+
+    |c z^k| = |c| u^{k/2} on the circle |z|^2 = u, so with s = r^2 and T = log(1/(1-s)) the
+    value is 1 + (c^2 (s^{k+1}/(k+1) - s^{k+2}/(k+2)) - 2 |c| s^{k/2+1}/(k/2+1)) / T.
+    """
+    with mp.workdps(30):
+        s, c = mp.mpf(r) ** 2, abs(mp.mpf(c))
+        total = -mp.log1p(-s)
+        square = c * c * (s ** (k + 1) / (k + 1) - s ** (k + 2) / (k + 2))
+        modulus = c * s ** (mp.mpf(k) / 2 + 1) / (mp.mpf(k) / 2 + 1)
+        return float(1 + (square - 2 * modulus) / total)
+
+
+def disk_trapezoid_discrepancy(coeffs, r: float, n_angular: int = 512) -> float:
+    """alpha = beta = 1 discrepancy of sum_k coeffs[k] z^k on D(0, r), exact in the radius.
+
+    The angles are the n_angular uniform ones of a trapezoid rule, as in the library; the radial
+    integral is exact.  On the circle |z|^2 = u the mean of |f|^2 over n_angular > degree angles
+    is sum_k |c_k|^2 u^k, integrated in closed form.  The mean of |f|, summed term by term from
+    direct evaluation of f at every angle, is integrated by mpmath's tanh-sinh quadrature on
+    [0, r^2] split at the squared moduli of the zeros of f (mpmath.polyroots), where it is not
+    smooth.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    angles = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
+
+    def mean_modulus(u):
+        z = math.sqrt(float(u)) * angles
+        return float(np.abs(np.polynomial.polynomial.polyval(z, c)).mean())
+
+    with mp.workdps(20):
+        zeros = mp.polyroots([mp.mpc(x) for x in c[::-1]], maxsteps=200, extraprec=60)
+        splits = sorted(float(abs(z)) ** 2 for z in zeros if 0 < abs(z) < r)
+        modulus, error = mp.quad(mean_modulus, [0.0, *splits, r * r], error=True, maxdegree=10)
+        assert error < 1e-15, error
+    s = r * r
+    k = np.arange(c.size)
+    square = float(np.sum(np.abs(c) ** 2 * (s ** (k + 1) / (k + 1) - s ** (k + 2) / (k + 2))))
+    total = -math.log1p(-s)
+    return 1.0 + (square - 2.0 * float(modulus)) / total

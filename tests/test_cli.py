@@ -557,10 +557,13 @@ class TestHyperbolicCommand:
 
     @pytest.mark.parametrize("flags", [[], ["--tight"]], ids=["plain", "tight"])
     def test_report_is_independent_of_blas_threads(self, flags):
-        argv = ["hyperbolic", "--coeffs", "[1, 0.3]", "--r", "0.9", *flags]
-        runs = [run_module(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
-        assert [proc.returncode for proc in runs] == [0, 0]
-        assert runs[0].stdout == runs[1].stdout
+        # 1 + 2z and the cubic have a zero inside D(0, 0.9), so the panel rule splits there;
+        # the cubic's zeros come from the Aberth iteration, the linear one's in closed form
+        for coeffs in ("[1, 0.3]", "[1, 2]", "[1, 2, [0, -0.5], 0.7]"):
+            argv = ["hyperbolic", "--coeffs", coeffs, "--r", "0.9", *flags]
+            runs = [run_module(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+            assert [proc.returncode for proc in runs] == [0, 0]
+            assert runs[0].stdout == runs[1].stdout
 
     @pytest.mark.parametrize("coeffs", ["not json", "[]", "42", '["a"]', '[[1]]'])
     def test_malformed_coeffs_exit_2(self, capsys, coeffs):

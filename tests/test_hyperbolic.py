@@ -14,8 +14,10 @@ from oracles import (
     annulus_power_mass,
     case_iia_quadrature,
     disk_constant_discrepancy,
+    disk_monomial_closed_form,
     disk_monomial_discrepancy,
     disk_monomial_tight,
+    disk_trapezoid_discrepancy,
     halfdisk_constant_sides,
 )
 from zeropack import hyperbolic
@@ -192,8 +194,8 @@ class TestBlockedDiskGrid:
     blocks of circles; the reference evaluates the whole grid in one pass, as the functions did
     before; the tight annulus term is the exact orthogonality integral."""
 
-    @pytest.mark.parametrize(  # the default grid, and one full block of circles plus a part
-        "n_radial, n_angular", [(2048, 512), (hyperbolic._DISK_BLOCK + 36, 32)])
+    @pytest.mark.parametrize(  # the 2048 x 512 grid, and at 32 angles one full chunk of circles plus a part
+        "n_radial, n_angular", [(2048, 512), (hyperbolic._DISK_POINTS // 32 + 36, 32)])
     def test_blocked_values_equal_one_pass(self, coeff_factory, n_radial, n_angular):
         f = DiskFunction(coeffs=coeff_factory(17, 40))
         r = 0.8
@@ -241,16 +243,16 @@ def _assert_agrees(got: float, want: float):
 
 
 def _assert_agrees_with_one_pass(f: DiskFunction, r: float, alpha: float, beta: float):
-    """hyperbolic_discrepancy, tight_discrepancy and halfdisk_identity_check on the default rule
-    against the same integrals with every circle at all 512 angles, in one pass."""
+    """hyperbolic_discrepancy, tight_discrepancy and halfdisk_identity_check on the 2048 x 512
+    grid against the same integrals with every circle at all 512 angles, in one pass."""
     quad = make_disk_quadrature(r)
     modulus = _abs_on_circles(f, np.sqrt(quad.u_nodes), quad.n_angular)
     u = quad.u_nodes[:, None]
     plain = quad.hyperbolic_weights @ (((1.0 - u) ** alpha * modulus**beta - 1.0) ** 2).mean(axis=1)
-    _assert_agrees(hyperbolic_discrepancy(f, r, alpha, beta), plain / quad.normalization)
+    _assert_agrees(hyperbolic_discrepancy(f, r, alpha, beta, quad=quad), plain / quad.normalization)
     inner = quad.hyperbolic_weights @ (((1.0 - u) * modulus - 1.0) ** 2).mean(axis=1)
     annulus = annulus_power_mass(f.coeffs, r * r, 1.0)
-    _assert_agrees(tight_discrepancy(f, r), (inner + annulus) / quad.normalization)
+    _assert_agrees(tight_discrepancy(f, r, quad=quad), (inner + annulus) / quad.normalization)
 
     half = make_disk_quadrature(0.5)
     modulus = _abs_on_circles(f, np.sqrt(half.u_nodes), half.n_angular)
@@ -260,7 +262,7 @@ def _assert_agrees_with_one_pass(f: DiskFunction, r: float, alpha: float, beta: 
     q2 = float(area_weights @ ((1.0 - half.u_nodes[:, None]) * modulus**2).mean(axis=1))
     lhs = b_f * b_f * (q2 / mass - 2.0) + half.normalization
     rhs = math.log(4.0 / 3.0) - b_f * b_f
-    for got, want in zip(halfdisk_identity_check(f), (lhs, rhs, abs(lhs - rhs))):
+    for got, want in zip(halfdisk_identity_check(f, quad=half), (lhs, rhs, abs(lhs - rhs))):
         _assert_agrees(got, want)
 
 
@@ -338,6 +340,88 @@ class TestAnglesPerCircle:
         f = DiskFunction(coeffs=coeff_factory(degree, degree + 1))
         points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09))
         assert points == disk_quad_09.n_radial * disk_quad_09.n_angular
+
+
+class TestPanelRule:
+    """With quad=None each candidate gets its own radial rule: 128 Gauss-Legendre circles per panel
+    in t = -log(1 - |z|^2), split at the candidate's zero moduli, the first panel graded."""
+
+    @staticmethod
+    def _circles(monkeypatch, call) -> int:
+        """Circles the disk integrals of call() average over."""
+        counted, circle_means = [], hyperbolic._circle_means
+        monkeypatch.setattr(hyperbolic, "_circle_means",
+                            lambda *args: counted.append(args[1].size) or circle_means(*args))
+        call()
+        return sum(counted)
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.95])
+    def test_monomials_meet_their_closed_forms(self, r):
+        # |c z^k| = |c| u^(k/2): for odd k not smooth at u = 0, which the graded panel absorbs
+        for k in range(1, 13):
+            for c in (0.7, 1.3):
+                got = hyperbolic_discrepancy(disk(*[0.0] * k, c), r)
+                assert abs(got - disk_monomial_closed_form(k, c, r)) <= 1e-14, (k, c, got)
+
+    @pytest.mark.parametrize("coeffs, r", [((1.0, 2.0), 0.9), ((1.0, 0.0, 0.0, 3.0), 0.95)],
+                             ids=["1+2z", "1+3z^3"])
+    def test_zeros_inside_meet_the_radially_exact_integral(self, coeffs, r):
+        # The mean of |f| has a kink at each zero modulus; the 2048-node rule is off by ~2e-10 here.
+        # gcd(k, 512) = 1: the 512 angles of the library and of the oracle see the same |f|.
+        got = hyperbolic_discrepancy(disk(*coeffs), r)
+        assert abs(got - disk_trapezoid_discrepancy(coeffs, r)) <= 1e-13
+
+    @pytest.mark.parametrize("coeffs, circles", [((1.3,), 128), ((0.0, 0.0, 0.0, 0.8j), 128),
+                                                 ((1.0, 0.3), 128), ((1.0, 2.0), 256)],
+                             ids=["constant", "monomial", "zero-outside", "zero-inside"])
+    def test_one_panel_per_zero_modulus(self, monkeypatch, coeffs, circles):
+        f = disk(*coeffs)
+        assert self._circles(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9)) == circles
+
+    def test_panel_edges_sit_at_the_zero_moduli(self):
+        f = DiskFunction(coeffs=tuple(np.polynomial.polynomial.polyfromroots([0.3j, -0.6, 0.8, 1.5])))
+        t = [-math.log1p(-x * x) for x in (0.0, 0.3, 0.6, 0.8, 0.9)]
+        assert hyperbolic._panel_edges(f, 0.9) == pytest.approx(t, rel=1e-13)
+        quad = hyperbolic._panel_quadrature(f, 0.9)
+        assert quad.n_radial == 4 * 128 and quad.n_angular == 512
+        assert float(quad.hyperbolic_weights.sum()) == pytest.approx(t[-1], rel=1e-14)
+
+    def test_equal_moduli_share_one_edge(self):
+        # the three zeros of 1 + 3z^3 have one modulus, found to rounding
+        assert hyperbolic._panel_edges(disk(1.0, 0.0, 0.0, 3.0), 0.95).size == 3
+
+    def test_above_the_search_degree_the_panels_are_uniform(self, monkeypatch, coeff_factory):
+        degree = hyperbolic._ZERO_SEARCH_MAX + 1
+        f = DiskFunction(coeffs=coeff_factory(degree, degree + 1))
+        monkeypatch.setattr(hyperbolic, "_polynomial_zeros", None)  # a call would raise
+        edges = hyperbolic._panel_edges(f, 0.9)
+        assert edges == pytest.approx(np.linspace(0.0, -math.log1p(-0.81), 17), rel=1e-15)
+        assert self._circles(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9)) == 16 * 128
+
+    def test_every_disk_integral_builds_the_rule_of_its_candidate(self, monkeypatch):
+        f = disk(1.0, 2.0)  # zero modulus 1/2: two panels on D(0, 0.9), one on D(0, 1/2)
+        assert self._circles(monkeypatch, lambda: tight_discrepancy(f, 0.9)) == 256
+        assert self._circles(monkeypatch, lambda: halfdisk_identity_check(f)) == 128
+        assert self._circles(monkeypatch, lambda: inequality_suite(f, 0.9, [0.1])) == 256
+
+    def test_dilation_integral_meets_the_closed_form(self):
+        # integral of |c z^k| over D(0, r), over r^2, is |c| r^k / (k/2 + 1)
+        f = disk(0.0, 0.0, 0.0, 1.3)
+        bound = math.sqrt(-math.log1p(-0.64)) / 0.64 * math.sqrt(weighted_square_mass(f, 1.0))
+        rep = inequality_suite(f, 0.8, [0.1])
+        assert rep.dilational_margin == pytest.approx(bound - 1.3 * 0.8**3 / 2.5, abs=1e-14)
+
+    def test_no_lapack_call_on_the_default_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+        for name in ("eig", "eigvals", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "roots", refuse)
+        f = disk(1.0, 2.0, -0.5j, 0.7)
+        hyperbolic_discrepancy(f, 0.9)
+        tight_discrepancy(f, 0.9)
+        halfdisk_identity_check(f)
+        inequality_suite(f, 0.9, [0.1])
 
 
 class TestTightDiscrepancy:

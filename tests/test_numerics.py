@@ -29,6 +29,7 @@ from zeropack.numerics import (
     _legendre_stieltjes,
     _legendre_unit,
     _polar_values,
+    _polynomial_zeros,
     _radial_variance,
     _split,
     _substream_draws,
@@ -316,6 +317,51 @@ class TestRichardson:
     def test_mismatched_lengths_are_rejected(self, values, steps, powers):
         with pytest.raises(ValueError):
             richardson(values, steps, powers)
+
+
+class TestPolynomialZeros:
+    """The Aberth search against numpy's companion-matrix eigenvalues (np.roots)."""
+
+    @staticmethod
+    def _assert_matches(zeros, want, tol):
+        assert zeros.shape == want.shape
+        for z in want:  # each zero has a found one nearby, and no two share one
+            assert np.min(np.abs(zeros - z)) <= tol * max(1.0, abs(z)), (z, zeros)
+        for z in zeros:
+            assert np.min(np.abs(want - z)) <= tol * max(1.0, abs(z)), (z, want)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5, 12, 48, 128])
+    def test_random_polynomials_match_np_roots(self, degree):
+        for seed in range(5):
+            c = sample_complex_gaussians(RngStream(seed=seed, stream_index=degree), degree + 1)
+            self._assert_matches(_polynomial_zeros(c), np.roots(c[::-1]), 1e-12)
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 0, 1), (1,) * 9, (2, 0, 0, 1e-6), (1, 1e3, 1e-3)],
+                             ids=["1+z^4", "geometric", "far", "spread"])
+    def test_structured_polynomials_match_np_roots(self, coeffs):
+        c = np.array(coeffs, dtype=complex)
+        self._assert_matches(_polynomial_zeros(c), np.roots(c[::-1]), 1e-12)
+
+    @pytest.mark.parametrize("root, power", [(-0.5, 2), (-1.0, 3), (0.3 + 0.4j, 2)])
+    def test_multiple_zeros_stop_at_rounding_level(self, monkeypatch, root, power):
+        # A zero of multiplicity m is found to about eps^(1/m); the search must stop there
+        # rather than run out its steps.
+        steps, cumprod = [], np.cumprod
+        monkeypatch.setattr(numerics.np, "cumprod", lambda *a, **k: steps.append(1) or cumprod(*a, **k))
+        c = np.polynomial.polynomial.polyfromroots([root] * power)
+        zeros = _polynomial_zeros(c)
+        monkeypatch.undo()
+        assert len(steps) < numerics._ZERO_STEPS
+        assert np.max(np.abs(zeros - root)) <= 4.0 * np.finfo(float).eps ** (1.0 / power)
+
+    def test_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+        for name in ("eig", "eigvals", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "roots", refuse)
+        c = sample_complex_gaussians(RngStream(seed=3), 49)
+        assert _polynomial_zeros(c).shape == (48,)
 
 
 class TestPolarValues:
