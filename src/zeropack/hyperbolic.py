@@ -263,16 +263,17 @@ def _panel_quadrature(f: DiskFunction, radius: float, n_angular: int = 512) -> D
 
     The mean of |f| over a circle is not smooth in the radius where the circle meets a zero of f,
     so the panels split at the zero moduli (_panel_edges), and the Gauss rule in t = -log(1 - u)
-    is accurate on each panel.  The first panel is graded, t = b s^2 on its [0, b]: the mean of
-    |c z^k| is |c| u^(k/2), not smooth at u = 0 for odd k, and u^(k/2) is smooth in s (Davis
-    and Rabinowitz, Methods of Numerical Integration, ch. 2)."""
+    is accurate on each panel.  Every panel [a, a + h] is graded at both ends,
+    t = a + h s^2 (3 - 2 s) with weight h 6 s (1 - s) ds: t - a and a + h - t go as s^2 and
+    (1 - s)^2, so a kink of the mean at either edge, at a zero modulus or at u = 0, where the mean
+    of |c z^k| is |c| u^(k/2), turns smooth in s (Davis and Rabinowitz, Methods of Numerical
+    Integration, ch. 2)."""
     edges = _panel_edges(f, radius)
     rule = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
     s, w = rule.nodes, rule.weights
     width = np.diff(edges)[:, None]
-    t = edges[:-1, None] + width * s
-    weights = width * w
-    t[0], weights[0] = width[0] * s * s, weights[0] * 2.0 * s
+    t = edges[:-1, None] + width * (s * s * (3.0 - 2.0 * s))
+    weights = width * (w * 6.0 * s * (1.0 - s))
     return DiskQuadrature(radius=radius, u_nodes=-np.expm1(-t.ravel()),
                           hyperbolic_weights=weights.ravel(), n_angular=n_angular)
 
@@ -315,7 +316,7 @@ def hyperbolic_discrepancy(
 
     With quad=None the radial rule is built for f: 128 Gauss-Legendre circles
     per panel in t = -log(1-|z|^2), split at the moduli of the zeros of f in
-    D(0,r), the first panel graded (_panel_quadrature).  quad overrides it.
+    D(0,r), each panel graded at both ends (_panel_quadrature).  quad overrides it.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")

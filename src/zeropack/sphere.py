@@ -21,14 +21,20 @@ A "world" frame mode keeps the grid configuration-independent, which is the
 mode where the analytic gradient is exactly the gradient of the discrete
 objective (used by the finite-difference check).
 
-Passes over the grid take _NODE_BLOCK nodes at a time and sum in a fixed order
-without BLAS, so no result depends on the thread count: Z-only passes serve
-partition_function and discrepancy, moment passes the residual and the flow.
+The grid is rings times uniform azimuths, and a pass over it works on that
+structure: squared distances come from per-ring and per-azimuth factors (one
+multiply and one subtract per node and point), the log potential takes one log
+per group of _LOG_GROUP points, and moments reduce over the azimuths with
+cos phi and sin phi before weighting the rings.  Passes take whole rings, about
+_NODE_BLOCK nodes at a time, and sum in a fixed order without BLAS, so no
+result depends on the thread count: Z-only passes serve partition_function and
+discrepancy, moment passes the residual and the flow.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +44,8 @@ from .reports import DiscrepancyReport, make_report
 _MIN_PAIR_DIST = 1e-9
 _MAX_GRID_ELEMENTS = 1 << 23  # node x point work bound of one pass: n <= 64 on the default grid
 _PAIR_BLOCK = 1 << 16  # point pairs per block of _min_pair_distance: 1.5 MB of differences
-_NODE_BLOCK = 8192  # nodes per block of a pass over the grid: 4 MB per (n, block) array at n = 64
+_NODE_BLOCK = 8192  # nodes per block of whole rings in a pass: 4 MB per (n, block) array at n = 64
+_LOG_GROUP = 8  # points whose d^2 multiply before one log (see _node_blocks for the underflow bound)
 _ASCENT_SLACK = 1e-15  # relative slack of the flow's ascent and stall tests
 _STALL_STEPS = 5  # accepted flow steps in a row that leave the best objective where it was
 
@@ -105,6 +112,10 @@ def random_configuration(n: int, rng: RngStream) -> SphereConfiguration:
 class SphereQuadrature:
     """Product rule on the unit sphere with total weight 1.
 
+    Node (i, k) sits on ring i at azimuth k: (rho_i cos phi_k, rho_i sin phi_k, z_i), with z_i
+    the Gauss-Legendre nodes in cos(theta), rho_i = sin(theta_i), phi_k = 2 pi k / n_azimuthal
+    and weight ring_weights[i].  The passes read only these factors; nodes and weights list the
+    nodes ring by ring and are built on first use.
     frame="anchored" re-expresses the grid in configuration coordinates at
     every evaluation; frame="world" keeps it fixed in space.
     """
@@ -113,8 +124,11 @@ class SphereQuadrature:
     n_azimuthal: int = 512
     frame: str = "anchored"
 
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    ring_z: np.ndarray = field(init=False, repr=False, compare=False)
+    ring_rho: np.ndarray = field(init=False, repr=False, compare=False)
+    ring_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    cos_phi: np.ndarray = field(init=False, repr=False, compare=False)
+    sin_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_polar < 2 or self.n_azimuthal < 2:
@@ -122,18 +136,33 @@ class SphereQuadrature:
         if self.frame not in ("anchored", "world"):
             raise ValueError(f"frame must be 'anchored' or 'world', got {self.frame!r}")
         rule = gauss_legendre(self.n_polar, -1.0, 1.0)
-        x = rule.nodes
-        sin_t = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
         phi = 2.0 * math.pi * np.arange(self.n_azimuthal) / self.n_azimuthal
+        for name, value in (
+            ("ring_z", rule.nodes),
+            ("ring_rho", np.sqrt(np.clip(1.0 - rule.nodes * rule.nodes, 0.0, None))),
+            ("ring_weights", rule.weights / (2.0 * self.n_azimuthal)),
+            ("cos_phi", np.cos(phi)),
+            ("sin_phi", np.sin(phi)),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(n_polar * n_azimuthal, 3) node coordinates, ring by ring."""
         nodes = np.empty((3, self.n_polar * self.n_azimuthal)).T  # each coordinate contiguous
-        nodes[:, 0] = np.outer(sin_t, np.cos(phi)).ravel()
-        nodes[:, 1] = np.outer(sin_t, np.sin(phi)).ravel()
-        nodes[:, 2] = np.repeat(x, self.n_azimuthal)
-        weights = np.repeat(rule.weights / (2.0 * self.n_azimuthal), self.n_azimuthal)
+        nodes[:, 0] = np.outer(self.ring_rho, self.cos_phi).ravel()
+        nodes[:, 1] = np.outer(self.ring_rho, self.sin_phi).ravel()
+        nodes[:, 2] = np.repeat(self.ring_z, self.n_azimuthal)
         nodes.setflags(write=False)
+        return nodes
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Node weights, ring by ring, summing to 1."""
+        weights = np.repeat(self.ring_weights, self.n_azimuthal)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        return weights
 
     def check_points(self, n: int) -> None:
         """Raise ValueError if n points make a pass over the grid exceed the node x point budget."""
@@ -145,6 +174,11 @@ class SphereQuadrature:
             )
 
     def half_resolution(self) -> "SphereQuadrature":
+        """The grid with half the rings and half the azimuths (at least 2 each), built once."""
+        return self._half
+
+    @cached_property
+    def _half(self) -> "SphereQuadrature":
         return SphereQuadrature(
             n_polar=max(self.n_polar // 2, 2),
             n_azimuthal=max(self.n_azimuthal // 2, 2),
@@ -180,29 +214,43 @@ def _frame_points(config: SphereConfiguration, quad: SphereQuadrature):
 
 
 def _node_blocks(pts_f: np.ndarray, quad: SphereQuadrature, gammas):
-    """Yield (node slice, d2, s, w, scratch) for each block of _NODE_BLOCK quadrature nodes.
+    """Yield (ring slice, d2, s, w, scratch) for each block of whole rings, about _NODE_BLOCK nodes.
 
-    d2 holds the (n, block) squared distances 2 - 2 p.x, p.x summed term by term
-    over the node coordinate rows (no BLAS, so no thread-dependent rounding).
-    s = sum_j log(d_j / 2) sums over the points in order; row i of w is
-    weights * e^{gamma_i s}, and as s <= 0, gamma s overflowing to -inf means 0.
-    d2 and the free (n, block) scratch array are reused by the next block.
+    d2 holds the (n, block) squared distances 2 - 2 p.x, node by node within each ring.  With the
+    point p_j = (x_j, y_j, z_j) and the node x on ring i at azimuth k,
+
+        d^2 = A_ij - rho_i C_jk,  A_ij = 2 - 2 z_i z_j,  C_jk = 2 (x_j cos phi_k + y_j sin phi_k),
+
+    C_jk being 2 rho_j cos(phi_k - phi_j): one multiply and one subtract per node and point, then
+    the clip to [0, 4].  s = sum_j log(d_j / 2) takes one log of the product of d^2 over each
+    group of _LOG_GROUP points and adds the groups in order.  No product underflows: a nonzero d^2,
+    the difference of A_ij and rho_i C_jk, is at least half an ulp of A_ij >= 2 (1 - |z_1|), z_1
+    on the polar ring, which is about 7e-21 on the default grid, so a product of 8 factors is at
+    least about 1e-164; a zero factor makes it 0 and s = -inf.  Row i of w is
+    weights * e^{gamma_i s}, and as s <= 0, gamma s overflowing to -inf means 0.  d2 and the
+    free (n, block) scratch array are reused by the next block.
     """
-    q = -2.0 * pts_f
-    offset = pts_f.shape[0] * math.log(2.0)
-    buffers = np.empty((2, pts_f.shape[0], min(_NODE_BLOCK, quad.weights.shape[0])))
-    for lo in range(0, quad.weights.shape[0], _NODE_BLOCK):
-        nodes = slice(lo, lo + _NODE_BLOCK)
-        x = quad.nodes[nodes].T
-        d2, scratch = buffers[:, :, :x.shape[1]]
-        np.multiply(q[:, :1], x[0], out=d2)
-        for k in (1, 2):
-            d2 += np.multiply(q[:, k:k + 1], x[k], out=scratch)
-        np.clip(np.add(d2, 2.0, out=d2), 0.0, 4.0, out=d2)
+    n, n_az = pts_f.shape[0], quad.n_azimuthal
+    rings = max(1, _NODE_BLOCK // n_az)
+    A = 2.0 - 2.0 * np.multiply.outer(pts_f[:, 2], quad.ring_z)
+    C = 2.0 * (np.multiply.outer(pts_f[:, 0], quad.cos_phi)
+               + np.multiply.outer(pts_f[:, 1], quad.sin_phi))
+    groups = range(0, n, _LOG_GROUP)
+    offset = n * math.log(2.0)
+    buffers = np.empty((2, n * min(rings, quad.n_polar) * n_az))
+    for lo in range(0, quad.n_polar, rings):
+        ring = slice(lo, min(lo + rings, quad.n_polar))
+        d2, scratch = buffers[:, :n * (ring.stop - lo) * n_az].reshape(2, n, -1)
+        grid = d2.reshape(n, -1, n_az)
+        np.multiply(quad.ring_rho[ring, None], C[:, None, :], out=grid)
+        np.clip(np.subtract(A[:, ring, None], grid, out=grid), 0.0, 4.0, out=grid)
+        logs = scratch[:len(groups)]
+        for g, j in enumerate(groups):
+            np.multiply.reduce(d2[j:j + _LOG_GROUP], axis=0, out=logs[g])
         with np.errstate(divide="ignore", over="ignore"):
-            s = 0.5 * np.log(d2, out=scratch).sum(axis=0) - offset
-            w = quad.weights[nodes] * np.exp(np.multiply.outer(gammas, s))
-        yield nodes, d2, s, w, scratch
+            s = 0.5 * np.log(logs, out=logs).sum(axis=0) - offset
+            w = np.repeat(quad.ring_weights[ring], n_az) * np.exp(np.multiply.outer(gammas, s))
+        yield ring, d2, s, w, scratch
 
 
 def _tree_sum(parts: list):
@@ -250,20 +298,29 @@ def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
         E^gamma[g_j] = (a_j p_j - A_j) / Z_gamma - p_j / 2,
         a_j = sum w / d^2,  A_j = sum w x / d^2,
 
-    sums over the nodes with 1/d^2 read as 0 where d = 0.
+    sums over the nodes with 1/d^2 read as 0 where d = 0.  Each block takes 1/d^2 once, and for
+    each gamma u = w / d^2 once.  u sums over each ring's azimuths plainly and against cos phi and
+    sin phi (x = rho_i cos phi_k, y = rho_i sin phi_k, z = z_i on ring i), so a_j and A_j are sums
+    over the rings of the plain sums, rho_i times the cos and sin sums, and z_i times the plain
+    sums; each is one pairwise sum over the rings once every block is in, so no moment depends
+    on the blocking.  np.einsum without optimize= calls no BLAS.
     """
     pts_f, R = _frame_points(config, quad)
-    z_parts, sum_parts = [], []
-    for nodes, d2, _, w, scratch in _node_blocks(pts_f, quad, gammas):
+    z_parts = []
+    ring_sums = np.empty((len(gammas), 4, config.n, quad.n_polar))  # a_j, then A_j by coordinate
+    for ring, d2, _, w, scratch in _node_blocks(pts_f, quad, gammas):
         np.maximum(d2, np.finfo(float).tiny, out=d2)  # w = 0 where d = 0, so w / d^2 reads 0 there
-        part = np.empty((len(gammas), 4, config.n))  # a_j, then A_j by coordinate
+        inv = np.divide(1.0, d2, out=d2)
         for i, w_gamma in enumerate(w):
-            for k, wx in enumerate((w_gamma, *(w_gamma * quad.nodes[nodes].T))):
-                np.divide(wx, d2, out=scratch).sum(axis=1, out=part[i, k])
+            u = np.multiply(w_gamma, inv, out=scratch).reshape(config.n, -1, quad.n_azimuthal)
+            plain = u.sum(axis=2)  # pairwise along each ring, which an out= array would not keep
+            ring_sums[i, :, :, ring] = (plain,
+                                        quad.ring_rho[ring] * np.einsum("jrk,k->jr", u, quad.cos_phi),
+                                        quad.ring_rho[ring] * np.einsum("jrk,k->jr", u, quad.sin_phi),
+                                        quad.ring_z[ring] * plain)
         z_parts.append(w.sum(axis=1))
-        sum_parts.append(part)
     return [(Z, ((a[:, None] * pts_f - np.column_stack(A)) / Z - 0.5 * pts_f) @ R)
-            for Z, (a, *A) in zip(_z_total(z_parts, gammas), _tree_sum(sum_parts))]
+            for Z, (a, *A) in zip(_z_total(z_parts, gammas), ring_sums.sum(axis=3))]
 
 
 def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> float:

@@ -344,7 +344,7 @@ class TestAnglesPerCircle:
 
 class TestPanelRule:
     """With quad=None each candidate gets its own radial rule: 128 Gauss-Legendre circles per panel
-    in t = -log(1 - |z|^2), split at the candidate's zero moduli, the first panel graded."""
+    in t = -log(1 - |z|^2), split at the candidate's zero moduli, each panel graded at both ends."""
 
     @staticmethod
     def _circles(monkeypatch, call) -> int:
@@ -370,6 +370,13 @@ class TestPanelRule:
         # gcd(k, 512) = 1: the 512 angles of the library and of the oracle see the same |f|.
         got = hyperbolic_discrepancy(disk(*coeffs), r)
         assert abs(got - disk_trapezoid_discrepancy(coeffs, r)) <= 1e-13
+
+    def test_a_zero_modulus_off_the_rays_meets_the_radially_exact_integral(self):
+        # 0.3 + z - 0.5i z^2 has a zero at modulus 0.29 between two of the 512 rays: the mean of |f|
+        # has a kink at the edge of two panels, which the grading at both ends of each absorbs
+        coeffs = (0.3, 1.0, -0.5j)
+        got = hyperbolic_discrepancy(disk(*coeffs), 0.9)
+        assert abs(got - disk_trapezoid_discrepancy(coeffs, 0.9)) <= 1e-14
 
     @pytest.mark.parametrize("coeffs, circles", [((1.3,), 128), ((0.0, 0.0, 0.0, 0.8j), 128),
                                                  ((1.0, 0.3), 128), ((1.0, 2.0), 256)],

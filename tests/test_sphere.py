@@ -98,6 +98,23 @@ class TestQuadrature:
         half = sphere_quad.half_resolution()
         assert (half.n_polar, half.n_azimuthal) == (128, 256)
 
+    def test_half_resolution_is_built_once(self):
+        quad = SphereQuadrature(16, 32, "world")
+        half = quad.half_resolution()
+        assert quad.half_resolution() is half
+        fresh = SphereQuadrature(8, 16, "world")
+        assert half == fresh
+        assert np.array_equal(half.nodes, fresh.nodes) and np.array_equal(half.weights, fresh.weights)
+
+    def test_nodes_list_the_ring_and_azimuth_factors(self):
+        quad = SphereQuadrature(6, 10)
+        ring, azimuth = np.divmod(np.arange(60), 10)
+        expected = np.column_stack([quad.ring_rho[ring] * quad.cos_phi[azimuth],
+                                    quad.ring_rho[ring] * quad.sin_phi[azimuth], quad.ring_z[ring]])
+        assert np.array_equal(quad.nodes, expected)
+        assert np.array_equal(quad.weights, quad.ring_weights[ring])
+        assert quad.nodes is quad.nodes and not quad.nodes.flags.writeable
+
     def test_nodes_and_weights_are_not_constructor_arguments(self):
         with pytest.raises(TypeError):
             SphereQuadrature(8, 16, "world", nodes=1)
@@ -159,6 +176,31 @@ class TestPartitionFunction:
     def test_gamma_validation(self, sphere_quad):
         with pytest.raises(ValueError):
             partition_function(config_of(NORTH), 0.0, sphere_quad)
+
+    def test_grouped_logs_do_not_underflow_next_to_a_cluster(self, world_quad):
+        # 24 points pairwise >= 4e-8 apart within 1.2e-7 of node k: their d^2 there, 1.6e-15 to
+        # 1.4e-14, multiply to about 1e-343, which underflows as one product, while every group
+        # of 8 stays above 1e-120.  At beta = 1e-3 the node still weighs e^{beta s} = 0.66.  (2 - 2 p.x
+        # resolves d^2 only to about 4e-16, so points within 1e-8 of k would read d = 0 there.)
+        k = 64 * 128 + 5
+        node = world_quad.nodes[k]
+        e1 = np.cross(node, NORTH)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(node, e1)
+        points = []
+        for radius, count in ((4e-8, 6), (8e-8, 12), (1.2e-7, 6)):
+            for angle in 2.0 * math.pi * np.arange(count) / count:
+                tangent = math.cos(angle) * e1 + math.sin(angle) * e2
+                p = math.cos(radius) * node + math.sin(radius) * tangent
+                points.append(p / np.linalg.norm(p))
+        config = SphereConfiguration(points=np.array(points))
+        d2 = _one_pass_distances(world_quad, config.points)
+        assert np.all(d2[k] > 0.0) and np.prod(d2[k]) == 0.0
+        with np.errstate(divide="ignore"):
+            s = 0.5 * sum(np.log(d2[:, j]) for j in range(24)) - 24 * math.log(2.0)
+        weights = world_quad.weights * np.exp(1e-3 * s)
+        assert weights[k] > 0.5 * world_quad.weights[k]
+        assert partition_function(config, 1e-3, world_quad) == pytest.approx(weights.sum(), rel=1e-13)
 
 
 class TestClosedForms:
@@ -267,18 +309,61 @@ def test_moments_with_a_point_on_a_quadrature_node(world_quad):
 
 
 def _one_pass_distances(quad, pts_f):
-    """(M, n) squared node-to-point distances 2 - 2 p.x in one piece, p.x summed term by term."""
-    return np.clip(2.0 - 2.0 * sum(np.outer(quad.nodes[:, k], pts_f[:, k]) for k in range(3)), 0.0, 4.0)
+    """(M, n) squared node-to-point distances in one piece, from the ring and azimuth factors:
+    A_ij - rho_i C_jk on ring i at azimuth k, A_ij = 2 - 2 z_i z_j,
+    C_jk = 2 (x_j cos phi_k + y_j sin phi_k)."""
+    A = np.repeat(2.0 - 2.0 * np.outer(quad.ring_z, pts_f[:, 2]), quad.n_azimuthal, axis=0)
+    C = 2.0 * (np.outer(quad.cos_phi, pts_f[:, 0]) + np.outer(quad.sin_phi, pts_f[:, 1]))
+    rho = np.repeat(quad.ring_rho, quad.n_azimuthal)[:, None]
+    return np.clip(A - rho * np.tile(C, (quad.n_polar, 1)), 0.0, 4.0)
 
 
 def _one_pass_log_potential(d2):
-    """s = sum_j log(d_j / 2) from an (M, n) distance array, summed over the points in point order."""
-    with np.errstate(divide="ignore"):
-        return 0.5 * sum(np.log(d2[:, j]) for j in range(d2.shape[1])) - d2.shape[1] * math.log(2.0)
+    """s = sum_j log(d_j / 2) from an (M, n) distance array: one log of the product of d^2 over
+    each group of 8 points, multiplied and summed in point order."""
+    n = d2.shape[1]
+    logs = []
+    for lo in range(0, n, 8):
+        product = d2[:, lo]
+        for j in range(lo + 1, min(lo + 8, n)):
+            product = product * d2[:, j]
+        with np.errstate(divide="ignore"):
+            logs.append(np.log(product))
+    return 0.5 * sum(logs) - n * math.log(2.0)
 
 
 def _three_operand_moments(config, gammas, quad):
-    """The moments contracted from w, 1/d^2 and x over one (M, n) array w / d^2.
+    """The moments contracted from w, 1/d^2 and the ring and azimuth factors of x over one (M, n)
+    array w / d^2.
+
+    u = w / d^2 sums over each ring's azimuths plainly and against cos phi and sin phi; each of
+    a_j and A_j is then one pairwise numpy sum over all the rings.
+    """
+    pts_f, R = sphere._frame_points(config, quad)
+    d2 = _one_pass_distances(quad, pts_f)
+    s = _one_pass_log_potential(d2)
+    inv = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0).T.copy()
+    inv = inv.reshape(config.n, quad.n_polar, -1)
+    out = []
+    for gamma in gammas:
+        w = quad.weights * np.exp(gamma * s)
+        u = w.reshape(quad.n_polar, -1) * inv
+        plain = u.sum(axis=2)
+        a, *A = (
+            ring_sums.sum(axis=1)
+            for ring_sums in (plain,
+                              np.einsum("jrk,k->jr", u, quad.cos_phi) * quad.ring_rho,
+                              np.einsum("jrk,k->jr", u, quad.sin_phi) * quad.ring_rho,
+                              plain * quad.ring_z)
+        )
+        A = np.column_stack(A)
+        out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
+    return out
+
+
+def _node_coordinate_moments(config, gammas, quad):
+    """The moments contracted from w, 1/d^2 and the node coordinates x over one (M, n) array w / d^2,
+    with max_j a_j / Z.
 
     Each of a_j and A_j is one pairwise numpy sum over all M nodes.
     """
@@ -294,7 +379,8 @@ def _three_operand_moments(config, gammas, quad):
             for wx in (w, *(w * quad.nodes.T))
         )
         A = np.column_stack(A)
-        out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
+        Z = w.sum()
+        out.append((float(Z), ((a[:, None] * pts_f - A) / Z - 0.5 * pts_f) @ R, float(a.max() / Z)))
     return out
 
 
@@ -308,6 +394,20 @@ def test_moments_match_the_three_operand_contraction(sphere_quad, n):
     # The moment pass and the Z-only pass give the same Z, bit for bit.
     zb, z2b = sphere._z_values(config, (1.0, 2.0), sphere_quad)
     assert (zb, z2b) == (got[0][0], got[1][0])
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_moments_match_the_node_coordinate_contraction(sphere_quad, n):
+    # Summing against cos phi and sin phi, then rho_i, rounds otherwise than summing against the
+    # node coordinates.  E[g_j] is the difference of (a_j p_j - A_j) / Z and p_j / 2, terms of
+    # size up to max_j a_j / Z, so the two agree to a few ulps of that size in every component
+    # (at most 1.9 ulps over 60 configurations of 1 to 32 points), not in relative terms.
+    config = random_configuration(n, RngStream(seed=n))
+    got = _moments(config, (1.0, 2.0), sphere_quad)
+    ref = _node_coordinate_moments(config, (1.0, 2.0), sphere_quad)
+    for (Z, G), (Z_ref, G_ref, scale) in zip(got, ref):
+        assert Z == Z_ref
+        np.testing.assert_allclose(G, G_ref, rtol=0.0, atol=8.0 * np.finfo(float).eps * scale)
 
 
 def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
@@ -324,10 +424,10 @@ def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
     s = np.concatenate([s for _, s in blocks])
     assert np.array_equal(d2, d2_ref) and np.array_equal(s, ref)
     one_block = _moments(config, (1.0, 2.0), quad)
-    monkeypatch.setattr(sphere, "_NODE_BLOCK", 7)
-    blocks_of_7 = sphere._node_blocks(pts_f, quad, (1.0,))
-    assert np.array_equal(np.concatenate([s for _, _, s, _, _ in blocks_of_7]), ref)
-    # Moments summed over 74 blocks of 7 nodes match those of one block to roundoff.
+    monkeypatch.setattr(sphere, "_NODE_BLOCK", quad.n_azimuthal)
+    ring_blocks = sphere._node_blocks(pts_f, quad, (1.0,))
+    assert np.array_equal(np.concatenate([s for _, _, s, _, _ in ring_blocks]), ref)
+    # Moments summed over 16 blocks of one ring match those of one block to roundoff.
     for (Z, G), (Z_ref, G_ref) in zip(_moments(config, (1.0, 2.0), quad), one_block):
         assert Z == pytest.approx(Z_ref, rel=1e-15)
         np.testing.assert_allclose(G, G_ref, rtol=1e-13, atol=1e-16)
