@@ -24,11 +24,11 @@ objective (used by the finite-difference check).
 The grid is rings times uniform azimuths, and a pass over it works on that
 structure: squared distances come from per-ring and per-azimuth factors (one
 multiply and one subtract per node and point), the log potential takes one log
-per group of _LOG_GROUP points, and moments reduce over the azimuths with
-cos phi and sin phi before weighting the rings.  Passes take whole rings, about
-_NODE_BLOCK nodes at a time, and sum in a fixed order without BLAS, so no
-result depends on the thread count: Z-only passes serve partition_function and
-discrepancy, moment passes the residual and the flow.
+per group of _LOG_GROUP points, and moments sum w x / d^2 node by node.
+Passes take whole rings, about _NODE_BLOCK nodes at a time, and sum in a fixed
+order without BLAS, so no result depends on the thread count: Z-only passes
+serve partition_function and discrepancy, moment passes the residual and the
+flow.
 """
 from __future__ import annotations
 
@@ -114,8 +114,8 @@ class SphereQuadrature:
 
     Node (i, k) sits on ring i at azimuth k: (rho_i cos phi_k, rho_i sin phi_k, z_i), with z_i
     the Gauss-Legendre nodes in cos(theta), rho_i = sin(theta_i), phi_k = 2 pi k / n_azimuthal
-    and weight ring_weights[i].  The passes read only these factors; nodes and weights list the
-    nodes ring by ring and are built on first use.
+    and weight ring_weights[i].  nodes and weights list the nodes ring by ring and are built on
+    first use: Z-only passes read only the factors, moment passes also read nodes.
     frame="anchored" re-expresses the grid in configuration coordinates at
     every evaluation; frame="world" keeps it fixed in space.
     """
@@ -242,7 +242,7 @@ def _node_blocks(pts_f: np.ndarray, quad: SphereQuadrature, gammas):
         ring = slice(lo, min(lo + rings, quad.n_polar))
         d2, scratch = buffers[:, :n * (ring.stop - lo) * n_az].reshape(2, n, -1)
         grid = d2.reshape(n, -1, n_az)
-        np.multiply(quad.ring_rho[ring, None], C[:, None, :], out=grid)
+        np.einsum("i,jk->jik", quad.ring_rho[ring], C, out=grid)  # rho_i C_jk, faster than broadcasting
         np.clip(np.subtract(A[:, ring, None], grid, out=grid), 0.0, 4.0, out=grid)
         logs = scratch[:len(groups)]
         for g, j in enumerate(groups):
@@ -298,29 +298,29 @@ def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
         E^gamma[g_j] = (a_j p_j - A_j) / Z_gamma - p_j / 2,
         a_j = sum w / d^2,  A_j = sum w x / d^2,
 
-    sums over the nodes with 1/d^2 read as 0 where d = 0.  Each block takes 1/d^2 once, and for
-    each gamma u = w / d^2 once.  u sums over each ring's azimuths plainly and against cos phi and
-    sin phi (x = rho_i cos phi_k, y = rho_i sin phi_k, z = z_i on ring i), so a_j and A_j are sums
-    over the rings of the plain sums, rho_i times the cos and sin sums, and z_i times the plain
-    sums; each is one pairwise sum over the rings once every block is in, so no moment depends
-    on the blocking.  np.einsum without optimize= calls no BLAS.
+    sums over the nodes with 1/d^2 read as 0 where d = 0.  Each term is (w x) / d^2 with x
+    from quad.nodes, one product and one divide as in the plain contraction over the node
+    coordinates, and each block's terms sum pairwise per point; the block sums add as a tree,
+    which over 2^k equal blocks is numpy's pairwise sum over all the nodes.  The small
+    components of E[g_j] are differences of terms up to max_j a_j / Z, so other arithmetic
+    (1/d^2 once per block, or sums over each ring's azimuths against cos phi and sin phi)
+    moves them by more than 1e-14 relative.
     """
     pts_f, R = _frame_points(config, quad)
-    z_parts = []
-    ring_sums = np.empty((len(gammas), 4, config.n, quad.n_polar))  # a_j, then A_j by coordinate
-    for ring, d2, _, w, scratch in _node_blocks(pts_f, quad, gammas):
-        np.maximum(d2, np.finfo(float).tiny, out=d2)  # w = 0 where d = 0, so w / d^2 reads 0 there
-        inv = np.divide(1.0, d2, out=d2)
+    z_parts, sum_parts = [], []
+    for ring, d2, s, w, scratch in _node_blocks(pts_f, quad, gammas):
+        if s.min() == -math.inf:  # some d = 0 in the block; w = 0 there, so w / d^2 reads 0
+            np.maximum(d2, np.finfo(float).tiny, out=d2)
+        nodes = slice(ring.start * quad.n_azimuthal, ring.stop * quad.n_azimuthal)
+        wx = w[:, None, :] * quad.nodes[nodes].T  # w x by coordinate, per gamma
+        part = np.empty((len(gammas), 4, config.n))  # a_j, then A_j by coordinate
         for i, w_gamma in enumerate(w):
-            u = np.multiply(w_gamma, inv, out=scratch).reshape(config.n, -1, quad.n_azimuthal)
-            plain = u.sum(axis=2)  # pairwise along each ring, which an out= array would not keep
-            ring_sums[i, :, :, ring] = (plain,
-                                        quad.ring_rho[ring] * np.einsum("jrk,k->jr", u, quad.cos_phi),
-                                        quad.ring_rho[ring] * np.einsum("jrk,k->jr", u, quad.sin_phi),
-                                        quad.ring_z[ring] * plain)
+            for k, terms in enumerate((w_gamma, *wx[i])):
+                np.divide(terms, d2, out=scratch).sum(axis=1, out=part[i, k])
         z_parts.append(w.sum(axis=1))
+        sum_parts.append(part)
     return [(Z, ((a[:, None] * pts_f - np.column_stack(A)) / Z - 0.5 * pts_f) @ R)
-            for Z, (a, *A) in zip(_z_total(z_parts, gammas), ring_sums.sum(axis=3))]
+            for Z, (a, *A) in zip(_z_total(z_parts, gammas), _tree_sum(sum_parts))]
 
 
 def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> float:

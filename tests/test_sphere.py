@@ -333,37 +333,7 @@ def _one_pass_log_potential(d2):
 
 
 def _three_operand_moments(config, gammas, quad):
-    """The moments contracted from w, 1/d^2 and the ring and azimuth factors of x over one (M, n)
-    array w / d^2.
-
-    u = w / d^2 sums over each ring's azimuths plainly and against cos phi and sin phi; each of
-    a_j and A_j is then one pairwise numpy sum over all the rings.
-    """
-    pts_f, R = sphere._frame_points(config, quad)
-    d2 = _one_pass_distances(quad, pts_f)
-    s = _one_pass_log_potential(d2)
-    inv = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0).T.copy()
-    inv = inv.reshape(config.n, quad.n_polar, -1)
-    out = []
-    for gamma in gammas:
-        w = quad.weights * np.exp(gamma * s)
-        u = w.reshape(quad.n_polar, -1) * inv
-        plain = u.sum(axis=2)
-        a, *A = (
-            ring_sums.sum(axis=1)
-            for ring_sums in (plain,
-                              np.einsum("jrk,k->jr", u, quad.cos_phi) * quad.ring_rho,
-                              np.einsum("jrk,k->jr", u, quad.sin_phi) * quad.ring_rho,
-                              plain * quad.ring_z)
-        )
-        A = np.column_stack(A)
-        out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
-    return out
-
-
-def _node_coordinate_moments(config, gammas, quad):
-    """The moments contracted from w, 1/d^2 and the node coordinates x over one (M, n) array w / d^2,
-    with max_j a_j / Z.
+    """The moments contracted from w, 1/d^2 and x over one (M, n) array w / d^2.
 
     Each of a_j and A_j is one pairwise numpy sum over all M nodes.
     """
@@ -379,8 +349,7 @@ def _node_coordinate_moments(config, gammas, quad):
             for wx in (w, *(w * quad.nodes.T))
         )
         A = np.column_stack(A)
-        Z = w.sum()
-        out.append((float(Z), ((a[:, None] * pts_f - A) / Z - 0.5 * pts_f) @ R, float(a.max() / Z)))
+        out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
     return out
 
 
@@ -394,20 +363,6 @@ def test_moments_match_the_three_operand_contraction(sphere_quad, n):
     # The moment pass and the Z-only pass give the same Z, bit for bit.
     zb, z2b = sphere._z_values(config, (1.0, 2.0), sphere_quad)
     assert (zb, z2b) == (got[0][0], got[1][0])
-
-
-@pytest.mark.parametrize("n", [2, 8, 32])
-def test_moments_match_the_node_coordinate_contraction(sphere_quad, n):
-    # Summing against cos phi and sin phi, then rho_i, rounds otherwise than summing against the
-    # node coordinates.  E[g_j] is the difference of (a_j p_j - A_j) / Z and p_j / 2, terms of
-    # size up to max_j a_j / Z, so the two agree to a few ulps of that size in every component
-    # (at most 1.9 ulps over 60 configurations of 1 to 32 points), not in relative terms.
-    config = random_configuration(n, RngStream(seed=n))
-    got = _moments(config, (1.0, 2.0), sphere_quad)
-    ref = _node_coordinate_moments(config, (1.0, 2.0), sphere_quad)
-    for (Z, G), (Z_ref, G_ref, scale) in zip(got, ref):
-        assert Z == Z_ref
-        np.testing.assert_allclose(G, G_ref, rtol=0.0, atol=8.0 * np.finfo(float).eps * scale)
 
 
 def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
@@ -424,13 +379,18 @@ def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
     s = np.concatenate([s for _, s in blocks])
     assert np.array_equal(d2, d2_ref) and np.array_equal(s, ref)
     one_block = _moments(config, (1.0, 2.0), quad)
-    monkeypatch.setattr(sphere, "_NODE_BLOCK", quad.n_azimuthal)
-    ring_blocks = sphere._node_blocks(pts_f, quad, (1.0,))
-    assert np.array_equal(np.concatenate([s for _, _, s, _, _ in ring_blocks]), ref)
-    # Moments summed over 16 blocks of one ring match those of one block to roundoff.
-    for (Z, G), (Z_ref, G_ref) in zip(_moments(config, (1.0, 2.0), quad), one_block):
-        assert Z == pytest.approx(Z_ref, rel=1e-15)
-        np.testing.assert_allclose(G, G_ref, rtol=1e-13, atol=1e-16)
+    # Blocks of one ring (16 blocks), and of three rings, where the last block holds one ring
+    # and takes the reused buffers at a third of their length.
+    for rings, sizes in ((1, [1] * 16), (3, [3, 3, 3, 3, 3, 1])):
+        monkeypatch.setattr(sphere, "_NODE_BLOCK", rings * quad.n_azimuthal)
+        blocks = [(ring, d2.T.copy(), s) for ring, d2, s, _, _ in sphere._node_blocks(pts_f, quad, (1.0,))]
+        assert [ring.stop - ring.start for ring, _, _ in blocks] == sizes
+        assert np.array_equal(np.vstack([d2 for _, d2, _ in blocks]), d2_ref)
+        assert np.array_equal(np.concatenate([s for _, _, s in blocks]), ref)
+        # Moments summed over these blocks match those of one block to roundoff.
+        for (Z, G), (Z_ref, G_ref) in zip(_moments(config, (1.0, 2.0), quad), one_block):
+            assert Z == pytest.approx(Z_ref, rel=1e-15)
+            np.testing.assert_allclose(G, G_ref, rtol=1e-13, atol=1e-16)
 
 
 class TestGradientFlow:
