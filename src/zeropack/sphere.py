@@ -24,11 +24,13 @@ objective (used by the finite-difference check).
 The grid is rings times uniform azimuths, and a pass over it works on that
 structure: squared distances come from per-ring and per-azimuth factors (one
 multiply and one subtract per node and point), the log potential takes one log
-per group of _LOG_GROUP points, and moments sum w x / d^2 node by node.
-Passes take whole rings, about _NODE_BLOCK nodes at a time, and sum in a fixed
-order without BLAS, so no result depends on the thread count: Z-only passes
-serve partition_function and discrepancy, moment passes the residual and the
-flow.
+per group of _LOG_GROUP points, and moments take one reciprocal 1/d^2 per node
+and point and sum w / d^2 over each ring's azimuths, plain and against cos phi
+and sin phi, before the ring factors rho and z enter.  Passes take whole rings,
+about _NODE_BLOCK nodes at a time, and sum in a fixed order without BLAS, so no
+result depends on the thread count: Z-only passes serve partition_function and
+discrepancy, moment passes the residual and the flow.  No pass builds an array
+over the nodes' coordinates or weights.
 """
 from __future__ import annotations
 
@@ -115,7 +117,7 @@ class SphereQuadrature:
     Node (i, k) sits on ring i at azimuth k: (rho_i cos phi_k, rho_i sin phi_k, z_i), with z_i
     the Gauss-Legendre nodes in cos(theta), rho_i = sin(theta_i), phi_k = 2 pi k / n_azimuthal
     and weight ring_weights[i].  nodes and weights list the nodes ring by ring and are built on
-    first use: Z-only passes read only the factors, moment passes also read nodes.
+    first use; the passes read only the factors, so they never build them.
     frame="anchored" re-expresses the grid in configuration coordinates at
     every evaluation; frame="world" keeps it fixed in space.
     """
@@ -226,8 +228,8 @@ def _node_blocks(pts_f: np.ndarray, quad: SphereQuadrature, gammas):
     group of _LOG_GROUP points and adds the groups in order.  No product underflows: a nonzero d^2,
     the difference of A_ij and rho_i C_jk, is at least half an ulp of A_ij >= 2 (1 - |z_1|), z_1
     on the polar ring, which is about 7e-21 on the default grid, so a product of 8 factors is at
-    least about 1e-164; a zero factor makes it 0 and s = -inf.  Row i of w is
-    weights * e^{gamma_i s}, and as s <= 0, gamma s overflowing to -inf means 0.  d2 and the
+    least about 1e-164; a zero factor makes it 0 and s = -inf.  Row i of w is the ring's weight
+    times e^{gamma_i s}, and as s <= 0, gamma s overflowing to -inf means 0.  d2 and the
     free (n, block) scratch array are reused by the next block.
     """
     n, n_az = pts_f.shape[0], quad.n_azimuthal
@@ -249,7 +251,9 @@ def _node_blocks(pts_f: np.ndarray, quad: SphereQuadrature, gammas):
             np.multiply.reduce(d2[j:j + _LOG_GROUP], axis=0, out=logs[g])
         with np.errstate(divide="ignore", over="ignore"):
             s = 0.5 * np.log(logs, out=logs).sum(axis=0) - offset
-            w = np.repeat(quad.ring_weights[ring], n_az) * np.exp(np.multiply.outer(gammas, s))
+            w = np.exp(np.multiply.outer(gammas, s))
+        by_ring = w.reshape(len(gammas), -1, n_az)  # a view: the ring weight times e^{gamma s}
+        by_ring *= quad.ring_weights[ring, None]
         yield ring, d2, s, w, scratch
 
 
@@ -298,25 +302,37 @@ def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
         E^gamma[g_j] = (a_j p_j - A_j) / Z_gamma - p_j / 2,
         a_j = sum w / d^2,  A_j = sum w x / d^2,
 
-    sums over the nodes with 1/d^2 read as 0 where d = 0.  Each term is (w x) / d^2 with x
-    from quad.nodes, one product and one divide as in the plain contraction over the node
-    coordinates, and each block's terms sum pairwise per point; the block sums add as a tree,
-    which over 2^k equal blocks is numpy's pairwise sum over all the nodes.  The small
-    components of E[g_j] are differences of terms up to max_j a_j / Z, so other arithmetic
-    (1/d^2 once per block, or sums over each ring's azimuths against cos phi and sin phi)
-    moves them by more than 1e-14 relative.
+    sums over the nodes with 1/d^2 read as 0 where d = 0.  Each block replaces d^2 by 1/d^2 in
+    place, one reciprocal per node and point; where some d = 0 in the block, d^2 is first raised
+    to the smallest normal float, so 1/d^2 stays finite and w / d^2 is exactly 0 there.  With
+    u = w / d^2 at point j, ring i and azimuth k, each ring's azimuths sum first (pairwise, and
+    against cos phi_k and sin phi_k), then the block's rings:
+
+        a_j = sum_i S_ji,  A_j = sum_i (rho_i Sc_ji, rho_i Ss_ji, z_i S_ji),
+        S_ji = sum_k u_jik,  Sc_ji = sum_k u_jik cos phi_k,  Ss_ji = sum_k u_jik sin phi_k,
+
+    and the block sums add as a tree.  Z sums w as _z_values does.  The small components of
+    E[g_j] are differences of terms up to max_j a_j / Z, so their error is stated against that
+    scale: against the same terms and sums in long double, each component is within 4 eps
+    max_j a_j / Z (float64 eps; up to 1.3 eps measured at n = 2 to 32), as is the plain
+    contraction that sums (w x) / d^2 pairwise over all the nodes (up to 1.1 eps).
     """
     pts_f, R = _frame_points(config, quad)
+    n, n_az = config.n, quad.n_azimuthal
     z_parts, sum_parts = [], []
     for ring, d2, s, w, scratch in _node_blocks(pts_f, quad, gammas):
         if s.min() == -math.inf:  # some d = 0 in the block; w = 0 there, so w / d^2 reads 0
             np.maximum(d2, np.finfo(float).tiny, out=d2)
-        nodes = slice(ring.start * quad.n_azimuthal, ring.stop * quad.n_azimuthal)
-        wx = w[:, None, :] * quad.nodes[nodes].T  # w x by coordinate, per gamma
-        part = np.empty((len(gammas), 4, config.n))  # a_j, then A_j by coordinate
+        inv = np.divide(1.0, d2, out=d2).reshape(n, -1, n_az)
+        u = scratch.reshape(n, -1, n_az)
+        rho, z = quad.ring_rho[ring], quad.ring_z[ring]
+        part = np.empty((len(gammas), 4, n))  # a_j, then A_j by coordinate
         for i, w_gamma in enumerate(w):
-            for k, terms in enumerate((w_gamma, *wx[i])):
-                np.divide(terms, d2, out=scratch).sum(axis=1, out=part[i, k])
+            np.multiply(w_gamma.reshape(-1, n_az), inv, out=u)  # w / d^2 by point, ring and azimuth
+            S0 = u.sum(axis=2)
+            Sc = np.einsum("jik,k->ji", u, quad.cos_phi)
+            Ss = np.einsum("jik,k->ji", u, quad.sin_phi)
+            part[i] = S0.sum(axis=1), (Sc * rho).sum(axis=1), (Ss * rho).sum(axis=1), (S0 * z).sum(axis=1)
         z_parts.append(w.sum(axis=1))
         sum_parts.append(part)
     return [(Z, ((a[:, None] * pts_f - np.column_stack(A)) / Z - 0.5 * pts_f) @ R)

@@ -478,8 +478,8 @@ class TestSphereCommand:
     @pytest.mark.parametrize(
         "argv",
         [["--n", "3"], ["--n", "32"], ["--n", "2", "--flow", "--iters", "6"],
-         ["--n", "4", "--flow", "--iters", "6"]],
-        ids=["static-3", "static-32", "flow-2", "flow-4"],
+         ["--n", "4", "--flow", "--iters", "6"], ["--n", "32", "--flow", "--iters", "2"]],
+        ids=["static-3", "static-32", "flow-2", "flow-4", "flow-32"],
     )
     def test_report_is_independent_of_blas_threads(self, argv):
         argv = ["sphere", "--beta", "1", "--seed", "3", *argv]

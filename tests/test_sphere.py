@@ -308,6 +308,38 @@ def test_moments_with_a_point_on_a_quadrature_node(world_quad):
         np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-12)
 
 
+def _direct_tangential_moments(quad, points, gammas):
+    """E^gamma[g_j] for each gamma as the weighted mean over all the nodes of the tangential
+    projection at p_j of (p_j - x) / d^2, taken as 0 where d = 0, from the node coordinates."""
+    d2 = np.clip(2.0 - 2.0 * (quad.nodes @ points.T), 0.0, 4.0)
+    with np.errstate(divide="ignore"):
+        s = 0.5 * np.log(d2).sum(axis=1) - points.shape[0] * math.log(2.0)
+    out = []
+    for gamma in gammas:
+        w = quad.weights * np.exp(gamma * s)
+        ref = np.empty_like(points)
+        for j, p in enumerate(points):
+            hit = d2[:, j] > 0.0
+            vec = np.zeros_like(quad.nodes)
+            vec[hit] = (p - quad.nodes[hit]) / d2[hit, j, None]
+            ref[j] = np.sum(w[:, None] * (vec - (vec @ p)[:, None] * p), axis=0) / w.sum()
+        out.append(ref)
+    return out
+
+
+def test_a_point_on_a_node_raises_no_floating_point_error(world_quad, monkeypatch):
+    # Blocks of one ring and the point on a node of ring 6, so d^2 = 0 falls in a later block:
+    # no operation of the pass may overflow, divide by 0 or be invalid.
+    monkeypatch.setattr(sphere, "_NODE_BLOCK", world_quad.n_azimuthal)
+    k = 6 * world_quad.n_azimuthal + 9
+    points = np.vstack([world_quad.nodes[k], random_configuration(1, RngStream(seed=5)).points])
+    with np.errstate(all="raise"):
+        got = _moments(SphereConfiguration(points=points), (1.0, 2.0), world_quad)
+    for (_, G), ref in zip(got, _direct_tangential_moments(world_quad, points, (1.0, 2.0))):
+        assert np.all(np.isfinite(G))
+        np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-12)
+
+
 def _one_pass_distances(quad, pts_f):
     """(M, n) squared node-to-point distances in one piece, from the ring and azimuth factors:
     A_ij - rho_i C_jk on ring i at azimuth k, A_ij = 2 - 2 z_i z_j,
@@ -353,16 +385,54 @@ def _three_operand_moments(config, gammas, quad):
     return out
 
 
+def _per_node_moments(config, gammas, quad, dtype, total):
+    """(G, max_j a_j / Z) for each gamma from the terms w / d^2 and w x / d^2, formed node by node
+    in dtype (1/d^2 read as 0 where d = 0) and added over all the nodes by total, point by point.
+
+    d^2 and s are the one-pass float64 values and w = weights e^{gamma s} is rounded to float64,
+    as in the library; every later product, quotient and sum is in dtype.
+    """
+    pts_f, R = sphere._frame_points(config, quad)
+    d2 = _one_pass_distances(quad, pts_f)
+    s = _one_pass_log_potential(d2)
+    x, p = quad.nodes.astype(dtype), pts_f.astype(dtype)
+    out = []
+    for gamma in gammas:
+        w = (quad.weights * np.exp(gamma * s)).astype(dtype)
+        terms = np.column_stack([w, w[:, None] * x])  # w and w x by node
+        sums = np.empty((config.n, 4), dtype)  # a_j, then A_j by coordinate
+        for j in range(config.n):
+            hit = d2[:, j] > 0.0
+            sums[j] = total(terms[hit] / d2[hit, j, None].astype(dtype))
+        a, A, Z = sums[:, 0], sums[:, 1:], w.sum()
+        out.append((((a[:, None] * p - A) / Z - 0.5 * p) @ R.astype(dtype), float(a.max() / Z)))
+    return out
+
+
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_moments_match_the_three_operand_contraction(sphere_quad, n):
     config = random_configuration(n, RngStream(seed=n))
     got = _moments(config, (1.0, 2.0), sphere_quad)
-    for (Z, G), (Z_ref, G_ref) in zip(got, _three_operand_moments(config, (1.0, 2.0), sphere_quad)):
+    plain = _three_operand_moments(config, (1.0, 2.0), sphere_quad)
+    for (Z, _), (Z_ref, _) in zip(got, plain):
         assert Z == Z_ref
-        np.testing.assert_allclose(G, G_ref, rtol=1e-14, atol=0.0)
     # The moment pass and the Z-only pass give the same Z, bit for bit.
     zb, z2b = sphere._z_values(config, (1.0, 2.0), sphere_quad)
     assert (zb, z2b) == (got[0][0], got[1][0])
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float64 on this platform")
+    # The small components of G are differences of terms up to max_j a_j / Z.  Against terms and
+    # sums in long double, the pass and the plain contraction are both within 4 eps of that scale;
+    # a left-to-right float64 sum over the nodes is not.
+    reference = _per_node_moments(config, (1.0, 2.0), sphere_quad, np.longdouble,
+                                  lambda terms: terms.sum(axis=0))
+    left_to_right = _per_node_moments(config, (1.0, 2.0), sphere_quad, np.float64,
+                                      lambda terms: np.cumsum(terms, axis=0)[-1])
+    for (_, G), (_, G_plain), (G_ref, scale), (G_seq, _) in zip(got, plain, reference, left_to_right):
+        bound = 4.0 * np.finfo(float).eps * scale
+        assert np.max(np.abs(G - G_ref)) <= bound
+        assert np.max(np.abs(G_plain - G_ref)) <= bound
+        assert np.max(np.abs(G_seq - G_ref)) > bound
 
 
 def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
@@ -391,6 +461,26 @@ def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
         for (Z, G), (Z_ref, G_ref) in zip(_moments(config, (1.0, 2.0), quad), one_block):
             assert Z == pytest.approx(Z_ref, rel=1e-15)
             np.testing.assert_allclose(G, G_ref, rtol=1e-13, atol=1e-16)
+
+
+def test_block_weights_are_the_ring_weights_times_the_exponentials():
+    quad = SphereQuadrature(16, 32, "world")
+    pts_f, _ = sphere._frame_points(random_configuration(3, RngStream(seed=4)), quad)
+    gammas = (1.0, 2.0)
+    for ring, _, s, w, _ in sphere._node_blocks(pts_f, quad, gammas):
+        weights = np.repeat(quad.ring_weights[ring], quad.n_azimuthal)
+        assert np.array_equal(w, weights * np.exp(np.multiply.outer(gammas, s)))
+
+
+def test_passes_build_no_node_arrays():
+    # Every pass reads the ring and azimuth factors only; nodes and weights stay unbuilt.
+    quad = SphereQuadrature()
+    config = random_configuration(3, RngStream(seed=2))
+    discrepancy(config, 1.0, quad)
+    equilibrium_residual(config, 1.0, quad)
+    gradient_flow(3, 1.0, config, step=4.0, max_iters=2, quad=quad)
+    for grid in (quad, quad.half_resolution()):
+        assert "nodes" not in vars(grid) and "weights" not in vars(grid)
 
 
 class TestGradientFlow:
