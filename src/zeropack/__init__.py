@@ -36,8 +36,8 @@ _EXPORTS = {  # module -> the public names the package re-exports from it
         "rho1_closed", "rho2_closed",
     ),
     "hyperbolic": (
-        "DiskFunction", "DiskQuadrature", "InequalityReport", "ProofConstantsReport",
-        "ThresholdCheck", "case_iia_integral", "halfdisk_identity_check", "hyperbolic_discrepancy",
+        "DiskFunction", "InequalityReport", "ProofConstantsReport", "ThresholdCheck",
+        "case_iia_integral", "halfdisk_identity_check", "hyperbolic_discrepancy",
         "hyperbolic_gaf_expected", "hyperbolic_gaf_mc", "hyperbolic_gaf_tail",
         "hyperbolic_gaf_truncation", "inequality_suite", "make_disk_quadrature",
         "proof_constants_report", "schafli_area", "schafli_solutions", "tight_discrepancy",

@@ -165,47 +165,22 @@ def weighted_square_mass(f: DiskFunction, radius: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DiskQuadrature:
+class _DiskRule:
     """Product rule for integrals over D(0, radius) against dA/(1-|z|^2).
 
-    Radial nodes live in u = |z|^2; the substitution t = -log(1-u) absorbs
-    the 1/(1-u) weight, so Gauss-Legendre panels in t integrate smooth
-    radial profiles accurately even as radius -> 1 where the hyperbolic
-    measure concentrates.  The weights sum to log(1/(1-radius^2)) exactly
-    up to rounding.  With quad=None the disk integrals build one for each
-    candidate, with panels split at its zero moduli (_panel_quadrature);
-    make_disk_quadrature gives one panel of n_radial nodes for any candidate.
-    Angular nodes are uniform, equal-weight angles 2 pi k / n
-    by construction, so polynomials on a circle are one FFT.  n_angular is the
-    cap: each circle takes n = n_angular / 2^k angles, as few as its mean needs
-    (_circle_means).
+    Radial nodes live in u = |z|^2; the substitution t = -log(1-u) absorbs the 1/(1-u) weight,
+    so Gauss-Legendre panels in t integrate smooth radial profiles accurately even as radius -> 1
+    where the hyperbolic measure concentrates.  The weights sum to log(1/(1-radius^2)) up to
+    rounding.  Angular nodes are the uniform, equal-weight angles 2 pi k / n, so polynomials on
+    a circle are one FFT; n_angular is the cap, and each circle takes n = n_angular / 2^k angles,
+    as few as its mean needs (_circle_means).  Only _panel_quadrature and make_disk_quadrature
+    build one, and both guarantee positive weights and nodes inside (0, radius^2).
     """
 
     radius: float
     u_nodes: np.ndarray
     hyperbolic_weights: np.ndarray
     n_angular: int
-
-    def __post_init__(self):
-        if not (0.0 < self.radius < 1.0):
-            raise ValueError(f"radius must lie in (0, 1), got {self.radius}")
-        u = np.array(self.u_nodes, dtype=float)
-        w = np.array(self.hyperbolic_weights, dtype=float)
-        if u.ndim != 1 or w.shape != u.shape:
-            raise ValueError("radial nodes and weights must be 1-D of equal length")
-        if u.size < 4 or self.n_angular < 4:
-            raise ValueError("need at least 4 radial and 4 angular nodes")
-        if np.any(w <= 0.0):
-            raise ValueError("hyperbolic weights must be positive")
-        if np.any(u <= 0.0) or np.any(u >= self.radius**2):
-            raise ValueError("radial nodes must lie strictly inside (0, radius^2)")
-        total = -math.log1p(-self.radius**2)
-        if abs(float(w.sum()) - total) > 1e-10 * total:
-            raise ValueError("weights do not reproduce the measure of the disk")
-        u.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "u_nodes", u)
-        object.__setattr__(self, "hyperbolic_weights", w)
 
     @property
     def n_radial(self) -> int:
@@ -217,24 +192,21 @@ class DiskQuadrature:
         return -math.log1p(-self.radius**2)
 
 
-def make_disk_quadrature(
-    radius: float, n_radial: int = 2048, n_angular: int = 512
-) -> DiskQuadrature:
+def make_disk_quadrature(radius: float, n_radial: int = 2048, n_angular: int = 512) -> _DiskRule:
     """n_radial Gauss-Legendre circles on D(0, radius), each with at most n_angular angles.
 
-    One panel in t over the whole disk, the same for every candidate.  Passed as quad= it
-    overrides the rule the disk integrals otherwise build for each candidate
+    One panel in t over the whole disk, the same for every candidate, with read-only arrays.
+    What it returns, passed as quad= to hyperbolic_discrepancy, tight_discrepancy or
+    halfdisk_identity_check, overrides the rule they otherwise build for each candidate
     (_panel_quadrature)."""
     if not (0.0 < radius < 1.0):
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
     if n_radial < 4 or n_angular < 4:
         raise ValueError("need at least 4 radial and 4 angular nodes")
-    total = -math.log1p(-radius * radius)
-    rule = gauss_legendre(n_radial, 0.0, total)
+    rule = gauss_legendre(n_radial, 0.0, -math.log1p(-radius * radius))
     u = -np.expm1(-rule.nodes)
-    return DiskQuadrature(
-        radius=radius, u_nodes=u, hyperbolic_weights=rule.weights, n_angular=n_angular
-    )
+    u.setflags(write=False)
+    return _DiskRule(radius=radius, u_nodes=u, hyperbolic_weights=rule.weights, n_angular=n_angular)
 
 
 def _panel_edges(f: DiskFunction, radius: float) -> np.ndarray:
@@ -258,7 +230,7 @@ def _panel_edges(f: DiskFunction, radius: float) -> np.ndarray:
     return np.concatenate([[0.0], t[t < (1.0 - _EDGE_GAP) * total], [total]])
 
 
-def _panel_quadrature(f: DiskFunction, radius: float, n_angular: int = 512) -> DiskQuadrature:
+def _panel_quadrature(f: DiskFunction, radius: float, n_angular: int = 512) -> _DiskRule:
     """The disk rule for f on D(0, radius): _PANEL_NODES Gauss-Legendre circles per panel.
 
     The mean of |f| over a circle is not smooth in the radius where the circle meets a zero of f,
@@ -267,18 +239,18 @@ def _panel_quadrature(f: DiskFunction, radius: float, n_angular: int = 512) -> D
     t = a + h s^2 (3 - 2 s) with weight h 6 s (1 - s) ds: t - a and a + h - t go as s^2 and
     (1 - s)^2, so a kink of the mean at either edge, at a zero modulus or at u = 0, where the mean
     of |c z^k| is |c| u^(k/2), turns smooth in s (Davis and Rabinowitz, Methods of Numerical
-    Integration, ch. 2)."""
+    Integration, ch. 2).  A rule from make_disk_quadrature, passed as quad=, replaces it."""
     edges = _panel_edges(f, radius)
     rule = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
     s, w = rule.nodes, rule.weights
     width = np.diff(edges)[:, None]
     t = edges[:-1, None] + width * (s * s * (3.0 - 2.0 * s))
     weights = width * (w * 6.0 * s * (1.0 - s))
-    return DiskQuadrature(radius=radius, u_nodes=-np.expm1(-t.ravel()),
-                          hyperbolic_weights=weights.ravel(), n_angular=n_angular)
+    return _DiskRule(radius=radius, u_nodes=-np.expm1(-t.ravel()),
+                     hyperbolic_weights=weights.ravel(), n_angular=n_angular)
 
 
-def _disk_rule(f: DiskFunction, radius: float, quad: DiskQuadrature | None) -> DiskQuadrature:
+def _disk_rule(f: DiskFunction, radius: float, quad: _DiskRule | None) -> _DiskRule:
     """quad, whose radius must be radius, or if it is None the panel rule for f."""
     if quad is None:
         return _panel_quadrature(f, radius)
@@ -304,7 +276,7 @@ def hyperbolic_discrepancy(
     r: float,
     alpha: float = 1.0,
     beta: float = 1.0,
-    quad: DiskQuadrature | None = None,
+    quad: _DiskRule | None = None,
 ) -> float:
     """Normalized mean-square mismatch of (1-|z|^2)^alpha |f|^beta against 1.
 
@@ -316,7 +288,8 @@ def hyperbolic_discrepancy(
 
     With quad=None the radial rule is built for f: 128 Gauss-Legendre circles
     per panel in t = -log(1-|z|^2), split at the moduli of the zeros of f in
-    D(0,r), each panel graded at both ends (_panel_quadrature).  quad overrides it.
+    D(0,r), each panel graded at both ends (_panel_quadrature).  quad, a rule
+    from make_disk_quadrature(r, ...), overrides it.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -334,7 +307,7 @@ def hyperbolic_discrepancy(
 
 
 def tight_discrepancy(
-    f: DiskFunction, r: float, quad: DiskQuadrature | None = None
+    f: DiskFunction, r: float, quad: _DiskRule | None = None
 ) -> float:
     """Variant charging the candidate's weighted mass outside D(0,r) as well.
 
@@ -431,10 +404,15 @@ def hyperbolic_gaf_mc(
         )
     if n_angular is None:
         n_angular = _power_of_two_at_least(4.0 * math.pi * r / ((1.0 - r) * (1.0 + r)), 16, 128)
-    quad = make_disk_quadrature(r, n_radial=n_radial, n_angular=n_angular)
+    if n_radial < 4 or n_angular < 4:
+        raise ValueError("need at least 4 radial and 4 angular nodes")
+    rule = gauss_legendre(n_radial, 0.0, -math.log1p(-r * r))
+    u = -np.expm1(-rule.nodes)
     log_scales = 0.5 * np.log(np.arange(1, truncation_N + 2, dtype=float))
-    return _gaf_mc(log_scales, np.sqrt(quad.u_nodes), quad.hyperbolic_weights / quad.normalization,
-                   np.log1p(-quad.u_nodes), b, n_angular, trials, rng, threads)
+    # Normalized by -log1p(-r**2) as every disk rule is (_DiskRule.normalization), not by the
+    # interval's -log1p(-r * r): r**2 and r * r differ in the last bit for some r.
+    return _gaf_mc(log_scales, np.sqrt(u), rule.weights / -math.log1p(-r**2), np.log1p(-u), b,
+                   n_angular, trials, rng, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +428,7 @@ def _modulus_and_weighted_square(u: np.ndarray, modulus: np.ndarray) -> np.ndarr
 
 
 def halfdisk_identity_check(
-    f: DiskFunction, quad: DiskQuadrature | None = None
+    f: DiskFunction, quad: _DiskRule | None = None
 ) -> tuple[float, float, float]:
     """Check the closed-form value of the best-amplitude mismatch on D(0,1/2).
 

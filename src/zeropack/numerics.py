@@ -416,6 +416,8 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
         raise ValueError(f"need at least 2 trials, got {trials}")
     if trials > _MAX_TRIALS:
         raise ValueError(f"trial count must be at most {_MAX_TRIALS}, got {trials}")
+    if n_angular < 1:
+        raise ValueError(f"n_angular must be >= 1, got {n_angular}")
     c = b * (b - math.sqrt(math.pi) / 2.0)
     grid = (len(radii), n_angular)
     blocks = partial(_term_scales, log_scales, radii, n_angular, log_envelope)

@@ -7,10 +7,13 @@ module-load checks count, in fresh interpreters, which modules each entry
 point leaves in sys.modules, so a start-up saving cannot be undone silently.
 """
 
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +22,8 @@ from conftest import checkout_env
 from zeropack import fock, hyperbolic, numerics, planar, reports, sphere, weierstrass
 
 PUBLIC_NAMES = [
-    "DegenerateLatticeError", "DiscrepancyReport", "DiskFunction", "DiskQuadrature",
-    "DivergenceError", "FockOverflowError", "FockPolynomial", "InequalityReport", "Lattice",
+    "DegenerateLatticeError", "DiscrepancyReport", "DiskFunction", "DivergenceError",
+    "FockOverflowError", "FockPolynomial", "InequalityReport", "Lattice",
     "ProofConstantsReport", "QuadratureRule1D", "RngStream", "SphereConfiguration",
     "SphereQuadrature", "StepCollapseError", "ThresholdCheck", "TriangularProfile",
     "TruncationError", "WeierstrassContext", "case_iia_integral", "cell_coordinates",
@@ -40,7 +43,7 @@ MODULES = (numerics, reports, weierstrass, planar, fock, sphere, hyperbolic)
 
 class TestPublicApi:
     def test_exported_names_are_unchanged(self):
-        assert len(PUBLIC_NAMES) == 64
+        assert len(PUBLIC_NAMES) == 63
         assert sorted(zeropack.__all__) == PUBLIC_NAMES
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)
@@ -65,6 +68,64 @@ class TestPublicApi:
         assert planar.TruncationError is hyperbolic.TruncationError is numerics.TruncationError
         assert planar.planar_gaf_expected is hyperbolic.hyperbolic_gaf_expected
         assert planar.planar_gaf_expected is numerics.gaf_expected
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_MODULES = {m.__name__.rpartition(".")[2]: m for m in (fock, hyperbolic, numerics, planar,
+                                                            sphere, weierstrass)}
+
+
+def _bench_nodes():
+    """(file name, node) for every syntax node of bench/*.py."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
+def _reads_a_module(node: ast.AST) -> bool:
+    """node reads an attribute straight off a library module, as hyperbolic.tight_discrepancy."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in BENCH_MODULES)
+
+
+def _bench_object(node: ast.expr):
+    """The library object a bench expression such as hyperbolic.DiskFunction names."""
+    if isinstance(node, ast.Name):
+        return BENCH_MODULES[node.id]
+    assert isinstance(node, ast.Attribute), ast.dump(node)
+    return getattr(_bench_object(node.value), node.attr)
+
+
+class TestBenchmarkView:
+    """The benchmark under bench/ runs against the library and is changed only on its own, so a
+    library change must keep every name and keyword argument the benchmark uses of it."""
+
+    def test_every_attribute_read_off_a_module_exists(self):
+        reads = [(f"{name}:{node.lineno}", node) for name, node in _bench_nodes()
+                 if _reads_a_module(node)]
+        assert len(reads) >= 80
+        assert not [where for where, node in reads
+                    if not hasattr(BENCH_MODULES[node.value.id], node.attr)]
+
+    def test_every_keyword_is_a_parameter(self):
+        bad = []
+        for name, node in _bench_nodes():
+            if not (isinstance(node, ast.Call) and _reads_a_module(node.func)):
+                continue
+            params = inspect.signature(_bench_object(node.func)).parameters
+            if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                bad += [f"{name}:{node.lineno} {k.arg}" for k in node.keywords
+                        if k.arg is not None and k.arg not in params]
+        assert not bad
+
+    def test_every_traced_target_resolves(self):
+        tree = ast.parse((BENCH / "tracing.py").read_text())
+        (targets,) = [node.value for node in tree.body if isinstance(node, ast.AnnAssign)
+                      and getattr(node.target, "id", None) == "TARGETS"]
+        assert len(targets.values) >= 18
+        for entry in targets.values:
+            owner, name = entry.elts[:2]
+            assert callable(getattr(_bench_object(owner), name.value))
 
 
 # Runs the CLI (or only the import) in a fresh interpreter with stdout swallowed, then

@@ -243,6 +243,9 @@ class TestPlanarGaf:
                 planar_gaf_mc(2.0, b, 40, 4, RngStream(seed=1))
         with pytest.raises(TruncationError):
             planar_gaf_mc(4.0, 1.0, 5, 4, RngStream(seed=1))
+        for n_angular in (0, -4):
+            with pytest.raises(ValueError, match="n_angular must be >= 1"):
+                planar_gaf_mc(2.0, 1.0, 40, 4, RngStream(seed=1), n_angular=n_angular)
 
     @pytest.mark.parametrize("R, N", [(0.5, 0), (0.5, 3), (3.0, 10), (3.0, 17), (3.0, 18),
                                       (3.0, 30), (12.0, 250), (50.0, 40), (50.0, 4990),
