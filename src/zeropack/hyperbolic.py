@@ -404,15 +404,10 @@ def hyperbolic_gaf_mc(
         )
     if n_angular is None:
         n_angular = _power_of_two_at_least(4.0 * math.pi * r / ((1.0 - r) * (1.0 + r)), 16, 128)
-    if n_radial < 4 or n_angular < 4:
-        raise ValueError("need at least 4 radial and 4 angular nodes")
-    rule = gauss_legendre(n_radial, 0.0, -math.log1p(-r * r))
-    u = -np.expm1(-rule.nodes)
+    quad = make_disk_quadrature(r, n_radial=n_radial, n_angular=n_angular)
     log_scales = 0.5 * np.log(np.arange(1, truncation_N + 2, dtype=float))
-    # Normalized by -log1p(-r**2) as every disk rule is (_DiskRule.normalization), not by the
-    # interval's -log1p(-r * r): r**2 and r * r differ in the last bit for some r.
-    return _gaf_mc(log_scales, np.sqrt(u), rule.weights / -math.log1p(-r**2), np.log1p(-u), b,
-                   n_angular, trials, rng, threads)
+    return _gaf_mc(log_scales, np.sqrt(quad.u_nodes), quad.hyperbolic_weights / quad.normalization,
+                   np.log1p(-quad.u_nodes), b, n_angular, trials, rng, threads)
 
 
 # ---------------------------------------------------------------------------

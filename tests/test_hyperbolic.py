@@ -39,13 +39,7 @@ from zeropack.hyperbolic import (
     tight_discrepancy,
     weighted_square_mass,
 )
-from zeropack.numerics import (
-    RngStream,
-    _gaf_mc,
-    _polar_values,
-    _term_scales,
-    sample_complex_gaussians,
-)
+from zeropack.numerics import RngStream, _polar_values, _term_scales, sample_complex_gaussians
 from zeropack.planar import TruncationError
 
 
@@ -559,19 +553,6 @@ class TestGafMonteCarlo:
         for grid in ({"n_radial": 2}, {"n_angular": 2}):
             with pytest.raises(ValueError, match="at least 4 radial and 4 angular"):
                 hyperbolic_gaf_mc(0.8, 1.0, 60, 4, RngStream(seed=1), **grid)
-
-    # At the first radius r**2 and r * r differ in the last bit, and so do their log1p.
-    @pytest.mark.parametrize("r", [0.37796883434360806, 0.9])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_radial_rule_is_the_single_panel_disk_rule(self, r, threads):
-        N = hyperbolic_gaf_truncation(r)
-        got = hyperbolic_gaf_mc(r, 0.8, N, 6, RngStream(seed=4), threads=threads,
-                                n_radial=12, n_angular=16)
-        quad = make_disk_quadrature(r, 12, 16)
-        want = _gaf_mc(0.5 * np.log(np.arange(1, N + 2, dtype=float)), np.sqrt(quad.u_nodes),
-                       quad.hyperbolic_weights / quad.normalization, np.log1p(-quad.u_nodes), 0.8,
-                       16, 6, RngStream(seed=4), threads)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestHalfdiskIdentity:
