@@ -15,7 +15,7 @@ _EXPORTS = {  # module -> the public names the package re-exports from it
         "QuadratureRule1D", "RngStream", "gauss_legendre", "map_indexed", "resolve_threads",
         "sample_complex_gaussians",
     ),
-    "reports": ("DiscrepancyReport", "make_report"),
+    "reports": ("DiscrepancyReport",),
     "weierstrass": (
         "DegenerateLatticeError", "Lattice", "WeierstrassContext", "cell_coordinates",
         "log_abs_sigma", "log_abs_sigma_grid", "make_context", "quasi_period_residual", "sigma",

@@ -115,11 +115,6 @@ def stationary_residual(f: FockPolynomial, omega: float) -> float:
     return _defect_norm(cubic_projection(f).array(), f.array(), omega)
 
 
-def _truncate(coeffs: np.ndarray) -> np.ndarray:
-    out = coeffs[: DEGREE_CAP + 1]
-    return out if out.size else np.zeros(1, dtype=complex)
-
-
 def fixed_point_solve(
     f0: FockPolynomial,
     omega: float,
@@ -141,7 +136,7 @@ def fixed_point_solve(
     norm0 = fock_norm(f0)
     if norm0 < _MIN_DIVISOR:
         raise ValueError(f"f0 must have a weighted norm of at least {_MIN_DIVISOR:g}, got {norm0:g}")
-    cur = FockPolynomial(tuple(_truncate(f0.array() / norm0)))
+    cur = FockPolynomial(tuple(f0.array()[: DEGREE_CAP + 1] / norm0))
     history: list[float] = []
     for _ in range(max_iters):
         g = cubic_projection(cur).array()
@@ -154,7 +149,7 @@ def fixed_point_solve(
                 f"residual {res:.3e} grew 10x from its minimum {min(history):.3e}", history
             )
         with np.errstate(over="ignore", invalid="ignore"):  # omega below _MIN_DIVISOR
-            nxt = _truncate(g / omega)
+            nxt = g[: DEGREE_CAP + 1] / omega
         if not np.all(np.isfinite(nxt)):
             raise FockOverflowError(f"projection / omega exceeds double range at omega = {omega:g}")
         nn = fock_norm(FockPolynomial(tuple(nxt)))

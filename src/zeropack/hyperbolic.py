@@ -18,6 +18,7 @@ regular (p,q) tessellations with normalized tile area 1/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -164,32 +165,41 @@ def weighted_square_mass(f: DiskFunction, radius: float) -> float:
 # Quadrature over disks against the hyperbolic measure
 # ---------------------------------------------------------------------------
 
+def _check_radius(r: float) -> float:
+    """log(1/(1-r^2)), the hyperbolic measure of D(0, r), for a radius r in (0, 1) whose square is
+    a normal double (r >= 1.49e-154); ValueError naming r otherwise.
+
+    Every disk integral is normalized by this one value, formed from r * r: below that radius
+    r * r is subnormal or zero, its log has lost its digits and the normalization divides by
+    rounding or by zero."""
+    if not (0.0 < r < 1.0 and r * r >= sys.float_info.min):
+        raise ValueError(f"r must lie in (0, 1) with r^2 a normal double, got r={r!r}")
+    return -math.log1p(-r * r)
+
+
 @dataclass(frozen=True)
 class _DiskRule:
     """Product rule for integrals over D(0, radius) against dA/(1-|z|^2).
 
     Radial nodes live in u = |z|^2; the substitution t = -log(1-u) absorbs the 1/(1-u) weight,
     so Gauss-Legendre panels in t integrate smooth radial profiles accurately even as radius -> 1
-    where the hyperbolic measure concentrates.  The weights sum to log(1/(1-radius^2)) up to
-    rounding.  Angular nodes are the uniform, equal-weight angles 2 pi k / n, so polynomials on
-    a circle are one FFT; n_angular is the cap, and each circle takes n = n_angular / 2^k angles,
-    as few as its mean needs (_circle_means).  Only _panel_quadrature and make_disk_quadrature
-    build one, and both guarantee positive weights and nodes inside (0, radius^2).
+    where the hyperbolic measure concentrates.  normalization is the span log(1/(1-radius^2)) of t
+    the rule was built on (_check_radius), and the weights sum to it up to rounding.  Angular
+    nodes are the uniform, equal-weight angles 2 pi k / n, so polynomials on a circle are one FFT;
+    n_angular is the cap, and each circle takes n = n_angular / 2^k angles, as few as its mean
+    needs (_circle_means).  Only _panel_quadrature and make_disk_quadrature build one, and both
+    guarantee positive weights and nodes inside (0, radius^2).
     """
 
     radius: float
     u_nodes: np.ndarray
     hyperbolic_weights: np.ndarray
     n_angular: int
+    normalization: float
 
     @property
     def n_radial(self) -> int:
         return self.u_nodes.size
-
-    @property
-    def normalization(self) -> float:
-        """log(1/(1-radius^2)), the hyperbolic measure of D(0, radius)."""
-        return -math.log1p(-self.radius**2)
 
 
 def make_disk_quadrature(radius: float, n_radial: int = 2048, n_angular: int = 512) -> _DiskRule:
@@ -199,14 +209,14 @@ def make_disk_quadrature(radius: float, n_radial: int = 2048, n_angular: int = 5
     What it returns, passed as quad= to hyperbolic_discrepancy, tight_discrepancy or
     halfdisk_identity_check, overrides the rule they otherwise build for each candidate
     (_panel_quadrature)."""
-    if not (0.0 < radius < 1.0):
-        raise ValueError(f"radius must lie in (0, 1), got {radius}")
+    span = _check_radius(radius)
     if n_radial < 4 or n_angular < 4:
         raise ValueError("need at least 4 radial and 4 angular nodes")
-    rule = gauss_legendre(n_radial, 0.0, -math.log1p(-radius * radius))
+    rule = gauss_legendre(n_radial, 0.0, span)
     u = -np.expm1(-rule.nodes)
     u.setflags(write=False)
-    return _DiskRule(radius=radius, u_nodes=u, hyperbolic_weights=rule.weights, n_angular=n_angular)
+    return _DiskRule(radius=radius, u_nodes=u, hyperbolic_weights=rule.weights, n_angular=n_angular,
+                     normalization=span)
 
 
 def _panel_edges(f: DiskFunction, radius: float) -> np.ndarray:
@@ -215,8 +225,9 @@ def _panel_edges(f: DiskFunction, radius: float) -> np.ndarray:
 
     Above degree _ZERO_SEARCH_MAX the search costs more than the circles it saves, and the edges
     split the disk into _UNIFORM_PANELS equal panels instead.  Edges closer than _EDGE_GAP of
-    the disk's measure to the one before, or to the rim, are dropped."""
-    total = -math.log1p(-radius * radius)
+    the disk's measure to the one before, or to the rim, are dropped.  The last edge is
+    _check_radius(radius) itself."""
+    total = _check_radius(radius)
     c = f.array()
     terms = np.flatnonzero(c)
     if terms.size < 2:  # no zeros off the origin
@@ -246,8 +257,8 @@ def _panel_quadrature(f: DiskFunction, radius: float, n_angular: int = 512) -> _
     width = np.diff(edges)[:, None]
     t = edges[:-1, None] + width * (s * s * (3.0 - 2.0 * s))
     weights = width * (w * 6.0 * s * (1.0 - s))
-    return _DiskRule(radius=radius, u_nodes=-np.expm1(-t.ravel()),
-                     hyperbolic_weights=weights.ravel(), n_angular=n_angular)
+    return _DiskRule(radius=radius, u_nodes=-np.expm1(-t.ravel()), hyperbolic_weights=weights.ravel(),
+                     n_angular=n_angular, normalization=float(edges[-1]))
 
 
 def _disk_rule(f: DiskFunction, radius: float, quad: _DiskRule | None) -> _DiskRule:
@@ -291,8 +302,7 @@ def hyperbolic_discrepancy(
     D(0,r), each panel graded at both ends (_panel_quadrature).  quad, a rule
     from make_disk_quadrature(r, ...), overrides it.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in (0, 1), got {r}")
+    _check_radius(r)
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not (beta > 0.0):
@@ -328,7 +338,7 @@ def tight_discrepancy(
     moments = ((1.0 - r) * (1.0 + r)) ** 2 * np.cumsum(n * (r * r) ** (n - 1.0)) / (n * (n + 1.0))
     with np.errstate(over="ignore"):  # |c_k| above 1e154: reported below as an OverflowError
         annulus = float(np.sum(np.abs(f.array()) ** 2 * moments))
-    return _finite_or_overflow(inner + annulus / -math.log1p(-r**2))
+    return _finite_or_overflow(inner + annulus / _check_radius(r))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +354,7 @@ def hyperbolic_gaf_tail(r: float, N: int) -> float:
     Exactly (1-r^2)^2 sum_{j>N} (j+1) r^{2j}
           = r^{2(N+1)} (N + 2 - (N+1) r^2), evaluated at |z| = r.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in (0, 1), got {r}")
+    _check_radius(r)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     x = r * r
@@ -395,9 +404,7 @@ def hyperbolic_gaf_mc(
     serve every r.  Any grid gives an unbiased trial; a finer one only lowers
     its variance.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    tail = hyperbolic_gaf_tail(r, truncation_N)
+    tail = hyperbolic_gaf_tail(r, truncation_N)  # checks r first
     if not (tail < 1e-6):
         raise TruncationError(
             f"truncation_N={truncation_N} leaves tail variance {tail:.2e} >= 1e-6"
@@ -463,7 +470,9 @@ class InequalityReport:
     value_margin / derivative_margin cover the squared pointwise bounds for
     |f|^2 and |f'|^2; gradient_margin covers the bound on
     |grad((1-|z|^2)|f(z)|)|; dilational_margin covers the dilation estimate
-    on the area-integral norm.  Margins are minima over the test points.
+    on the area-integral norm.  Margins are minima over the test points.  The
+    one verdict, all_ok, holds when no margin is negative; a single
+    inequality's verdict is the sign of its margin.
     """
 
     value_margin: float
@@ -473,29 +482,9 @@ class InequalityReport:
     points_checked: int
 
     @property
-    def value_ok(self) -> bool:
-        return self.value_margin >= 0.0
-
-    @property
-    def derivative_ok(self) -> bool:
-        return self.derivative_margin >= 0.0
-
-    @property
-    def gradient_ok(self) -> bool:
-        return self.gradient_margin >= 0.0
-
-    @property
-    def dilational_ok(self) -> bool:
-        return self.dilational_margin >= 0.0
-
-    @property
     def all_ok(self) -> bool:
-        return (
-            self.value_ok
-            and self.derivative_ok
-            and self.gradient_ok
-            and self.dilational_ok
-        )
+        return min(self.value_margin, self.derivative_margin, self.gradient_margin,
+                   self.dilational_margin) >= 0.0
 
 
 def _gradient_magnitude(f: DiskFunction, z, fd: DiskFunction | None = None):
@@ -538,8 +527,7 @@ def inequality_suite(
 
     A negative margin means a failed inequality, which would be a bug.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in (0, 1), got {r}")
+    span = _check_radius(r)
     z = np.asarray(list(test_points), dtype=complex)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("need a flat, non-empty sequence of test points")
@@ -566,9 +554,7 @@ def inequality_suite(
         dilate_norm = float(area_weights @ _circle_means(f, rule.u_nodes, rule.n_angular,
                                                          lambda u, modulus: modulus.mean(-1))) / (r * r)
         full_mass = weighted_square_mass(f, 1.0)
-    dil_bound = (
-        math.sqrt(-math.log1p(-r * r)) / (r * r) * math.sqrt(full_mass)
-    )
+    dil_bound = math.sqrt(span) / (r * r) * math.sqrt(full_mass)
     dilational_margin = dil_bound - dilate_norm
 
     return InequalityReport(

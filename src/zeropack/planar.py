@@ -24,7 +24,7 @@ import numpy as np
 
 from .numerics import (RngStream, TruncationError, _gaf_mc, _power_of_two_at_least, gaf_expected,
                        gauss_legendre, richardson)
-from .reports import DiscrepancyReport, make_report
+from .reports import DiscrepancyReport
 from .weierstrass import (
     WeierstrassContext,
     _quadratic_grid,
@@ -146,7 +146,7 @@ def planar_lattice_density(
     rho_coarser = 1.0 - (m1 - d1) * (m1 - d1) / (m2 - d2)
     rho = 1.0 - m1 * m1 / m2
     estimate = max(abs(rho - rho_coarser), 4.0 * math.ulp(1.0))
-    return make_report(m1=m1, m2=m2, error_estimate=estimate)
+    return DiscrepancyReport(m1=m1, m2=m2, error_estimate=estimate)
 
 
 @functools.lru_cache(maxsize=4)

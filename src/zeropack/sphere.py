@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import RngStream, gauss_legendre
-from .reports import DiscrepancyReport, make_report
+from .reports import DiscrepancyReport
 
 _MIN_PAIR_DIST = 1e-9
 _MAX_GRID_ELEMENTS = 1 << 23  # node x point work bound of one pass: n <= 64 on the default grid
@@ -356,7 +356,7 @@ def discrepancy(config: SphereConfiguration, beta: float, quad: SphereQuadrature
     zb, z2b = _z_values(config, (beta, 2.0 * beta), quad)
     hb, h2b = _z_values(config, (beta, 2.0 * beta), quad.half_resolution())
     rho_half = 1.0 - hb * hb / h2b
-    return make_report(m1=zb, m2=z2b, error_estimate=abs((1.0 - zb * zb / z2b) - rho_half))
+    return DiscrepancyReport(m1=zb, m2=z2b, error_estimate=abs((1.0 - zb * zb / z2b) - rho_half))
 
 
 def rho1_closed(beta: float) -> float:

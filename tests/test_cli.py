@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import SRC, checkout_env
 from zeropack import cli, fock, hyperbolic, numerics, sphere
@@ -556,6 +556,18 @@ class TestHyperbolicCommand:
         assert err.startswith("numeric failure:")
         assert "RuntimeWarning" not in err and "overflow" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["hyperbolic", "--coeffs", "[1]", "--r", "1e-300"],
+        ["hyperbolic", "--coeffs", "[1]", "--r", "1e-160", "--tight"],
+        ["gaf", "--mode", "hyperbolic", "--b", "1", "--r", "1e-300", "--trials", "2", "--seed", "1"],
+    ], ids=["plain", "tight", "gaf"])
+    def test_radius_whose_square_underflows_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        r = argv[argv.index("--r") + 1]
+        assert err.startswith("error: r must lie in (0, 1)") and f"r={r}" in err
+
     @pytest.mark.parametrize("flags", [[], ["--tight"]], ids=["plain", "tight"])
     def test_report_is_independent_of_blas_threads(self, flags):
         # 1 + 2z and the cubic have a zero inside D(0, 0.9), so the panel rule splits there;
@@ -874,6 +886,10 @@ class TestContractFuzz:
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=_argv())
+    # Radii whose square underflows: the derandomised draws never reach them.
+    @example(argv=["hyperbolic", "--coeffs=[1]", "--r=1e-300"])
+    @example(argv=["hyperbolic", "--coeffs=[1]", "--r=5e-324"])
+    @example(argv=["gaf", "--mode=hyperbolic", "--r=1e-300", "--b=1", "--trials=2", "--seed=1"])
     def test_exit_code_and_output_keep_the_contract(self, capsys, tmp_path, argv):
         csv_path = tmp_path / "curve.csv"
         if argv[0] == "curve":

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from oracles import (
 from zeropack import hyperbolic
 from zeropack.hyperbolic import (
     DiskFunction,
+    InequalityReport,
     _gradient_magnitude,
     case_iia_integral,
     halfdisk_identity_check,
@@ -141,6 +144,41 @@ class TestDiskQuadrature:
     def test_quadrature_radius_must_match_request(self, disk_quad_half):
         with pytest.raises(ValueError):
             hyperbolic_discrepancy(disk(1.0), 0.9, quad=disk_quad_half)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDiskRadius:
+    """One check guards every disk radius, and every disk integral is normalized by the one span
+    log(1/(1-r^2)) it returns, formed from r * r."""
+
+    LEAST = 1.4916681462400413e-154  # the least double whose square is a normal double
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-300, 1e-160, math.nextafter(LEAST, 0.0)])
+    def test_radius_whose_square_is_not_normal_is_rejected(self, r):
+        f = disk(1.0, 0.5)
+        calls = [lambda: hyperbolic_discrepancy(f, r), lambda: tight_discrepancy(f, r),
+                 lambda: inequality_suite(f, r, [0.0]), lambda: make_disk_quadrature(r),
+                 lambda: hyperbolic_gaf_tail(r, 4), lambda: hyperbolic_gaf_truncation(r),
+                 lambda: hyperbolic_gaf_mc(r, 1.0, 4, 2, RngStream(seed=1))]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"r={r!r}")):
+                call()
+
+    def test_least_radius_is_accepted(self):
+        assert self.LEAST * self.LEAST >= sys.float_info.min > math.nextafter(self.LEAST, 0.0) ** 2
+        f = disk(1.0, 0.5)
+        assert 0.0 <= hyperbolic_discrepancy(f, self.LEAST) < 1e-300  # |f| = 1 + O(r) on the disk
+        mean, _ = hyperbolic_gaf_mc(self.LEAST, 1.0, 1, 2, RngStream(seed=1))
+        assert math.isfinite(mean)
+
+    # 0.37796883434360806 ** 2 and 0.37796883434360806 * 0.37796883434360806 differ by an ulp
+    # where pow is not correctly rounded, and with them the two forms of the span.
+    @pytest.mark.parametrize("r", [0.37796883434360806, 0.5, 0.9])
+    def test_every_rule_records_the_span_it_was_built_on(self, r):
+        span = -math.log1p(-r * r)
+        for rule in (make_disk_quadrature(r, 64, 16), hyperbolic._panel_quadrature(disk(1.0, 2.0), r)):
+            assert rule.normalization == span
+            assert math.fsum(rule.hyperbolic_weights) == pytest.approx(span, rel=1e-14)
 
 
 class TestHyperbolicDiscrepancy:
@@ -605,6 +643,15 @@ class TestInequalitySuite:
             assert rep.all_ok
             assert rep.points_checked == 4
 
+    MARGINS = ("value_margin", "derivative_margin", "gradient_margin", "dilational_margin")
+
+    @pytest.mark.parametrize("negative", MARGINS)
+    def test_any_negative_margin_fails_the_verdict(self, negative):
+        margins = dict.fromkeys(self.MARGINS, 0.0)
+        assert InequalityReport(**margins, points_checked=1).all_ok
+        margins[negative] = -1e-300
+        assert not InequalityReport(**margins, points_checked=1).all_ok
+
     def test_gradient_magnitude_matches_finite_differences(self, coeff_factory):
         f = DiskFunction(coeffs=coeff_factory(91, 5))
 
@@ -632,7 +679,7 @@ class TestInequalitySuite:
     def test_zero_of_candidate_uses_fallback_bound(self):
         # f(0) = 0 exercises the non-differentiable-point branch.
         rep = inequality_suite(disk(0.0, 1.0), 0.5, [0.0])
-        assert rep.gradient_ok
+        assert rep.gradient_margin >= 0.0
 
     def test_point_outside_disk_rejected(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "fock_norm", "gauss_legendre", "gradient_flow", "halfdisk_identity_check",
     "hyperbolic_discrepancy", "hyperbolic_gaf_expected", "hyperbolic_gaf_mc", "hyperbolic_gaf_tail",
     "hyperbolic_gaf_truncation", "inequality_suite", "log_abs_sigma", "log_abs_sigma_grid",
-    "log_profile", "make_context", "make_disk_quadrature", "make_report", "make_triangular_profile",
+    "log_profile", "make_context", "make_disk_quadrature", "make_triangular_profile",
     "map_indexed", "partition_function", "planar_gaf_expected", "planar_gaf_mc", "planar_gaf_tail",
     "planar_gaf_truncation", "planar_lattice_density", "proof_constants_report",
     "quasi_period_residual", "random_configuration", "resolve_threads", "rho1_closed",
@@ -43,7 +43,7 @@ MODULES = (numerics, reports, weierstrass, planar, fock, sphere, hyperbolic)
 
 class TestPublicApi:
     def test_exported_names_are_unchanged(self):
-        assert len(PUBLIC_NAMES) == 63
+        assert len(PUBLIC_NAMES) == 62
         assert sorted(zeropack.__all__) == PUBLIC_NAMES
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)
