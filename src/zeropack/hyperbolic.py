@@ -538,12 +538,15 @@ def inequality_suite(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         mass = weighted_square_mass(f, r)
         fd = f.derivative()
+        # In q = gap / r^2, which lies in (0, 1], no power of the gap underflows at a tiny r.
         gap = r * r - np.abs(z) ** 2
-        value_bound = 2.0 * r**4 / gap**3 * mass
+        q = gap / (r * r)
+        scaled_mass = mass / (r * r)
+        value_bound = 2.0 * scaled_mass / q**3
         value_margin = float(np.min(value_bound - np.abs(f.values(z)) ** 2))
-        deriv_bound = 24.0 * r**6 / gap**5 * mass
+        deriv_bound = 24.0 * (scaled_mass / (r * r)) / q**5
         derivative_margin = float(np.min(deriv_bound - np.abs(fd.values(z)) ** 2))
-        grad_bound = (8.0 + 5.0 * (1.0 - r * r) / gap) * r**3 / gap**1.5 * math.sqrt(mass)
+        grad_bound = (8.0 + 5.0 * (1.0 - r * r) / gap) * math.sqrt(mass) / q**1.5
         gradient_margin = float(np.min(grad_bound - _gradient_magnitude(f, z, fd)))
 
         # Dilational estimate: the area integral of |f(r w)| over the unit disk is

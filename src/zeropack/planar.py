@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,14 +103,20 @@ def _log_profile_ladder(p: TriangularProfile, top: int) -> tuple[np.ndarray, tup
     return flat, sizes
 
 
-def _ladder_means(p: TriangularProfile, e: float, top: int) -> tuple[list[float], list[float]]:
-    """Midpoint means of P^e on the _log_profile_ladder levels, coarsest first, and their steps."""
+def _ladder_means(
+    p: TriangularProfile, beta: float, top: int
+) -> tuple[tuple[list[float], list[float]], list[float]]:
+    """Midpoint means of P^beta and of P^(2 beta) on the _log_profile_ladder levels, coarsest
+    first, and their steps: one exponential per point, its square as the second row, and one
+    row-wise pairwise sum per level for both."""
     flat, sizes = _log_profile_ladder(p, top)
     bounds = np.cumsum([0] + [m * m for m in sizes])
-    with np.errstate(over="ignore"):  # a huge e: planar_lattice_density raises on the inf mean
-        vals = np.exp(e * flat)
-        means = [float(np.sum(vals[a:b])) / (b - a) for a, b in zip(bounds, bounds[1:])]
-    return means, [1.0 / m for m in sizes]
+    vals = np.empty((2, flat.size))
+    with np.errstate(over="ignore"):  # a huge beta: planar_lattice_density raises on the inf mean
+        np.exp(beta * flat, out=vals[0])
+        np.square(vals[0], out=vals[1])
+        sums = [vals[:, a:b].sum(axis=1) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    return ([float(s[0]) for s in sums], [float(s[1]) for s in sums]), [1.0 / m for m in sizes]
 
 
 def planar_lattice_density(
@@ -121,7 +128,8 @@ def planar_lattice_density(
 
     Each moment, the mean of P^e over the rhombus (e = beta, 2 beta), is extrapolated from
     midpoint means on the (s, t) |-> 2*omega1*s + 2*omega2*t grids top/8, ..., top, with
-    top = min(grid_m, 128): every grid_m >= 128 shares the cached 128 ladder.  P^e behaves
+    top = min(grid_m, 128): every grid_m >= 128 shares the cached 128 ladder.  Both come from
+    one exponential per point, P^(2 beta) being the square of P^beta.  P^e behaves
     like |z - z0|^e at the lattice zeros, so the midpoint error on the periodic rhombus is a
     series in h^{2+e+2k} (generalized Euler-Maclaurin: Navot 1962, Lyness 1976).  For an even
     integer e those terms vanish and the mean converges spectrally; from e = 51 on, halving h
@@ -130,12 +138,14 @@ def planar_lattice_density(
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
+    if not isinstance(grid_m, numbers.Integral):  # numpy integers pass; 512.0 does not
+        raise ValueError(f"grid_m must be an integer, got {grid_m!r}")
     if not (16 <= grid_m <= _MAX_GRID):
         raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
     p = profile if profile is not None else _default_profile()
+    both, steps = _ladder_means(p, beta, min(grid_m, _LADDER_TOP))
     moments = []
-    for e in (beta, 2.0 * beta):
-        means, steps = _ladder_means(p, e, min(grid_m, _LADDER_TOP))
+    for e, means in zip((beta, 2.0 * beta), both):
         if min(means) < np.finfo(float).tiny:  # a subnormal or zero mean has lost its digits
             raise ArithmeticError(f"mean of P^{e:g} underflows ({min(means):.3g}) at beta = {beta:g}")
         if not math.isfinite(max(means)):

@@ -636,6 +636,35 @@ class TestInequalitySuite:
         with pytest.raises(OverflowError, match="overflow"):
             inequality_suite(disk(c), 0.5, [z])
 
+    # Below r = 1e-32, gap**3 and gap**5 underflowed; q = gap / r^2 lies in (0, 1].  At z = 0
+    # the bounds are 2, 24/r^2 and about 5/r, less |f(0)|^2 = 1, |f'(0)|^2 = 1/4 and 1/2.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [1e-40, 1e-100, 1e-150])
+    def test_tiny_radius_keeps_finite_margins(self, r):
+        rep = inequality_suite(disk(1.0, 0.5), r, [0.0])
+        assert rep.all_ok
+        assert rep.value_margin == pytest.approx(1.0, rel=1e-12)
+        assert rep.derivative_margin == pytest.approx(24.0 / r / r, rel=1e-12)
+        assert rep.gradient_margin == pytest.approx(5.0 / r, rel=1e-12)
+        assert math.isfinite(rep.dilational_margin)
+
+    @pytest.mark.parametrize("r", [0.05, 0.5, 0.9, 0.99])
+    def test_bounds_match_their_direct_forms(self, r, coeff_factory):
+        f = DiskFunction(coeffs=coeff_factory(17, 4))
+        z = r * np.array([0.0, 0.3, -0.55j, 0.4 + 0.5j, 0.9])
+        mass = weighted_square_mass(f, r)
+        gap = r * r - np.abs(z) ** 2
+        fd = f.derivative()
+        direct = (
+            np.min(2.0 * r**4 / gap**3 * mass - np.abs(f.values(z)) ** 2),
+            np.min(24.0 * r**6 / gap**5 * mass - np.abs(fd.values(z)) ** 2),
+            np.min((8.0 + 5.0 * (1.0 - r * r) / gap) * r**3 / gap**1.5 * math.sqrt(mass)
+                   - _gradient_magnitude(f, z, fd)),
+        )
+        rep = inequality_suite(f, r, z)
+        got = (rep.value_margin, rep.derivative_margin, rep.gradient_margin)
+        assert got == pytest.approx(direct, rel=1e-12)
+
     def test_known_candidates_pass_everywhere(self):
         points = [0.2 + 0.1j, -0.3j, 0.35, -0.2 - 0.25j]
         for f in (disk(1.0), disk(0.0, 1.0), disk(1.0, 1.0, 0.5j)):

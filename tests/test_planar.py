@@ -103,19 +103,54 @@ class TestLatticeDensity:
         s = (np.arange(64) + 0.5) / 64
         Z = p1 * s[None, :] + p2 * s[:, None]
         lp = log_profile(profile, Z)
-        means1, steps = _ladder_means(profile, 2.0, 64)
-        means2, _ = _ladder_means(profile, 4.0, 64)
+        (means1, means2), steps = _ladder_means(profile, 2.0, 64)
         assert steps[-1] == 1.0 / 64
         m1 = float(np.mean(np.exp(2.0 * lp)))
         m2 = float(np.mean(np.exp(4.0 * lp)))
         assert means1[-1] == pytest.approx(m1, rel=1e-13)
         assert means2[-1] == pytest.approx(m2, rel=1e-13)
 
+    # Even 2 beta (1, 2), 2 beta >= 51 (26, 60.5) and small beta (1e-3, 0.01) among the rest.
+    @pytest.mark.parametrize("beta", [1e-3, 0.01, 0.25, 0.7, 1.0, 2.0, 3.3, 26.0, 60.5, 200.0])
+    @pytest.mark.parametrize("top", [16, 128])
+    def test_one_exponential_gives_both_level_means(self, profile, beta, top):
+        # P^beta is the same exponential and the same pairwise sum per level as a direct
+        # np.exp(beta * flat), so its means are bitwise those; P^(2 beta) is its square, not
+        # a second exponential, and stays within 4 ulp of np.exp(2 * beta * flat).
+        flat, sizes = planar._log_profile_ladder(profile, top)
+        bounds = np.cumsum([0] + [m * m for m in sizes])
+        levels = list(zip(bounds, bounds[1:]))
+        direct1 = [float(np.sum(np.exp(beta * flat[a:b]))) / (b - a) for a, b in levels]
+        direct2 = [float(np.sum(np.exp(2.0 * beta * flat[a:b]))) / (b - a) for a, b in levels]
+        (means1, means2), steps = _ladder_means(profile, beta, top)
+        assert steps == [1.0 / m for m in sizes]
+        assert means1 == direct1
+        for got, want in zip(means2, direct2):
+            assert abs(got - want) <= 4.0 * math.ulp(want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflow_threshold(self, profile):
+        # The mean of P^(2 beta) leaves the normal range between beta = 428.32 and 428.33.
+        assert math.isfinite(planar_lattice_density(428.0, 512, profile=profile).rho)
+        for beta in (429.0, 460.0):
+            with pytest.raises(ArithmeticError, match="underflows"):
+                planar_lattice_density(beta, 512, profile=profile)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             planar_lattice_density(0.0, 64)
         with pytest.raises(ValueError):
             planar_lattice_density(1.0, 8)
+
+    @pytest.mark.parametrize("grid", [64.0, 512.0, 256.5, "512", None])
+    def test_grid_that_is_not_an_integer_is_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid_m must be an integer"):
+            planar_lattice_density(1.0, grid)
+
+    def test_numpy_integer_grid_is_accepted(self, profile):
+        assert planar_lattice_density(1.0, np.int64(512), profile=profile) == planar_lattice_density(
+            1.0, 512, profile=profile
+        )
 
     @pytest.mark.parametrize("beta, weight_scale, error", [
         (1e300, 1.0, "underflows"),  # e * log P overflows to -inf: every P^e is 0
