@@ -17,9 +17,8 @@ _EXPORTS = {  # module -> the public names the package re-exports from it
     ),
     "reports": ("DiscrepancyReport",),
     "weierstrass": (
-        "DegenerateLatticeError", "Lattice", "WeierstrassContext", "cell_coordinates",
-        "log_abs_sigma", "log_abs_sigma_grid", "make_context", "quasi_period_residual", "sigma",
-        "sigma_parts",
+        "DegenerateLatticeError", "WeierstrassContext", "cell_coordinates", "log_abs_sigma",
+        "log_abs_sigma_grid", "make_context", "quasi_period_residual", "sigma", "sigma_parts",
     ),
     "planar": (
         "TriangularProfile", "TruncationError", "density_curve", "log_profile",

@@ -131,6 +131,9 @@ def fixed_point_solve(
     """
     if omega == 0.0:
         raise ValueError("omega must be nonzero")
+    from .numerics import _check_integers  # here: a projection alone loads no other module
+
+    _check_integers(max_iters=max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     norm0 = fock_norm(f0)

@@ -27,6 +27,7 @@ import numpy as np
 from .numerics import (
     RngStream,
     TruncationError,
+    _check_integers,
     _gaf_mc,
     _polar_values,
     _polynomial_zeros,
@@ -197,10 +198,6 @@ class _DiskRule:
     n_angular: int
     normalization: float
 
-    @property
-    def n_radial(self) -> int:
-        return self.u_nodes.size
-
 
 def make_disk_quadrature(radius: float, n_radial: int = 2048, n_angular: int = 512) -> _DiskRule:
     """n_radial Gauss-Legendre circles on D(0, radius), each with at most n_angular angles.
@@ -210,6 +207,7 @@ def make_disk_quadrature(radius: float, n_radial: int = 2048, n_angular: int = 5
     halfdisk_identity_check, overrides the rule they otherwise build for each candidate
     (_panel_quadrature)."""
     span = _check_radius(radius)
+    _check_integers(n_radial=n_radial, n_angular=n_angular)
     if n_radial < 4 or n_angular < 4:
         raise ValueError("need at least 4 radial and 4 angular nodes")
     rule = gauss_legendre(n_radial, 0.0, span)
@@ -404,7 +402,8 @@ def hyperbolic_gaf_mc(
     serve every r.  Any grid gives an unbiased trial; a finer one only lowers
     its variance.
     """
-    tail = hyperbolic_gaf_tail(r, truncation_N)  # checks r first
+    _check_integers(truncation_N=truncation_N, trials=trials, threads=threads)
+    tail = hyperbolic_gaf_tail(r, truncation_N)  # checks r
     if not (tail < 1e-6):
         raise TruncationError(
             f"truncation_N={truncation_N} leaves tail variance {tail:.2e} >= 1e-6"
@@ -528,7 +527,7 @@ def inequality_suite(
     A negative margin means a failed inequality, which would be a bug.
     """
     span = _check_radius(r)
-    z = np.asarray(list(test_points), dtype=complex)
+    z = np.asarray(list(test_points) if np.iterable(test_points) else test_points, dtype=complex)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("need a flat, non-empty sequence of test points")
     outside = np.abs(z) >= r

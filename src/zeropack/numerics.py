@@ -7,6 +7,7 @@ after construction and freely shareable across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -113,12 +114,21 @@ def _legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _check_integers(**counts) -> None:
+    """ValueError naming the first argument that is not an integer: numpy integers pass, bool
+    does not."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     """Gauss-Legendre rule with n nodes on [a, b].
 
     Exact for polynomials of degree <= 2n-1.  The rule on [-1, 1] is built in O(n) by Newton
     iteration in the angle (_legendre_unit), cached per n, and mapped affinely.
     """
+    _check_integers(n=n)
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if not (a < b):
@@ -317,7 +327,10 @@ def resolve_threads(flag: int | None = None) -> int:
     """
     env = os.environ.get("ZEROPACK_THREADS")
     if env is not None:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"ZEROPACK_THREADS must be an integer, got {env!r}") from None
         if not 1 <= n <= _MAX_THREADS:
             raise ValueError(f"ZEROPACK_THREADS must be in [1, {_MAX_THREADS}], got {env!r}")
         return n
@@ -326,6 +339,7 @@ def resolve_threads(flag: int | None = None) -> int:
 
 def _checked_threads(threads: int) -> int:
     """threads, if it is a worker count in [1, _MAX_THREADS]; ValueError otherwise."""
+    _check_integers(threads=threads)
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError(f"thread count must be in [1, {_MAX_THREADS}], got {threads}")
     return threads

@@ -18,13 +18,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (RngStream, TruncationError, _gaf_mc, _power_of_two_at_least, gaf_expected,
-                       gauss_legendre, richardson)
+from .numerics import (RngStream, TruncationError, _check_integers, _gaf_mc, _power_of_two_at_least,
+                       gaf_expected, gauss_legendre, richardson)
 from .reports import DiscrepancyReport
 from .weierstrass import (
     WeierstrassContext,
@@ -41,19 +40,13 @@ _MAX_TRUNCATION = 100_000  # largest planar GAF series degree
 
 @dataclass(frozen=True)
 class TriangularProfile:
-    """Equilateral-lattice profile with its periodizing quadratic twist."""
+    """Equilateral-lattice profile: the lattice's Weierstrass context, whose half-periods are
+    omega1 = alpha and alpha e^{i pi/3}, the periodizing quadratic twist eta and the weight
+    scale c."""
 
     ctx: WeierstrassContext
-    alpha: float
     eta: complex
     weight_scale: float
-
-    @property
-    def cell_area(self) -> float:
-        """Area of the fundamental rhombus in the normalized measure dx dy / pi."""
-        p1 = 2.0 * self.ctx.omega1
-        p2 = 2.0 * self.ctx.omega2
-        return abs((p1.conjugate() * p2).imag) / math.pi
 
 
 def make_triangular_profile(weight_scale: float = 1.0) -> TriangularProfile:
@@ -68,7 +61,7 @@ def make_triangular_profile(weight_scale: float = 1.0) -> TriangularProfile:
     alpha = math.sqrt(math.pi) / (2.0 * 3.0**0.25) / math.sqrt(c)
     ctx = make_context(alpha, alpha * complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0)))
     eta = c - ctx.eta1 / (2.0 * ctx.omega1)
-    return TriangularProfile(ctx=ctx, alpha=alpha, eta=eta, weight_scale=c)
+    return TriangularProfile(ctx=ctx, eta=eta, weight_scale=c)
 
 
 def log_profile(p: TriangularProfile, z) -> np.ndarray:
@@ -138,8 +131,7 @@ def planar_lattice_density(
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    if not isinstance(grid_m, numbers.Integral):  # numpy integers pass; 512.0 does not
-        raise ValueError(f"grid_m must be an integer, got {grid_m!r}")
+    _check_integers(grid_m=grid_m)
     if not (16 <= grid_m <= _MAX_GRID):
         raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
     p = profile if profile is not None else _default_profile()
@@ -255,15 +247,17 @@ def planar_gaf_mc(
     """
     if not (0 < R):
         raise ValueError(f"R must be positive, got {R}")
+    if n_radial is None:
+        n_radial = min(192, max(16, math.ceil(4.0 * R)))
+    if n_angular is None:
+        n_angular = _power_of_two_at_least(8.0 * math.pi * R, 16, 256)
+    _check_integers(truncation_N=truncation_N, trials=trials, threads=threads, n_radial=n_radial,
+                    n_angular=n_angular)
     tail = planar_gaf_tail(R, truncation_N)
     if not (tail < 1e-8):
         raise TruncationError(
             f"truncation_N = {truncation_N} leaves tail bound {tail:.3e} >= 1e-8 at R = {R}"
         )
-    if n_radial is None:
-        n_radial = min(192, max(16, math.ceil(4.0 * R)))
-    if n_angular is None:
-        n_angular = _power_of_two_at_least(8.0 * math.pi * R, 16, 256)
     rule = gauss_legendre(n_radial, 0.0, R)
     j = np.arange(truncation_N + 1)
     log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))

@@ -29,8 +29,8 @@ and point and sum w / d^2 over each ring's azimuths, plain and against cos phi
 and sin phi, before the ring factors rho and z enter.  Passes take whole rings,
 about _NODE_BLOCK nodes at a time, and sum in a fixed order without BLAS, so no
 result depends on the thread count: Z-only passes serve partition_function and
-discrepancy, moment passes the residual and the flow.  No pass builds an array
-over the nodes' coordinates or weights.
+discrepancy, moment passes the residual and the flow.  The grid keeps only its
+factors.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import RngStream, gauss_legendre
+from .numerics import RngStream, _check_integers, gauss_legendre
 from .reports import DiscrepancyReport
 
 _MIN_PAIR_DIST = 1e-9
@@ -102,6 +102,7 @@ class SphereConfiguration:
 
 def random_configuration(n: int, rng: RngStream) -> SphereConfiguration:
     """n independent uniform points (normalized Gaussians) on the sphere."""
+    _check_integers(n=n)
     if n < 1:
         raise ValueError("n must be >= 1")
     g = rng.generator()
@@ -116,9 +117,8 @@ class SphereQuadrature:
 
     Node (i, k) sits on ring i at azimuth k: (rho_i cos phi_k, rho_i sin phi_k, z_i), with z_i
     the Gauss-Legendre nodes in cos(theta), rho_i = sin(theta_i), phi_k = 2 pi k / n_azimuthal
-    and weight ring_weights[i].  nodes and weights list the nodes ring by ring and are built on
-    first use; the passes read only the factors, so they never build them.
-    frame="anchored" re-expresses the grid in configuration coordinates at
+    and weight ring_weights[i].  The grid keeps only these ring and azimuth factors, which is
+    all a pass reads.  frame="anchored" re-expresses the grid in configuration coordinates at
     every evaluation; frame="world" keeps it fixed in space.
     """
 
@@ -133,6 +133,7 @@ class SphereQuadrature:
     sin_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_integers(n_polar=self.n_polar, n_azimuthal=self.n_azimuthal)
         if self.n_polar < 2 or self.n_azimuthal < 2:
             raise ValueError("need at least 2 nodes in each direction")
         if self.frame not in ("anchored", "world"):
@@ -149,23 +150,6 @@ class SphereQuadrature:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        """(n_polar * n_azimuthal, 3) node coordinates, ring by ring."""
-        nodes = np.empty((3, self.n_polar * self.n_azimuthal)).T  # each coordinate contiguous
-        nodes[:, 0] = np.outer(self.ring_rho, self.cos_phi).ravel()
-        nodes[:, 1] = np.outer(self.ring_rho, self.sin_phi).ravel()
-        nodes[:, 2] = np.repeat(self.ring_z, self.n_azimuthal)
-        nodes.setflags(write=False)
-        return nodes
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Node weights, ring by ring, summing to 1."""
-        weights = np.repeat(self.ring_weights, self.n_azimuthal)
-        weights.setflags(write=False)
-        return weights
-
     def check_points(self, n: int) -> None:
         """Raise ValueError if n points make a pass over the grid exceed the node x point budget."""
         elements = self.n_polar * self.n_azimuthal * n
@@ -175,12 +159,9 @@ class SphereQuadrature:
                 f"node-point elements, above the budget of {_MAX_GRID_ELEMENTS}"
             )
 
+    @cached_property
     def half_resolution(self) -> "SphereQuadrature":
         """The grid with half the rings and half the azimuths (at least 2 each), built once."""
-        return self._half
-
-    @cached_property
-    def _half(self) -> "SphereQuadrature":
         return SphereQuadrature(
             n_polar=max(self.n_polar // 2, 2),
             n_azimuthal=max(self.n_azimuthal // 2, 2),
@@ -354,7 +335,7 @@ def discrepancy(config: SphereConfiguration, beta: float, quad: SphereQuadrature
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
     zb, z2b = _z_values(config, (beta, 2.0 * beta), quad)
-    hb, h2b = _z_values(config, (beta, 2.0 * beta), quad.half_resolution())
+    hb, h2b = _z_values(config, (beta, 2.0 * beta), quad.half_resolution)
     rho_half = 1.0 - hb * hb / h2b
     return DiscrepancyReport(m1=zb, m2=z2b, error_estimate=abs((1.0 - zb * zb / z2b) - rho_half))
 
@@ -401,6 +382,7 @@ def gradient_flow(
 
     `rng` may be a stream (random start) or a configuration to start from.
     """
+    _check_integers(n=n, max_iters=max_iters)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (beta > 0.0):

@@ -33,29 +33,15 @@ class DegenerateLatticeError(ValueError):
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """Half-periods omega1, omega2 with Im(omega2/omega1) > 0."""
-
-    omega1: complex
-    omega2: complex
-
-    def __post_init__(self):
-        if self.omega1 == 0:
-            raise DegenerateLatticeError("omega1 must be nonzero")
-        if (self.omega2 / self.omega1).imag <= 0.0:
-            raise DegenerateLatticeError(
-                f"need Im(omega2/omega1) > 0, got {(self.omega2 / self.omega1).imag}"
-            )
-
-
-@dataclass(frozen=True)
 class WeierstrassContext:
-    """Precomputed quasi-period data for one lattice.
+    """Half-periods omega1, omega2 of the lattice with Im(omega2/omega1) > 0, and the series
+    and quasi-period data that make_context computes from them.
 
     Immutable after construction; all evaluations are pure and thread-safe.
     """
 
-    lattice: Lattice
+    omega1: complex
+    omega2: complex
     tau: complex
     nome: complex
     eta1: complex
@@ -63,14 +49,6 @@ class WeierstrassContext:
     nterms: int
     t1p0: complex        # theta1'(0) with the q^{1/4} factor dropped
     cell_inv: tuple      # row-major inverse of [[Re 2w1, Re 2w2], [Im 2w1, Im 2w2]]
-
-    @property
-    def omega1(self) -> complex:
-        return self.lattice.omega1
-
-    @property
-    def omega2(self) -> complex:
-        return self.lattice.omega2
 
 
 def _series_coefficients(q: complex, nterms: int) -> list:
@@ -134,13 +112,20 @@ def _term_count(abs_q: float, vmax_im: float) -> int:
 def make_context(omega1: complex, omega2: complex) -> WeierstrassContext:
     """Build the evaluation context, with the Legendre relation as a cross-check.
 
+    omega1 = 0 or Im(omega2/omega1) <= 0 raises DegenerateLatticeError, as does a nome q
+    beyond _MAX_ABS_NOME.
+
     eta1 comes from the series log-derivative at the origin; eta2 is computed
     independently as zeta(omega2).  If the pair violates
     eta1*omega2 - eta2*omega1 = i*pi/2 beyond 1e-10 the constructor fails
     rather than return an inconsistent context.
     """
-    lat = Lattice(complex(omega1), complex(omega2))
-    tau = lat.omega2 / lat.omega1
+    omega1, omega2 = complex(omega1), complex(omega2)
+    if omega1 == 0:
+        raise DegenerateLatticeError("omega1 must be nonzero")
+    tau = omega2 / omega1
+    if tau.imag <= 0.0:
+        raise DegenerateLatticeError(f"need Im(omega2/omega1) > 0, got {tau.imag}")
     nome = cmath.exp(1j * math.pi * tau)
     if abs(nome) > _MAX_ABS_NOME:
         raise DegenerateLatticeError(
@@ -149,24 +134,24 @@ def make_context(omega1: complex, omega2: complex) -> WeierstrassContext:
     vmax = math.pi * tau.imag * (abs(_DIRECT_WINDOW[0]) + _DIRECT_WINDOW[1] + 0.1)
     nterms = _term_count(abs(nome), vmax)
     t1p0, t1ppp0 = _series_constants(nome, nterms)
-    eta1 = -(math.pi**2) * t1ppp0 / (12.0 * lat.omega1 * t1p0)
+    eta1 = -(math.pi**2) * t1ppp0 / (12.0 * omega1 * t1p0)
 
     # zeta(omega2) straight from the series (omega2 sits in the direct window).
-    v2 = math.pi * lat.omega2 / (2.0 * lat.omega1)
+    v2 = math.pi * omega2 / (2.0 * omega1)
     t1, t1p = _theta_series(v2, nome, nterms)
-    eta2 = eta1 * lat.omega2 / lat.omega1 + math.pi / (2.0 * lat.omega1) * t1p / t1
+    eta2 = eta1 * omega2 / omega1 + math.pi / (2.0 * omega1) * t1p / t1
 
-    legendre = eta1 * lat.omega2 - eta2 * lat.omega1 - 0.5j * math.pi
+    legendre = eta1 * omega2 - eta2 * omega1 - 0.5j * math.pi
     if abs(legendre) > 1e-10:
         raise ArithmeticError(
             f"internal inconsistency: Legendre residual {abs(legendre):.3e} exceeds 1e-10"
         )
 
-    p1, p2 = 2.0 * lat.omega1, 2.0 * lat.omega2
+    p1, p2 = 2.0 * omega1, 2.0 * omega2
     det = p1.real * p2.imag - p2.real * p1.imag
     cell_inv = (p2.imag / det, -p2.real / det, -p1.imag / det, p1.real / det)
     return WeierstrassContext(
-        lattice=lat, tau=tau, nome=nome, eta1=eta1, eta2=eta2,
+        omega1=omega1, omega2=omega2, tau=tau, nome=nome, eta1=eta1, eta2=eta2,
         nterms=nterms, t1p0=t1p0, cell_inv=cell_inv,
     )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zeropack
@@ -58,6 +59,16 @@ def disk_quad_half():
 @pytest.fixture(scope="session")
 def disk_quad_09():
     return make_disk_quadrature(0.9)
+
+
+def grid_nodes(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """The sphere grid's node coordinates, shape (n_polar * n_azimuthal, 3), and their weights,
+    ring by ring, built from its ring and azimuth factors: node (i, k) is
+    (rho_i cos phi_k, rho_i sin phi_k, z_i) with weight ring_weights[i]."""
+    ring, azimuth = np.divmod(np.arange(quad.n_polar * quad.n_azimuthal), quad.n_azimuthal)
+    nodes = np.column_stack([quad.ring_rho[ring] * quad.cos_phi[azimuth],
+                             quad.ring_rho[ring] * quad.sin_phi[azimuth], quad.ring_z[ring]])
+    return nodes, quad.ring_weights[ring]
 
 
 def random_complex_coeffs(seed: int, count: int, scale: float = 1.0) -> tuple:

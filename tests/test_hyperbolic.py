@@ -268,9 +268,9 @@ class TestBlockedDiskGrid:
                             lambda *args: rules.append(args) or gauss_legendre(*args))
         f = DiskFunction(coeffs=coeff_factory(5, 7))
         tight_discrepancy(f, 0.5, quad=disk_quad_half)
-        assert passes == [disk_quad_half.n_radial] and rules == []
+        assert passes == [disk_quad_half.u_nodes.size] and rules == []
         halfdisk_identity_check(f, quad=disk_quad_half)
-        assert passes == [disk_quad_half.n_radial] * 2
+        assert passes == [disk_quad_half.u_nodes.size] * 2
 
 
 SHAPES = ((1.0, 1.0), (1.5, 0.75), (0.5, 1.0), (1.0, 2.0), (2.0, 1.0), (0.75, 1.5), (1.0, 0.5))
@@ -353,13 +353,13 @@ class TestAnglesPerCircle:
             f = DiskFunction(coeffs=coeff_factory(degree, degree + 1))
             for quad in (make_disk_quadrature(r), make_disk_quadrature(r, 100, 96)):
                 points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, r, quad=quad))
-                assert 0 < points <= quad.n_radial * quad.n_angular
+                assert 0 < points <= quad.u_nodes.size * quad.n_angular
 
     @pytest.mark.parametrize("coeffs", [(1.3,), (0.0, 0.7), (0.0,) * 7 + (2.0,), (0.0,) * 15 + (0.5j,)])
     def test_constants_and_monomials_take_an_eighth(self, monkeypatch, disk_quad_09, coeffs):
         f = disk(*coeffs)
         points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09))
-        assert points <= disk_quad_09.n_radial * disk_quad_09.n_angular // 8
+        assert points <= disk_quad_09.u_nodes.size * disk_quad_09.n_angular // 8
 
     @pytest.mark.parametrize("n_angular, per_circle",
                              [(512, 2 * 16), (96, 2 * 24), (100, 100), (320, 320), (15, 15), (8, 8)])
@@ -377,7 +377,7 @@ class TestAnglesPerCircle:
         # degree 100 starts at 256 angles and doubles to the cap on every circle, 200 starts there
         f = DiskFunction(coeffs=coeff_factory(degree, degree + 1))
         points = self._points(monkeypatch, lambda: hyperbolic_discrepancy(f, 0.9, quad=disk_quad_09))
-        assert points == disk_quad_09.n_radial * disk_quad_09.n_angular
+        assert points == disk_quad_09.u_nodes.size * disk_quad_09.n_angular
 
 
 class TestPanelRule:
@@ -428,7 +428,7 @@ class TestPanelRule:
         t = [-math.log1p(-x * x) for x in (0.0, 0.3, 0.6, 0.8, 0.9)]
         assert hyperbolic._panel_edges(f, 0.9) == pytest.approx(t, rel=1e-13)
         quad = hyperbolic._panel_quadrature(f, 0.9)
-        assert quad.n_radial == 4 * 128 and quad.n_angular == 512
+        assert quad.u_nodes.size == 4 * 128 and quad.n_angular == 512
         assert float(quad.hyperbolic_weights.sum()) == pytest.approx(t[-1], rel=1e-14)
 
     def test_equal_moduli_share_one_edge(self):
@@ -715,6 +715,12 @@ class TestInequalitySuite:
             inequality_suite(disk(1.0), 0.5, [0.6])
         with pytest.raises(ValueError):
             inequality_suite(disk(1.0), 0.5, [])
+        with pytest.raises(ValueError, match="flat, non-empty sequence of test points"):
+            inequality_suite(disk(1.0), 0.5, 0.1)
+
+    def test_points_may_come_from_any_iterable(self):
+        for points in ([0.1, 0.2j], (0.1, 0.2j), (z for z in (0.1, 0.2j)), np.array([0.1, 0.2j])):
+            assert inequality_suite(disk(1.0), 0.5, points).points_checked == 2
 
 
 class TestProofConstants:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import threading
 
@@ -12,6 +13,7 @@ import pytest
 
 from oracles import gauss_legendre_mp
 from zeropack import hyperbolic, numerics, planar
+from zeropack.fock import FockPolynomial, fixed_point_solve
 from zeropack.hyperbolic import (
     DiskFunction,
     hyperbolic_discrepancy,
@@ -42,6 +44,7 @@ from zeropack.numerics import (
     sample_complex_gaussians,
 )
 from zeropack.planar import planar_gaf_mc, planar_gaf_truncation
+from zeropack.sphere import SphereQuadrature, gradient_flow, random_configuration
 
 
 class TestGaussLegendre:
@@ -219,6 +222,12 @@ class TestResolveThreads:
     def test_invalid_flag(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
+
+    @pytest.mark.parametrize("env", ["abc", "2.5", ""])
+    def test_env_that_is_not_an_integer_is_named(self, monkeypatch, env):
+        monkeypatch.setenv("ZEROPACK_THREADS", env)
+        with pytest.raises(ValueError, match=f"ZEROPACK_THREADS must be an integer, got '{env}'"):
+            resolve_threads(1)
 
     @pytest.mark.parametrize("count", [_MAX_THREADS + 1, 1000000])
     def test_counts_above_cap_are_rejected(self, monkeypatch, count):
@@ -551,3 +560,51 @@ class TestGafMonteCarlo:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+def _flow(n=2, max_iters=1):
+    return gradient_flow(n, 1.0, RngStream(seed=1), max_iters=max_iters, quad=SphereQuadrature(8, 16))
+
+
+INTEGER_ARGUMENTS = [  # (entry point, argument, a valid value, the call with that argument set)
+    ("gauss_legendre", "n", 10, lambda v: gauss_legendre(v, 0.0, 1.0)),
+    ("SphereQuadrature", "n_polar", 16, lambda v: SphereQuadrature(v, 32)),
+    ("SphereQuadrature", "n_azimuthal", 32, lambda v: SphereQuadrature(16, v)),
+    ("make_disk_quadrature", "n_radial", 16, lambda v: make_disk_quadrature(0.5, v, 16)),
+    ("make_disk_quadrature", "n_angular", 16, lambda v: make_disk_quadrature(0.5, 16, v)),
+    ("planar_gaf_mc", "truncation_N", 14, lambda v: planar_gaf_mc(1.0, 1.0, v, 2, RngStream(seed=1))),
+    ("planar_gaf_mc", "trials", 2, lambda v: planar_gaf_mc(1.0, 1.0, 14, v, RngStream(seed=1))),
+    ("planar_gaf_mc", "threads", 2,
+     lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), threads=v)),
+    ("planar_gaf_mc", "n_radial", 8,
+     lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), n_radial=v)),
+    ("planar_gaf_mc", "n_angular", 8,
+     lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), n_angular=v)),
+    ("hyperbolic_gaf_mc", "truncation_N", 11,
+     lambda v: hyperbolic_gaf_mc(0.5, 1.0, v, 2, RngStream(seed=1))),
+    ("hyperbolic_gaf_mc", "trials", 2, lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, v, RngStream(seed=1))),
+    ("hyperbolic_gaf_mc", "threads", 2,
+     lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, 2, RngStream(seed=1), threads=v)),
+    ("hyperbolic_gaf_mc", "n_radial", 8,
+     lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, 2, RngStream(seed=1), n_radial=v)),
+    ("hyperbolic_gaf_mc", "n_angular", 16,
+     lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, 2, RngStream(seed=1), n_angular=v)),
+    ("map_indexed", "threads", 2, lambda v: map_indexed(int, 3, threads=v)),
+    ("random_configuration", "n", 3, lambda v: random_configuration(v, RngStream(seed=1))),
+    ("gradient_flow", "n", 2, lambda v: _flow(n=v)),
+    ("gradient_flow", "max_iters", 1, lambda v: _flow(max_iters=v)),
+    ("fixed_point_solve", "max_iters", 2,
+     lambda v: fixed_point_solve(FockPolynomial((1.0, 0.5)), 0.5, v, 1e-12)),
+]
+
+
+@pytest.mark.parametrize("value", [10.5, True, np.int64], ids=["float", "bool", "int64"])
+@pytest.mark.parametrize("name, valid, call", [entry[1:] for entry in INTEGER_ARGUMENTS],
+                         ids=[f"{entry}-{name}" for entry, name, _, _ in INTEGER_ARGUMENTS])
+def test_count_arguments_must_be_integers(name, valid, call, value):
+    # A float or a bool count is refused with a ValueError naming it; numpy integers pass.
+    if value is np.int64:
+        call(np.int64(valid))
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            call(value)

@@ -23,8 +23,8 @@ from zeropack import fock, hyperbolic, numerics, planar, reports, sphere, weiers
 
 PUBLIC_NAMES = [
     "DegenerateLatticeError", "DiscrepancyReport", "DiskFunction", "DivergenceError",
-    "FockOverflowError", "FockPolynomial", "InequalityReport", "Lattice",
-    "ProofConstantsReport", "QuadratureRule1D", "RngStream", "SphereConfiguration",
+    "FockOverflowError", "FockPolynomial", "InequalityReport", "ProofConstantsReport",
+    "QuadratureRule1D", "RngStream", "SphereConfiguration",
     "SphereQuadrature", "StepCollapseError", "ThresholdCheck", "TriangularProfile",
     "TruncationError", "WeierstrassContext", "case_iia_integral", "cell_coordinates",
     "cubic_projection", "density_curve", "discrepancy", "equilibrium_residual", "fixed_point_solve",
@@ -43,7 +43,7 @@ MODULES = (numerics, reports, weierstrass, planar, fock, sphere, hyperbolic)
 
 class TestPublicApi:
     def test_exported_names_are_unchanged(self):
-        assert len(PUBLIC_NAMES) == 62
+        assert len(PUBLIC_NAMES) == 61
         assert sorted(zeropack.__all__) == PUBLIC_NAMES
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)

@@ -30,12 +30,12 @@ from zeropack.planar import (
 
 class TestProfileConstruction:
     def test_spacing_normalizes_cell_area(self, profile):
-        # 2*alpha = sqrt(pi)/3^{1/4} makes the rhombus area exactly 1/2
+        # 2*omega1 = sqrt(pi)/3^{1/4} makes the rhombus area exactly 1/2
         # in the dA = dx dy / pi normalization.
-        assert profile.alpha == pytest.approx(
-            math.sqrt(math.pi) / (2.0 * 3.0**0.25), rel=1e-15
-        )
-        assert profile.cell_area == pytest.approx(0.5, abs=1e-15)
+        ctx = profile.ctx
+        assert ctx.omega1 == pytest.approx(math.sqrt(math.pi) / (2.0 * 3.0**0.25), rel=1e-15)
+        p1, p2 = 2.0 * ctx.omega1, 2.0 * ctx.omega2
+        assert abs((p1.conjugate() * p2).imag) / math.pi == pytest.approx(0.5, abs=1e-15)
 
     def test_weight_scale_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import checkout_env
+from conftest import checkout_env, grid_nodes
 from zeropack import sphere
 from zeropack.numerics import RngStream
 from zeropack.sphere import (
@@ -86,7 +86,9 @@ class TestConfiguration:
 
 class TestQuadrature:
     def test_weights_sum_to_one(self, sphere_quad):
-        assert float(sphere_quad.weights.sum()) == pytest.approx(1.0, abs=1e-13)
+        # Every ring holds n_azimuthal nodes of its ring weight.
+        total = float(sphere_quad.ring_weights.sum()) * sphere_quad.n_azimuthal
+        assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):
@@ -95,25 +97,17 @@ class TestQuadrature:
             SphereQuadrature(n_polar=1)
 
     def test_half_resolution_halves_counts(self, sphere_quad):
-        half = sphere_quad.half_resolution()
+        half = sphere_quad.half_resolution
         assert (half.n_polar, half.n_azimuthal) == (128, 256)
 
     def test_half_resolution_is_built_once(self):
         quad = SphereQuadrature(16, 32, "world")
-        half = quad.half_resolution()
-        assert quad.half_resolution() is half
+        half = quad.half_resolution
+        assert quad.half_resolution is half
         fresh = SphereQuadrature(8, 16, "world")
         assert half == fresh
-        assert np.array_equal(half.nodes, fresh.nodes) and np.array_equal(half.weights, fresh.weights)
-
-    def test_nodes_list_the_ring_and_azimuth_factors(self):
-        quad = SphereQuadrature(6, 10)
-        ring, azimuth = np.divmod(np.arange(60), 10)
-        expected = np.column_stack([quad.ring_rho[ring] * quad.cos_phi[azimuth],
-                                    quad.ring_rho[ring] * quad.sin_phi[azimuth], quad.ring_z[ring]])
-        assert np.array_equal(quad.nodes, expected)
-        assert np.array_equal(quad.weights, quad.ring_weights[ring])
-        assert quad.nodes is quad.nodes and not quad.nodes.flags.writeable
+        for name in ("ring_z", "ring_rho", "ring_weights", "cos_phi", "sin_phi"):
+            assert np.array_equal(getattr(half, name), getattr(fresh, name)), name
 
     def test_nodes_and_weights_are_not_constructor_arguments(self):
         with pytest.raises(TypeError):
@@ -183,7 +177,8 @@ class TestPartitionFunction:
         # of 8 stays above 1e-120.  At beta = 1e-3 the node still weighs e^{beta s} = 0.66.  (2 - 2 p.x
         # resolves d^2 only to about 4e-16, so points within 1e-8 of k would read d = 0 there.)
         k = 64 * 128 + 5
-        node = world_quad.nodes[k]
+        nodes, grid_weights = grid_nodes(world_quad)
+        node = nodes[k]
         e1 = np.cross(node, NORTH)
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(node, e1)
@@ -198,8 +193,8 @@ class TestPartitionFunction:
         assert np.all(d2[k] > 0.0) and np.prod(d2[k]) == 0.0
         with np.errstate(divide="ignore"):
             s = 0.5 * sum(np.log(d2[:, j]) for j in range(24)) - 24 * math.log(2.0)
-        weights = world_quad.weights * np.exp(1e-3 * s)
-        assert weights[k] > 0.5 * world_quad.weights[k]
+        weights = grid_weights * np.exp(1e-3 * s)
+        assert weights[k] > 0.5 * grid_weights[k]
         assert partition_function(config, 1e-3, world_quad) == pytest.approx(weights.sum(), rel=1e-13)
 
 
@@ -288,19 +283,20 @@ def test_moments_with_a_point_on_a_quadrature_node(world_quad):
     # d^2 = 0 at one node: g_j is taken as 0 there, and the moments stay
     # finite and equal to the direct tangential projection at every node.
     k = 777
-    points = np.vstack([world_quad.nodes[k], random_configuration(1, RngStream(seed=5)).points])
+    nodes, weights = grid_nodes(world_quad)
+    points = np.vstack([nodes[k], random_configuration(1, RngStream(seed=5)).points])
     config = SphereConfiguration(points=points)
-    d2 = np.clip(2.0 - 2.0 * (world_quad.nodes @ points.T), 0.0, 4.0)
+    d2 = np.clip(2.0 - 2.0 * (nodes @ points.T), 0.0, 4.0)
     assert d2[k, 0] == 0.0
     with np.errstate(divide="ignore"):
         s = 0.5 * np.log(d2).sum(axis=1) - 2.0 * math.log(2.0)
     for gamma, (Z, G) in zip((1.0, 2.0), _moments(config, (1.0, 2.0), world_quad)):
-        w = world_quad.weights * np.exp(gamma * s)
+        w = weights * np.exp(gamma * s)
         ref = np.empty((2, 3))
         for j, p in enumerate(points):
             hit = d2[:, j] > 0.0
-            vec = np.zeros_like(world_quad.nodes)
-            vec[hit] = (p - world_quad.nodes[hit]) / d2[hit, j, None]
+            vec = np.zeros_like(nodes)
+            vec[hit] = (p - nodes[hit]) / d2[hit, j, None]
             tang = vec - (vec @ p)[:, None] * p
             ref[j] = np.sum(w[:, None] * tang, axis=0) / w.sum()
         assert np.all(np.isfinite(G))
@@ -311,17 +307,18 @@ def test_moments_with_a_point_on_a_quadrature_node(world_quad):
 def _direct_tangential_moments(quad, points, gammas):
     """E^gamma[g_j] for each gamma as the weighted mean over all the nodes of the tangential
     projection at p_j of (p_j - x) / d^2, taken as 0 where d = 0, from the node coordinates."""
-    d2 = np.clip(2.0 - 2.0 * (quad.nodes @ points.T), 0.0, 4.0)
+    nodes, weights = grid_nodes(quad)
+    d2 = np.clip(2.0 - 2.0 * (nodes @ points.T), 0.0, 4.0)
     with np.errstate(divide="ignore"):
         s = 0.5 * np.log(d2).sum(axis=1) - points.shape[0] * math.log(2.0)
     out = []
     for gamma in gammas:
-        w = quad.weights * np.exp(gamma * s)
+        w = weights * np.exp(gamma * s)
         ref = np.empty_like(points)
         for j, p in enumerate(points):
             hit = d2[:, j] > 0.0
-            vec = np.zeros_like(quad.nodes)
-            vec[hit] = (p - quad.nodes[hit]) / d2[hit, j, None]
+            vec = np.zeros_like(nodes)
+            vec[hit] = (p - nodes[hit]) / d2[hit, j, None]
             ref[j] = np.sum(w[:, None] * (vec - (vec @ p)[:, None] * p), axis=0) / w.sum()
         out.append(ref)
     return out
@@ -332,7 +329,7 @@ def test_a_point_on_a_node_raises_no_floating_point_error(world_quad, monkeypatc
     # no operation of the pass may overflow, divide by 0 or be invalid.
     monkeypatch.setattr(sphere, "_NODE_BLOCK", world_quad.n_azimuthal)
     k = 6 * world_quad.n_azimuthal + 9
-    points = np.vstack([world_quad.nodes[k], random_configuration(1, RngStream(seed=5)).points])
+    points = np.vstack([grid_nodes(world_quad)[0][k], random_configuration(1, RngStream(seed=5)).points])
     with np.errstate(all="raise"):
         got = _moments(SphereConfiguration(points=points), (1.0, 2.0), world_quad)
     for (_, G), ref in zip(got, _direct_tangential_moments(world_quad, points, (1.0, 2.0))):
@@ -372,13 +369,14 @@ def _three_operand_moments(config, gammas, quad):
     pts_f, R = sphere._frame_points(config, quad)
     d2 = _one_pass_distances(quad, pts_f)
     s = _one_pass_log_potential(d2)
+    nodes, weights = grid_nodes(quad)
     out = []
     for gamma in gammas:
-        w = quad.weights * np.exp(gamma * s)
+        w = weights * np.exp(gamma * s)
         # w / d^2 and w x / d^2 with 1/d^2 read as 0 where d = 0, summed over the nodes per point
         a, *A = (
             np.divide(wx[:, None], d2, out=np.zeros_like(d2), where=d2 > 0.0).T.copy().sum(axis=1)
-            for wx in (w, *(w * quad.nodes.T))
+            for wx in (w, *(w * nodes.T))
         )
         A = np.column_stack(A)
         out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
@@ -395,10 +393,11 @@ def _per_node_moments(config, gammas, quad, dtype, total):
     pts_f, R = sphere._frame_points(config, quad)
     d2 = _one_pass_distances(quad, pts_f)
     s = _one_pass_log_potential(d2)
-    x, p = quad.nodes.astype(dtype), pts_f.astype(dtype)
+    nodes, weights = grid_nodes(quad)
+    x, p = nodes.astype(dtype), pts_f.astype(dtype)
     out = []
     for gamma in gammas:
-        w = (quad.weights * np.exp(gamma * s)).astype(dtype)
+        w = (weights * np.exp(gamma * s)).astype(dtype)
         terms = np.column_stack([w, w[:, None] * x])  # w and w x by node
         sums = np.empty((config.n, 4), dtype)  # a_j, then A_j by coordinate
         for j in range(config.n):
@@ -438,7 +437,7 @@ def test_moments_match_the_three_operand_contraction(sphere_quad, n):
 def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
     quad = SphereQuadrature(16, 32, "world")  # the first point stays on node 5
     config = SphereConfiguration(
-        points=np.vstack([quad.nodes[5], random_configuration(4, RngStream(seed=6)).points])
+        points=np.vstack([grid_nodes(quad)[0][5], random_configuration(4, RngStream(seed=6)).points])
     )
     pts_f, _ = sphere._frame_points(config, quad)
     d2_ref = _one_pass_distances(quad, pts_f)
@@ -470,17 +469,6 @@ def test_block_weights_are_the_ring_weights_times_the_exponentials():
     for ring, _, s, w, _ in sphere._node_blocks(pts_f, quad, gammas):
         weights = np.repeat(quad.ring_weights[ring], quad.n_azimuthal)
         assert np.array_equal(w, weights * np.exp(np.multiply.outer(gammas, s)))
-
-
-def test_passes_build_no_node_arrays():
-    # Every pass reads the ring and azimuth factors only; nodes and weights stay unbuilt.
-    quad = SphereQuadrature()
-    config = random_configuration(3, RngStream(seed=2))
-    discrepancy(config, 1.0, quad)
-    equilibrium_residual(config, 1.0, quad)
-    gradient_flow(3, 1.0, config, step=4.0, max_iters=2, quad=quad)
-    for grid in (quad, quad.half_resolution()):
-        assert "nodes" not in vars(grid) and "weights" not in vars(grid)
 
 
 class TestGradientFlow:

@@ -77,7 +77,7 @@ class TestSigma:
     def test_matches_truncated_product_oracle(self, profile):
         # 20 reproducible points in the fundamental cell, relative error 1e-8.
         ctx = profile.ctx
-        radius = 400.0 * profile.alpha
+        radius = 400.0 * abs(profile.ctx.omega1)
         g = np.random.default_rng(2024)
         checked = 0
         while checked < 20:
