@@ -28,6 +28,7 @@ from .numerics import (
     RngStream,
     TruncationError,
     _check_integers,
+    _check_positive,
     _gaf_mc,
     _polar_values,
     _polynomial_zeros,
@@ -301,10 +302,7 @@ def hyperbolic_discrepancy(
     from make_disk_quadrature(r, ...), overrides it.
     """
     _check_radius(r)
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_positive(alpha=alpha, beta=beta)
     quad = _disk_rule(f, r, quad)
     with np.errstate(over="ignore", invalid="ignore"):
         means = _circle_means(
@@ -353,6 +351,7 @@ def hyperbolic_gaf_tail(r: float, N: int) -> float:
           = r^{2(N+1)} (N + 2 - (N+1) r^2), evaluated at |z| = r.
     """
     _check_radius(r)
+    _check_integers(N=N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     x = r * r
@@ -366,8 +365,7 @@ def hyperbolic_gaf_truncation(r: float, tol: float = 1e-6) -> int:
     x (1 + (1-x) / (N + 2 - (N+1) x)) < 1 from N to N + 1, so the first N below
     tol is found in at most 19 evaluations.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_positive(tol=tol)
     low, high = 0, 199_999  # tail(low) >= tol unless low = 0; tail(high) < tol
     if not hyperbolic_gaf_tail(r, high) < tol:
         raise TruncationError(f"no admissible truncation below 200000 for r={r}")

@@ -27,22 +27,11 @@ _ZERO_STEPS = 100  # most Aberth steps of one search
 
 @dataclass(frozen=True)
 class QuadratureRule1D:
-    """Nodes and positive weights for integration over a real interval."""
+    """Nodes and positive weights for integration over a real interval (built by gauss_legendre,
+    which makes both arrays read-only)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if not np.all(weights > 0.0):
-            raise ValueError("quadrature weights must all be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
 
 
 def _quarter_turns(q, c, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +111,13 @@ def _check_integers(**counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_positive(**values) -> None:
+    """ValueError naming the first argument that is not > 0, nan included; values print with str."""
+    for name, value in values.items():
+        if not (value > 0.0):
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     """Gauss-Legendre rule with n nodes on [a, b].
 
@@ -135,7 +131,10 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = _legendre_unit(n)
     half = 0.5 * (b - a)
-    return QuadratureRule1D(nodes=a + half * (x + 1.0), weights=half * w)
+    nodes, weights = a + half * (x + 1.0), half * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule1D(nodes=nodes, weights=weights)
 
 
 def richardson(values, steps, powers) -> tuple[float, float]:
@@ -282,6 +281,7 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
+        _check_integers(seed=self.seed, stream_index=self.stream_index)
         for name in ("seed", "stream_index"):
             v = getattr(self, name)
             if not (0 <= int(v) < 2**64):
@@ -386,8 +386,7 @@ def gaf_expected(b: float) -> float:
     independent of the radius and minimized at b = sqrt(pi)/2 with value 1 - pi/4.
     planar.planar_gaf_expected and hyperbolic.hyperbolic_gaf_expected are this function.
     """
-    if not (b > 0.0):
-        raise ValueError(f"b must be positive, got {b}")
+    _check_positive(b=b)
     return b * b - b * math.sqrt(math.pi) + 1.0
 
 
@@ -424,8 +423,7 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
     (_substream_draws).  Each trial is still reduced on its own, so every value, and the
     estimate, is independent of the batch size and the thread count.
     """
-    if not (b > 0.0):
-        raise ValueError(f"b must be positive, got {b}")
+    _check_positive(b=b)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if trials > _MAX_TRIALS:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (RngStream, TruncationError, _check_integers, _gaf_mc, _power_of_two_at_least,
-                       gaf_expected, gauss_legendre, richardson)
+from .numerics import (RngStream, TruncationError, _check_integers, _check_positive, _gaf_mc,
+                       _power_of_two_at_least, gaf_expected, gauss_legendre, richardson)
 from .reports import DiscrepancyReport
 from .weierstrass import (
     WeierstrassContext,
@@ -55,8 +55,7 @@ def make_triangular_profile(weight_scale: float = 1.0) -> TriangularProfile:
     For c = 1 this is the normalized equilateral profile; eta is computed
     generically as c - zeta(omega1)/(2*omega1), never assumed.
     """
-    if not (weight_scale > 0.0):
-        raise ValueError(f"weight_scale must be positive, got {weight_scale}")
+    _check_positive(weight_scale=weight_scale)
     c = float(weight_scale)
     alpha = math.sqrt(math.pi) / (2.0 * 3.0**0.25) / math.sqrt(c)
     ctx = make_context(alpha, alpha * complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0)))
@@ -129,8 +128,7 @@ def planar_lattice_density(
     shrinks them below rounding.  Neither case is fit.  The error estimate is the change in
     rho when the finest level is dropped, at least 4 ulps of 1 (rho cancels against 1).
     """
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_positive(beta=beta)
     _check_integers(grid_m=grid_m)
     if not (16 <= grid_m <= _MAX_GRID):
         raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
@@ -190,6 +188,7 @@ def planar_gaf_tail(R: float, N: int) -> float:
     """
     if not (0.0 < R < math.inf):
         raise ValueError(f"R must be positive and finite, got {R}")
+    _check_integers(N=N)
     peak = 2.0 * R * R  # inf for R above 1e154: then every head term is 0 and the tail is 1
     if N + 1 > peak:
         return sum(_planar_gaf_terms(R, N + 1))
@@ -245,8 +244,7 @@ def planar_gaf_mc(
     n_radial = ceil(4R) and n_angular the power of two >= 8 pi R, clamped to [16, 192] and
     [16, 256].  Any grid gives an unbiased trial; a finer one only lowers its variance.
     """
-    if not (0 < R):
-        raise ValueError(f"R must be positive, got {R}")
+    _check_positive(R=R)
     if n_radial is None:
         n_radial = min(192, max(16, math.ceil(4.0 * R)))
     if n_angular is None:

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import RngStream, _check_integers, gauss_legendre
+from .numerics import RngStream, _check_integers, _check_positive, gauss_legendre
 from .reports import DiscrepancyReport
 
 _MIN_PAIR_DIST = 1e-9
@@ -264,8 +264,7 @@ def _z_values(config: SphereConfiguration, gammas, quad: SphereQuadrature) -> li
 
 def partition_function(config: SphereConfiguration, gamma: float, quad: SphereQuadrature) -> float:
     """Quadrature value of Z_gamma for the configuration (1 for an empty one)."""
-    if not (gamma > 0.0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive(gamma=gamma)
     return _z_values(config, (gamma,), quad)[0]
 
 
@@ -322,8 +321,7 @@ def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
 
 def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> float:
     """max_j || E^beta[g_j] - E^{2 beta}[g_j] ||; zero exactly at equilibria."""
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_positive(beta=beta)
     if config.n < 1:
         raise ValueError("configuration must have at least one point")
     (_, g1), (_, g2) = _moments(config, (beta, 2.0 * beta), quad)
@@ -332,8 +330,7 @@ def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQ
 
 def discrepancy(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> DiscrepancyReport:
     """Amplitude-optimized discrepancy 1 - Z_beta^2 / Z_{2 beta} at this configuration."""
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_positive(beta=beta)
     zb, z2b = _z_values(config, (beta, 2.0 * beta), quad)
     hb, h2b = _z_values(config, (beta, 2.0 * beta), quad.half_resolution)
     rho_half = 1.0 - hb * hb / h2b
@@ -342,8 +339,7 @@ def discrepancy(config: SphereConfiguration, beta: float, quad: SphereQuadrature
 
 def rho1_closed(beta: float) -> float:
     """Closed-form single-point discrepancy beta^2 / (2 + beta)^2."""
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_positive(beta=beta)
     return beta * beta / (2.0 + beta) ** 2
 
 
@@ -385,10 +381,7 @@ def gradient_flow(
     _check_integers(n=n, max_iters=max_iters)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not (step > 0.0):
-        raise ValueError(f"step must be positive, got {step}")
+    _check_positive(beta=beta, step=step)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     quad = quad if quad is not None else SphereQuadrature()

@@ -261,6 +261,26 @@ def fock_projection_coefficients(
     return out
 
 
+def fock_projection_triple_sum(coeffs, dps: int = 40) -> np.ndarray:
+    """Coefficients of the cubic projection from its defining triple sum, in dps-digit arithmetic.
+
+    g_m = sum_{a+b-c=m} c_a c_b conj(c_c) (a+b)! / (2^{a+b+1} m!), term by term over every
+    (a, b, c) with a + b >= c, with exact factorials; each coefficient is rounded to a double
+    once, at the end.
+    """
+    with mp.workdps(dps):
+        c = [mp.mpc(complex(x)) for x in coeffs]
+        conj = [mp.conj(x) for x in c]
+        n = len(c) - 1
+        g = [mp.mpc(0)] * (2 * n + 1)
+        for a in range(n + 1):
+            for b in range(n + 1):
+                pair = c[a] * c[b] * mp.factorial(a + b) / mp.mpf(2) ** (a + b + 1)
+                for k in range(min(n, a + b) + 1):
+                    g[a + b - k] += pair * conj[k]
+        return np.array([complex(x / mp.factorial(m)) for m, x in enumerate(g)])
+
+
 # ---------------------------------------------------------------------------
 # Radially exact disk oracles (closed forms and mpmath, alpha = beta = 1)
 # ---------------------------------------------------------------------------

@@ -636,6 +636,16 @@ class TestFockCommand:
         assert code == 3
         assert err.startswith("numeric failure:")
 
+    @pytest.mark.parametrize("mode", [[], ["--solve"]], ids=["project", "solve"])
+    def test_report_is_independent_of_blas_threads(self, mode):
+        # numpy may hand the dot products of np.convolve and np.correlate to BLAS.  From a
+        # degree-8 start the solve's iterates reach DEGREE_CAP = 64, the longest products.
+        argv = ["fock", "--coeffs", "[1, 0.3, -0.2, 0.1, 0.05, -0.02, 0.01, 0.005, 0.002]",
+                "--omega", "0.5", *mode]
+        runs = [run_module(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+
 
 class TestVerifyCommand:
     def test_report_layout_and_success_exit(self, capsys):

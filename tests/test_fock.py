@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fock_projection_coefficients
+from oracles import fock_projection_coefficients, fock_projection_triple_sum
 from zeropack.fock import (
     DivergenceError,
     FockOverflowError,
@@ -19,10 +19,23 @@ from zeropack.fock import (
     fock_norm,
     stationary_residual,
 )
+from zeropack.numerics import RngStream, sample_complex_gaussians
 
 
 def poly(*coeffs) -> FockPolynomial:
     return FockPolynomial(coeffs=tuple(coeffs))
+
+
+def _count_records(monkeypatch) -> list:
+    """The coefficients of every FockPolynomial built from now on, in order of construction."""
+    built, check = [], FockPolynomial.__post_init__
+
+    def counted(self):
+        check(self)
+        built.append(self.coeffs)
+
+    monkeypatch.setattr(FockPolynomial, "__post_init__", counted)
+    return built
 
 
 class TestFockPolynomial:
@@ -65,9 +78,7 @@ class TestFockNorm:
 class TestCubicProjection:
     def test_linear_fixed_point_quarter(self):
         # The degree-one monomial maps to exactly a quarter of itself.
-        g = cubic_projection(poly(0.0, 1.0)).array()
-        assert abs(g[1] - 0.25) < 1e-15
-        assert np.all(np.abs(np.delete(g, 1)) < 1e-16)
+        assert cubic_projection(poly(0.0, 1.0)).coeffs == (0j, 0.25, 0j)
         assert stationary_residual(poly(0.0, 1.0), 0.25) < 1e-14
 
     @pytest.mark.parametrize("k", [0, 7, 33, 64])
@@ -121,6 +132,27 @@ class TestCubicProjection:
         with pytest.raises(ValueError):
             cubic_projection(FockPolynomial(coeffs=tuple([1.0] * 66)))
 
+    @pytest.mark.parametrize("degree", [1, 2, 5, 12, 20, 32, 64])
+    def test_matches_40_digit_triple_sum(self, degree):
+        # Random coefficients at unit weighted norm, against the defining sum at 40 digits.
+        c = sample_complex_gaussians(RngStream(seed=degree, stream_index=7), degree + 1)
+        f = poly(*(c / fock_norm(poly(*c))))
+        got = cubic_projection(f).array()
+        want = fock_projection_triple_sum(f.coeffs)
+        assert np.linalg.norm(got - want) <= 5e-16 * np.linalg.norm(want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_degree_cap_keeps_the_cubic_range(self):
+        # At degree 64 the weights s!/2^(s+1) reach 6e176, so partial sums over coefficients
+        # near 1e73 leave double range unless the coefficients are scaled down first; the
+        # projection itself leaves it only past 10^73.5.
+        ones = poly(*([1.0] * 65))
+        big = cubic_projection(poly(*([1e73] * 65))).array()
+        assert np.all(np.isfinite(big))
+        assert np.allclose(big, 1e219 * cubic_projection(ones).array(), rtol=1e-13, atol=0.0)
+        with pytest.raises(FockOverflowError):
+            cubic_projection(poly(*([10.0 ** 73.5] * 65)))
+
 
 class TestStationaryResidual:
     def test_constant_family(self):
@@ -133,6 +165,19 @@ class TestStationaryResidual:
     def test_phase_invariance(self):
         c = math.sqrt(0.5) * complex(math.cos(1.1), math.sin(1.1))
         assert stationary_residual(poly(c), 0.25) < 1e-12
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0])
+    def test_omega_must_be_finite_and_nonzero(self, omega):
+        with pytest.raises(ValueError, match=f"omega must be finite and nonzero, got {omega}"):
+            stationary_residual(poly(1.0, 0.3), omega)
+        with pytest.raises(ValueError, match=f"omega must be finite and nonzero, got {omega}"):
+            fixed_point_solve(poly(1.0, 0.3), omega, 10, 1e-12)
+
+    def test_residual_builds_no_record(self, monkeypatch):
+        f = poly(1.0, 0.3, 0.1)
+        built = _count_records(monkeypatch)
+        stationary_residual(f, 0.5)
+        assert built == []
 
     @pytest.mark.filterwarnings("error")
     def test_defect_beyond_double_range_raises(self):
@@ -178,6 +223,12 @@ class TestFixedPointSolve:
         for omega in (-2.2e-309, 5e-324):
             with pytest.raises(FockOverflowError, match="omega"):
                 fixed_point_solve(poly(3.9), omega, 10, 1e-12)
+
+    def test_solve_builds_only_the_returned_record(self, monkeypatch):
+        f0 = poly(1.0, 0.3, 0.1)
+        built = _count_records(monkeypatch)
+        sol, history = fixed_point_solve(f0, 0.5, 200, 1e-12)
+        assert len(history) == 35 and built == [sol.coeffs]
 
     def test_divergence_error_carries_history(self):
         err = DivergenceError("boom", [1.0, 2.0])

@@ -44,7 +44,8 @@ from zeropack.numerics import (
     sample_complex_gaussians,
 )
 from zeropack.planar import planar_gaf_mc, planar_gaf_truncation
-from zeropack.sphere import SphereQuadrature, gradient_flow, random_configuration
+from zeropack.sphere import (SphereQuadrature, discrepancy, equilibrium_residual, gradient_flow,
+                             partition_function, random_configuration, rho1_closed)
 
 
 class TestGaussLegendre:
@@ -68,12 +69,6 @@ class TestGaussLegendre:
             gauss_legendre(4, 1.0, 1.0)
         with pytest.raises(ValueError):
             gauss_legendre(4, 2.0, 1.0)
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule1D(nodes=np.zeros(3), weights=np.ones(4))
-        with pytest.raises(ValueError):
-            QuadratureRule1D(nodes=np.zeros(3), weights=np.array([1.0, -1.0, 1.0]))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 257, 2048])
     def test_matches_mpmath_reference(self, n):
@@ -134,7 +129,7 @@ class TestGaussLegendre:
             builds = _legendre_unit.cache_info().misses
         finally:
             _legendre_unit.cache_clear()
-        assert builds == 2  # n = 2048 and n = 7, each once
+        assert builds == 2  # n = 128 (the panel rule) and n = 7, each once
 
     def test_rule_arrays_are_read_only(self):
         rule = gauss_legendre(8, 0.0, 2.0)
@@ -595,6 +590,10 @@ INTEGER_ARGUMENTS = [  # (entry point, argument, a valid value, the call with th
     ("gradient_flow", "max_iters", 1, lambda v: _flow(max_iters=v)),
     ("fixed_point_solve", "max_iters", 2,
      lambda v: fixed_point_solve(FockPolynomial((1.0, 0.5)), 0.5, v, 1e-12)),
+    ("RngStream", "seed", 1, lambda v: RngStream(seed=v)),
+    ("RngStream", "stream_index", 0, lambda v: RngStream(seed=1, stream_index=v)),
+    ("planar_gaf_tail", "N", 10, lambda v: planar.planar_gaf_tail(1.0, v)),
+    ("hyperbolic_gaf_tail", "N", 2, lambda v: hyperbolic.hyperbolic_gaf_tail(0.5, v)),
 ]
 
 
@@ -608,3 +607,34 @@ def test_count_arguments_must_be_integers(name, valid, call, value):
     else:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             call(value)
+
+
+_CONFIG, _QUAD = random_configuration(2, RngStream(seed=1)), SphereQuadrature(8, 16)
+
+POSITIVE_ARGUMENTS = [  # (entry point, argument, the call with that argument set)
+    ("partition_function", "gamma", lambda v: partition_function(_CONFIG, v, _QUAD)),
+    ("equilibrium_residual", "beta", lambda v: equilibrium_residual(_CONFIG, v, _QUAD)),
+    ("discrepancy", "beta", lambda v: discrepancy(_CONFIG, v, _QUAD)),
+    ("rho1_closed", "beta", rho1_closed),
+    ("gradient_flow", "beta", lambda v: gradient_flow(2, v, RngStream(seed=1), max_iters=1)),
+    ("gradient_flow", "step", lambda v: gradient_flow(2, 1.0, RngStream(seed=1), step=v, max_iters=1)),
+    ("make_triangular_profile", "weight_scale", planar.make_triangular_profile),
+    ("planar_lattice_density", "beta", lambda v: planar.planar_lattice_density(v, 16)),
+    ("planar_gaf_mc", "R", lambda v: planar_gaf_mc(v, 1.0, 14, 2, RngStream(seed=1))),
+    ("hyperbolic_discrepancy", "alpha", lambda v: hyperbolic_discrepancy(DiskFunction((1.0,)), 0.5, alpha=v)),
+    ("hyperbolic_discrepancy", "beta", lambda v: hyperbolic_discrepancy(DiskFunction((1.0,)), 0.5, beta=v)),
+    ("hyperbolic_gaf_truncation", "tol", lambda v: hyperbolic_gaf_truncation(0.5, v)),
+    ("gaf_expected", "b", gaf_expected),
+    ("_gaf_mc", "b", lambda v: planar_gaf_mc(1.0, v, 14, 2, RngStream(seed=1))),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("name, call", [entry[1:] for entry in POSITIVE_ARGUMENTS],
+                         ids=[f"{entry}-{name}" for entry, name, _ in POSITIVE_ARGUMENTS])
+def test_positive_arguments_name_the_value(name, call, value):
+    # One check for every positive real argument; its message prints the value with str.
+    message = f"^{re.escape(f'{name} must be positive, got {value}')}$"
+    for v in (value, np.float64(value)):
+        with pytest.raises(ValueError, match=message):
+            call(v)
