@@ -129,13 +129,15 @@ def fixed_point_solve(f0: FockPolynomial, omega: float, max_iters: int, tol: flo
     to DEGREE_CAP each step (projection doubles the degree), and becomes a FockPolynomial only
     on return.  Convergence is not guaranteed; the history always comes back, and the caller
     sees a DivergenceError (carrying the history) if the residual climbs to ten times its
-    running minimum.
+    running minimum.  tol must be >= 0; at 0 the residual never stops the solve.
     """
     if not (math.isfinite(omega) and omega != 0.0):
         raise ValueError(f"omega must be finite and nonzero, got {omega}")
-    from .numerics import _check_integers  # here: a projection alone loads no other module
+    # here: a projection alone loads no other module
+    from .numerics import _check_integers, _check_nonnegative
 
     _check_integers(max_iters=max_iters)
+    _check_nonnegative(tol=tol)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     norm0 = fock_norm(f0)

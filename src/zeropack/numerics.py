@@ -118,6 +118,13 @@ def _check_positive(**values) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _check_nonnegative(**values) -> None:
+    """ValueError naming the first argument that is not >= 0, nan included; values print with str."""
+    for name, value in values.items():
+        if not (value >= 0.0):
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     """Gauss-Legendre rule with n nodes on [a, b].
 
@@ -303,19 +310,31 @@ def sample_complex_gaussians(rng: RngStream | np.random.Generator, n: int) -> np
     return parts[0] + 1j * parts[1]
 
 
-def _substream_draws(rng: RngStream, indices, n: int):
-    """sample_complex_gaussians(rng.substream(i), n) for each i, in order, from one generator.
+def _substream_draws(rng: RngStream, n: int, batch: int):
+    """A function draw(indices, eta) that sets eta[k] to sample_complex_gaussians(rng.substream(i),
+    n) for the k-th of the at most `batch` indices, bit for bit, from one generator.
 
     The Philox generator is re-keyed to (seed, i) with a zero counter and an empty buffer by
-    setting its state, which costs a tenth of building one.  The state and its key array
-    belong to this call, so concurrent calls share nothing."""
+    setting its state, which costs a tenth of building one.  Each substream's 2n standard normals
+    go straight into a row of one (batch, 2, n) buffer, and one scale by sqrt(1/2) writes its two
+    halves into the real and imaginary parts of eta: normal(scale=s) is s * standard_normal() in
+    every bit.  The state, its key array and the buffer belong to this call, so concurrent calls
+    share nothing."""
     gen = rng.generator()
     state = gen.bit_generator.state  # a fresh copy: counter 0, buffer empty
     key = state["state"]["key"]
-    for i in indices:
-        key[1] = i
-        gen.bit_generator.state = state
-        yield sample_complex_gaussians(gen, n)
+    normals = np.empty((batch, 2, n))
+
+    def draw(indices, eta) -> None:
+        for k, i in enumerate(indices):
+            key[1] = i
+            gen.bit_generator.state = state
+            gen.standard_normal(out=normals[k])
+        rows = len(indices)
+        np.multiply(normals[:rows, 0], math.sqrt(0.5), out=eta[:rows].real)
+        np.multiply(normals[:rows, 1], math.sqrt(0.5), out=eta[:rows].imag)
+
+    return draw
 
 
 def resolve_threads(flag: int | None = None) -> int:
@@ -438,15 +457,14 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
     batch = max(1, _BATCH_POINTS // (grid[0] * grid[1]))
 
     def run(part: range) -> list[float]:
-        draws = _substream_draws(rng, part, len(log_scales))
+        draw = _substream_draws(rng, len(log_scales), batch)
         eta = np.empty((batch, len(log_scales)), dtype=complex)
         values = np.empty((batch, *grid), dtype=complex)
         modulus = np.empty((batch, *grid))
         out = []
         for start in range(part.start, part.stop, batch):
             rows = min(batch, part.stop - start)
-            for k in range(rows):
-                eta[k] = next(draws)
+            draw(range(start, start + rows), eta)
             m = np.abs(_polar_values(eta[:rows], table or blocks(), values[:rows]), out=modulus[:rows])
             with np.errstate(over="ignore"):  # a huge b: reported below as an OverflowError
                 x = ((b * m - 1.0) ** 2).mean(axis=-1)

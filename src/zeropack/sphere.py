@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import RngStream, _check_integers, _check_positive, gauss_legendre
+from .numerics import RngStream, _check_integers, _check_nonnegative, _check_positive, gauss_legendre
 from .reports import DiscrepancyReport
 
 _MIN_PAIR_DIST = 1e-9
@@ -375,6 +375,8 @@ def gradient_flow(
     best objective by more than _ASCENT_SLACK: then it returns the iterate
     with the smallest residual since the stall began.  Returns the final
     configuration and the (iteration, objective, residual) trace up to it.
+    tol must be >= 0; at 0 the residual never stops the flow.  Of the
+    iterates, only those since best last rose are kept.
 
     `rng` may be a stream (random start) or a configuration to start from.
     """
@@ -382,6 +384,7 @@ def gradient_flow(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_positive(beta=beta, step=step)
+    _check_nonnegative(tol=tol)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     quad = quad if quad is not None else SphereQuadrature()
@@ -397,7 +400,7 @@ def gradient_flow(
     cur_step = step
     (zb, g1), (z2b, g2) = _moments(config, (beta, 2.0 * beta), quad)
     objective = best = 2.0 * math.log(zb) - math.log(z2b)
-    since, iterates = 0, []  # `since`: the iteration that last raised `best`
+    since, iterates = 0, []  # `since`: the iteration that last raised `best`; iterates from it on
     for it in range(max_iters + 1):
         gap = g1 - g2
         residual = float(np.max(np.linalg.norm(gap, axis=1)))
@@ -407,7 +410,7 @@ def gradient_flow(
             break
         if it - since == _STALL_STEPS:
             k = min(range(since, it + 1), key=lambda i: trace[i][2])
-            config = iterates[k]
+            config = iterates[k - since]
             del trace[k + 1:]
             break
         grad = 2.0 * beta * gap
@@ -437,4 +440,5 @@ def gradient_flow(
             break  # no step improves the objective any further
         if objective > best + _ASCENT_SLACK * max(1.0, abs(best)):
             best, since = objective, it + 1
+            iterates.clear()
     return config, trace

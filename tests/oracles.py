@@ -326,3 +326,48 @@ def disk_trapezoid_discrepancy(coeffs, r: float, n_angular: int = 512) -> float:
     square = float(np.sum(np.abs(c) ** 2 * (s ** (k + 1) / (k + 1) - s ** (k + 2) / (k + 2))))
     total = -math.log1p(-s)
     return 1.0 + (square - 2.0 * float(modulus)) / total
+
+
+# ---------------------------------------------------------------------------
+# Exact variance of one GAF Monte Carlo trial (covariance kernel and scipy hyp2f1)
+# ---------------------------------------------------------------------------
+
+def disk_gaf_trial_variance(r: float, N: int, n_radial: int, n_angular: int, b):
+    """Exact variance of one disk GAF Monte Carlo trial on a polar grid, by the double sum.
+
+    The grid: n_radial Gauss-Legendre nodes t_i (numpy's leggauss) on [0, log(1/(1 - r^2))],
+    radii sqrt(1 - e^{-t_i}) and weights w_i summing to 1, times n_angular uniform angles.  A trial
+    is sum_i w_i mean_k h(zeta_ik) + const with h(x) = a |x|^2 - 2b|x|, a = b sqrt(pi)/2: the
+    mismatch (b|x| - 1)^2 less the control term (b^2 - b sqrt(pi)/2) |x|^2.  The field is
+    zeta(z) = (1 - |z|^2) sum_{j <= N} eta_j sqrt(j + 1) z^j, so two grid values are complex
+    Gaussians with covariance K = (1 - u)(1 - u') sum_{j <= N} (j + 1) q^j, q = r_i r_l e^{i dphi},
+    the finite sum taken in closed form.  With s = |K|^2 / (sigma^2 sigma'^2):
+      Cov(|x|^2, |y|^2) = |K|^2,  Cov(|x|, |y|^2) = (sqrt(pi)/4) s sigma sigma'^2,
+      Cov(|x|, |y|) = (pi/4) sigma sigma' (2F1(-1/2, -1/2; 1; s) - 1)   (scipy.special.hyp2f1).
+    A pair of points enters through its two radii and its angle difference d only, so the sum
+    over all n_radial^2 n_angular^2 pairs is (1/n_angular) sum_{i,l,d} w_i w_l Cov(i, l, d).
+    b may be an array; the result has its shape.
+    """
+    from scipy.special import hyp2f1
+
+    x, w = np.polynomial.legendre.leggauss(n_radial)
+    span = -math.log1p(-r * r)
+    t = 0.5 * span * (x + 1.0)
+    w = 0.5 * w
+    u = -np.expm1(-t)
+    rho = np.sqrt(u)
+    turns = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
+    q = (rho[:, None] * rho[None, :])[:, :, None] * turns
+    kernel = (1.0 - (N + 2) * q ** (N + 1) + (N + 1) * q ** (N + 2)) / (1.0 - q) ** 2
+    kernel *= ((1.0 - u)[:, None] * (1.0 - u)[None, :])[:, :, None]
+    sigma = np.sqrt(np.abs(np.einsum("iid->id", kernel)[:, 0]))
+    k2 = np.abs(kernel) ** 2
+    ss = (sigma[:, None] * sigma[None, :])[:, :, None]
+    s = np.minimum(k2 / ss**2, 1.0)
+    cross = (math.sqrt(math.pi) / 4.0) * s * (ss * (sigma[:, None] + sigma[None, :])[:, :, None])
+    moduli = (math.pi / 4.0) * ss * (hyp2f1(-0.5, -0.5, 1.0, s) - 1.0)
+    pair = np.outer(w, w)[:, :, None] / n_angular
+    t_square, t_cross, t_modulus = (float(np.sum(pair * term)) for term in (k2, cross, moduli))
+    b = np.asarray(b, dtype=float)
+    a = b * math.sqrt(math.pi) / 2.0
+    return a * a * t_square - 2.0 * a * b * t_cross + 4.0 * b * b * t_modulus

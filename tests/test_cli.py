@@ -452,6 +452,15 @@ class TestSphereCommand:
         assert out == ""
         assert err.startswith("error:") and "max_iters" in err
 
+    def test_negative_tolerance_exits_2(self, capsys):
+        argv = ["sphere", "--n", "2", "--beta", "1", "--flow", "--iters", "3", "--seed", "3"]
+        code, out, err = run_cli(capsys, [*argv, "--tol", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tol must be nonnegative" in err
+        code, out, _ = run_cli(capsys, [*argv, "--tol", "0"])  # runs to the cap or a stall
+        assert code == 0 and json.loads(out)["iters"] <= 3
+
     @pytest.mark.parametrize("flow", [[], ["--flow"]], ids=["static", "flow"])
     def test_oversized_configuration_exits_2_before_allocating(self, capsys, monkeypatch, flow):
         # 3000 points on the 131072-node grid would need a 3 GB distance array;

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import gauss_legendre_mp
+from oracles import disk_gaf_trial_variance, gauss_legendre_mp
 from zeropack import hyperbolic, numerics, planar
 from zeropack.fock import FockPolynomial, fixed_point_solve
 from zeropack.hyperbolic import (
@@ -188,14 +188,17 @@ class TestRngStream:
     @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
     def test_rekeyed_draws_equal_fresh_substreams(self, seed):
         # One generator re-keyed per index: counter and buffer start afresh every time, so
-        # consecutive, repeated and extreme indices give the draws of a freshly built substream.
+        # consecutive, repeated and extreme indices give the draws of a freshly built substream,
+        # in every row of every batch, whole or short, written into a batch buffer.
         rng = RngStream(seed=seed, stream_index=5)
-        indices = [0, 1, 2, 2**64 - 1, 7, 2, 0]
+        batches = [[0, 1, 2], [2**64 - 1, 7], [2, 0, 3]]
         for n in (1, 7, 64):
-            drawn = list(_substream_draws(rng, indices, n))
-            assert len(drawn) == len(indices)
-            for i, draws in zip(indices, drawn):
-                assert draws.tobytes() == sample_complex_gaussians(rng.substream(i), n).tobytes(), (i, n)
+            draw = _substream_draws(rng, n, 3)
+            eta = np.full((3, n), np.nan, dtype=complex)
+            for indices in batches:
+                draw(indices, eta)
+                for i, row in zip(indices, eta):
+                    assert row.tobytes() == sample_complex_gaussians(rng.substream(i), n).tobytes(), (i, n)
 
 
 class TestResolveThreads:
@@ -502,9 +505,9 @@ class TestGafMonteCarlo:
         assert abs(mean - gaf_expected(b)) < 4.0 * stderr
 
     @pytest.mark.parametrize("mode, extent, grid", [
-        ("planar", 2.0, (16, 64)), ("planar", 4.0, (16, 128)), ("hyperbolic", 0.9, (32, 64)),
-        ("hyperbolic", 0.95, (32, 128)), ("planar", 1e-300, (16, 16)), ("planar", 27.0, (108, 256)),
-        ("hyperbolic", 0.99, (32, 128)),
+        ("planar", 2.0, (16, 64)), ("planar", 4.0, (16, 128)), ("hyperbolic", 0.9, (8, 32)),
+        ("hyperbolic", 0.95, (8, 64)), ("planar", 1e-300, (16, 16)), ("planar", 27.0, (108, 256)),
+        ("hyperbolic", 0.99, (8, 128)),
     ])
     def test_default_grid_follows_the_extent(self, mode, extent, grid):
         assert _grid_of(mode, extent) == grid
@@ -555,6 +558,53 @@ class TestGafMonteCarlo:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+def _old_disk_grid(r):
+    """The disk default before the grid was sized to the field: 32 radii and the power of two
+    >= 4 pi r / (1 - r^2) angles, clamped to [16, 128]."""
+    return 32, numerics._power_of_two_at_least(4.0 * math.pi * r / ((1.0 - r) * (1.0 + r)), 16, 128)
+
+
+class TestGafTrialVariance:
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_default_disk_grid_costs_at_most_one_percent_of_variance(self, r):
+        # Exact per-trial variance, through the oracle that shares no library code: the default
+        # grid (8 radii, half the old angles) against the old one, at a quarter to an eighth of
+        # its points.
+        bs = np.array([0.6, math.sqrt(math.pi) / 2.0, 1.4])
+        N = hyperbolic_gaf_truncation(r)
+        new, old = _grid_of("hyperbolic", r), _old_disk_grid(r)
+        assert new[0] * new[1] * 4 <= old[0] * old[1]
+        ratio = disk_gaf_trial_variance(r, N, *new, bs) / disk_gaf_trial_variance(r, N, *old, bs)
+        assert np.all(ratio <= 1.01), ratio
+
+    def test_exact_variance_matches_library_trials(self):
+        # Sample over exact variance of 4000 trials on the default grid at r = 0.9, b = 1.3
+        # (control term active): over seeds 0-19 it was 1.008 on average with spread 0.038 and
+        # range 0.955-1.119, so 0.2 is five spreads.
+        r, b, trials = 0.9, 1.3, 4000
+        N = hyperbolic_gaf_truncation(r)
+        _, stderr = hyperbolic_gaf_mc(r, b, N, trials, RngStream(seed=7))
+        exact = disk_gaf_trial_variance(r, N, *_grid_of("hyperbolic", r), b)
+        assert abs(stderr**2 * trials / exact - 1.0) < 0.2
+
+    def test_planar_and_explicit_disk_grids_keep_their_values(self):
+        # Draws written straight into the batch are bitwise the old complex draws: the planar
+        # default grid and the old disk grid, given explicitly, give the values they gave before.
+        b = math.sqrt(math.pi) / 2.0
+        got = [planar_gaf_mc(2.0, 1.3, planar_gaf_truncation(2.0), 40, RngStream(seed=5), threads=2),
+               planar_gaf_mc(4.0, b, planar_gaf_truncation(4.0), 40, RngStream(seed=11)),
+               hyperbolic_gaf_mc(0.95, 1.3, hyperbolic_gaf_truncation(0.95), 40, RngStream(seed=5),
+                                 threads=2, n_radial=32, n_angular=128),
+               hyperbolic_gaf_mc(0.9, 1.0, hyperbolic_gaf_truncation(0.9), 40, RngStream(seed=1),
+                                 n_radial=32, n_angular=64)]
+        assert [[x.hex() for x in pair] for pair in got] == [
+            ["0x1.78c14e2de529ep-2", "0x1.6b9ce8da295f6p-7"],
+            ["0x1.af70f2fe52243p-3", "0x1.4e2c93ec609e5p-8"],
+            ["0x1.9156979c25856p-2", "0x1.6b92b6a91c460p-7"],
+            ["0x1.de0ca08f06e26p-3", "0x1.ad2df880341fdp-7"],
+        ]
 
 
 def _flow(n=2, max_iters=1):
@@ -627,6 +677,24 @@ POSITIVE_ARGUMENTS = [  # (entry point, argument, the call with that argument se
     ("gaf_expected", "b", gaf_expected),
     ("_gaf_mc", "b", lambda v: planar_gaf_mc(1.0, v, 14, 2, RngStream(seed=1))),
 ]
+
+
+NONNEGATIVE_ARGUMENTS = [  # (entry point, argument, the call with that argument set)
+    ("fixed_point_solve", "tol", lambda v: fixed_point_solve(FockPolynomial((1.0, 0.3)), 0.5, 3, v)),
+    ("gradient_flow", "tol", lambda v: gradient_flow(2, 1.0, RngStream(seed=1), max_iters=3, tol=v,
+                                                     quad=_QUAD)),
+]
+
+
+@pytest.mark.parametrize("name, call", [entry[1:] for entry in NONNEGATIVE_ARGUMENTS],
+                         ids=[f"{entry}-{name}" for entry, name, _ in NONNEGATIVE_ARGUMENTS])
+def test_stopping_tolerances_must_be_nonnegative(name, call):
+    # A negative or nan tolerance is refused, where before it ran to the cap with no error; 0 is
+    # the documented way to run to the cap.
+    for value in (-1.0, -math.inf, math.nan, np.float64(-1e-300)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be nonnegative, got {value}')}$"):
+            call(value)
+    call(0.0)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -563,6 +564,24 @@ class TestGradientFlow:
         )
         assert longer[:it + 1] == trace
         assert residual <= longer[it + 1][2]
+
+    def test_keeps_only_the_iterates_the_stall_rule_reads(self, monkeypatch):
+        # Every configuration the flow holds is alive when the next trial's moments are taken:
+        # the iterates since best last rose (at most _STALL_STEPS + 1) and the trial.  Keeping
+        # every iterate would hold one per accepted step, 33 on this 32-iteration flow.
+        refs, most = [], [0]
+
+        def counting(config, gammas, quad):
+            refs.append(weakref.ref(config))
+            most[0] = max(most[0], sum(ref() is not None for ref in refs))
+            return moments(config, gammas, quad)
+
+        moments = sphere._moments
+        monkeypatch.setattr(sphere, "_moments", counting)
+        _, trace = gradient_flow(4, 1.0, RngStream(seed=1), step=4.0, max_iters=200, tol=0.0,
+                                 quad=SphereQuadrature(16, 32))
+        assert len(trace) > 4 * sphere._STALL_STEPS
+        assert most[0] <= sphere._STALL_STEPS + 2
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_step_is_rejected_like_a_failed_trial(self, sphere_quad):
