@@ -35,12 +35,14 @@ _EXPORTS = {  # module -> the public names the package re-exports from it
         "rho1_closed", "rho2_closed",
     ),
     "hyperbolic": (
-        "DiskFunction", "InequalityReport", "ProofConstantsReport", "ThresholdCheck",
-        "case_iia_integral", "halfdisk_identity_check", "hyperbolic_discrepancy",
+        "DiskFunction", "InequalityReport", "halfdisk_identity_check", "hyperbolic_discrepancy",
         "hyperbolic_gaf_expected", "hyperbolic_gaf_mc", "hyperbolic_gaf_tail",
         "hyperbolic_gaf_truncation", "inequality_suite", "make_disk_quadrature",
-        "proof_constants_report", "schafli_area", "schafli_solutions", "tight_discrepancy",
-        "weighted_square_mass",
+        "tight_discrepancy", "weighted_square_mass",
+    ),
+    "proof": (
+        "ProofConstantsReport", "ThresholdCheck", "case_iia_integral", "proof_constants_report",
+        "schafli_area", "schafli_solutions",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

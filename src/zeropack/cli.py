@@ -262,9 +262,9 @@ def _cmd_fock(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     """The proof-constant report as it stands: it echoes no parameters and has no provenance."""
-    from . import hyperbolic
+    from . import proof
 
-    report = hyperbolic.proof_constants_report()
+    report = proof.proof_constants_report()
     _emit(report.to_json_dict(), ns.out)
     return 0 if report.all_pass else 3
 

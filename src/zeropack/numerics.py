@@ -17,6 +17,7 @@ import numpy as np
 
 _MAX_THREADS = 256  # largest worker count accepted from a flag, the environment or a caller
 _MAX_TRIALS = 100_000  # largest Monte Carlo trial count: one float per trial is kept until the end
+_MAX_ITERS = 100_000  # largest solver iteration cap: a history or trace entry is kept per iteration
 _BATCH_POINTS = 8192  # grid points (trials x radii x angles) a GAF batch sums at once
 _SCALES_MAX = 2**20  # largest term-scale table (radii x terms) a GAF call keeps; larger ones go per batch
 _STIELTJES_MIN = 20.0  # n sin(theta) above which P_n(cos theta) comes from the Stieltjes expansion

@@ -40,7 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import RngStream, _check_integers, _check_nonnegative, _check_positive, gauss_legendre
+from .numerics import (
+    _MAX_ITERS, RngStream, _check_integers, _check_nonnegative, _check_positive, gauss_legendre,
+)
 from .reports import DiscrepancyReport
 
 _MIN_PAIR_DIST = 1e-9
@@ -385,8 +387,8 @@ def gradient_flow(
         raise ValueError("n must be >= 1")
     _check_positive(beta=beta, step=step)
     _check_nonnegative(tol=tol)
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not 0 <= max_iters <= _MAX_ITERS:
+        raise ValueError(f"max_iters must be in [0, {_MAX_ITERS}], got {max_iters}")
     quad = quad if quad is not None else SphereQuadrature()
     quad.check_points(n)
     if isinstance(rng, SphereConfiguration):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import SRC, checkout_env
-from zeropack import cli, fock, hyperbolic, numerics, sphere
+from zeropack import cli, fock, numerics, proof, sphere
 from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
 from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
 from zeropack.planar import planar_gaf_truncation, planar_lattice_density
@@ -678,7 +678,7 @@ class TestVerifyCommand:
             def to_json_dict(self):
                 return {"stub": {"pass": False, "threshold": 1.0, "value": 0.0}}
 
-        monkeypatch.setattr(hyperbolic, "proof_constants_report", lambda: _Stub())
+        monkeypatch.setattr(proof, "proof_constants_report", lambda: _Stub())
         code, out, _ = run_cli(capsys, ["verify"])
         assert code == 3
         assert json.loads(out)["stub"]["pass"] is False
@@ -769,6 +769,25 @@ class TestExitCodes:
         assert err.startswith("numeric failure:")
 
     @pytest.mark.parametrize(
+        "module, target, argv",
+        [
+            (sphere, "_moments", ["sphere", "--n", "2", "--beta", "1", "--flow", "--seed", "1"]),
+            (fock, "_project", ["fock", "--coeffs", "[1]", "--omega", "0.5", "--solve"]),
+        ],
+        ids=["sphere-flow", "fock-solve"],
+    )
+    def test_iteration_cap_above_limit_exits_2(self, capsys, monkeypatch, module, target, argv):
+        # Rejected before the first iteration: no moment and no projection is computed.
+        def no_iterations(*args, **kwargs):
+            raise AssertionError("iterations started before the size check")
+
+        monkeypatch.setattr(module, target, no_iterations)
+        for iters in (numerics._MAX_ITERS + 1, 10**12):
+            code, out, err = run_cli(capsys, [*argv, "--iters", str(iters)])
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "max_iters" in err
+
+    @pytest.mark.parametrize(
         "command, coeffs, flags",
         [
             ("hyperbolic", "[true]", ["--r", "0.5"]),
@@ -802,9 +821,10 @@ class TestExitCodes:
 # (an error under pytest), and a strict JSON report (curve: a CSV) on success.
 # Sizes come only from cheap ranges or from values rejected before any
 # allocation or thread pool: --grid 16-256 or above 8192, sphere --n <= 4 or
-# above the grid budget, --iters <= 2, --trials <= 16 or above the cap,
-# --threads 1-2 or above 256.  The examples are derandomized, so the test is a
-# reproducible gate; raise max_examples (and drop derandomize) to explore.
+# above the grid budget, --iters <= 20 or above the cap, --trials <= 16 or
+# above the cap, --threads 1-2 or above 256.  The examples are derandomized, so
+# the test is a reproducible gate; raise max_examples (and drop derandomize) to
+# explore.
 # ---------------------------------------------------------------------------
 
 def _floats(lo: float, hi: float) -> st.SearchStrategy:
@@ -868,6 +888,7 @@ _ARGS = {
                                          _optional("--tol", _floats(1e-12, 1e-2)))
                  .map(lambda t: ["--flow", *t[0], *t[1], *t[2]]),
                  st.sampled_from([["--step=1"], ["--iters=1"], ["--tol=1e-3"], ["--flow", "--iters=-1"]])
+                 | _flag("--iters", _ints(100_001, 10**12)).map(lambda t: ["--flow", *t])
                  | _flag("--step", _ANY_FLOAT).map(lambda t: ["--flow", "--iters=1", *t])
                  | _flag("--tol", _ANY_FLOAT).map(lambda t: ["--flow", "--iters=1", *t])),
     },
@@ -882,7 +903,8 @@ _ARGS = {
         "coeffs": (_flag("--coeffs", _coeffs(st.floats(-4, 4))), _flag("--coeffs", _ANY_COEFFS)),
         "omega": (_flag("--omega", _floats(-2, 2)), _flag("--omega", _ANY_FLOAT)),
         "solve": (st.just([]) | _optional("--iters", _ints(0, 20)).map(lambda t: ["--solve", *t]),
-                  st.sampled_from([["--iters=1"], ["--solve", "--iters=-1"]])),
+                  st.sampled_from([["--iters=1"], ["--solve", "--iters=-1"]])
+                  | _flag("--iters", _ints(100_001, 10**12)).map(lambda t: ["--solve", *t])),
     },
     "verify": {},
 }

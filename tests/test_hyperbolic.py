@@ -1,5 +1,4 @@
-"""Disk-candidate discrepancies, the GAF sampler, identity/inequality checks,
-the explicit lower-bound constants, and the tessellation arithmetic."""
+"""Disk-candidate discrepancies, the GAF sampler, and the identity/inequality checks."""
 
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ import pytest
 
 from oracles import (
     annulus_power_mass,
-    case_iia_quadrature,
     disk_constant_discrepancy,
     disk_monomial_closed_form,
     disk_monomial_discrepancy,
@@ -27,7 +25,6 @@ from zeropack.hyperbolic import (
     DiskFunction,
     InequalityReport,
     _gradient_magnitude,
-    case_iia_integral,
     halfdisk_identity_check,
     hyperbolic_discrepancy,
     hyperbolic_gaf_expected,
@@ -36,9 +33,6 @@ from zeropack.hyperbolic import (
     hyperbolic_gaf_truncation,
     inequality_suite,
     make_disk_quadrature,
-    proof_constants_report,
-    schafli_area,
-    schafli_solutions,
     tight_discrepancy,
     weighted_square_mass,
 )
@@ -721,66 +715,3 @@ class TestInequalitySuite:
     def test_points_may_come_from_any_iterable(self):
         for points in ([0.1, 0.2j], (0.1, 0.2j), (z for z in (0.1, 0.2j)), np.array([0.1, 0.2j])):
             assert inequality_suite(disk(1.0), 0.5, points).points_checked == 2
-
-
-class TestProofConstants:
-    def test_case_iia_exact_value_and_quadrature_route(self):
-        exact = case_iia_integral()
-        assert exact == pytest.approx(case_iia_quadrature(), abs=1e-12)
-        assert exact == pytest.approx(7.511952025519852e-05, abs=1e-18)
-        assert exact > 1.0 / 14000.0
-
-    def test_report_values_and_flags(self):
-        rep = proof_constants_report()
-        assert rep.case_iiba.value == pytest.approx(
-            float(Fraction(1, 2214 * 15 * 27 * 27)) / math.pi, rel=1e-15
-        )
-        assert rep.case_iibb.value == pytest.approx(1.0 / 136161.0, rel=1e-15)
-        assert rep.rho2 == pytest.approx(4.0 / 9.0 * 1.3e-8, rel=1e-15)
-        assert rep.final_bound.value == pytest.approx(
-            rep.rho2 / math.log(4.0 / 3.0), rel=1e-15
-        )
-        assert rep.all_pass
-
-    def test_rho1_above_a_case_value_fails(self):
-        rep = proof_constants_report()
-        assert rep.rho1 <= rep.case_iiba.value
-        too_big = dataclasses.replace(rep, rho1=1.1 * rep.case_iiba.value)
-        assert not too_big.all_pass
-        assert sorted(too_big.to_json_dict()) == sorted(rep.to_json_dict())
-
-    def test_json_layout_is_exactly_six_fields(self):
-        payload = proof_constants_report().to_json_dict()
-        assert sorted(payload) == [
-            "case_iia",
-            "case_iiba",
-            "case_iibb",
-            "final_bound",
-            "rho1",
-            "rho2",
-        ]
-        assert sorted(payload["case_iia"]) == ["pass", "threshold", "value"]
-
-
-class TestTessellations:
-    def test_enumeration_is_exact(self):
-        solutions = schafli_solutions()
-        assert [(p, q) for p, q, _ in solutions] == [
-            (5, 10),
-            (6, 6),
-            (8, 4),
-            (12, 3),
-        ]
-        assert all(area == Fraction(1, 2) for _, _, area in solutions)
-
-    def test_area_formula_spot_checks(self):
-        area, exists = schafli_area(7, 3)
-        assert area == Fraction(1, 12)
-        assert exists
-        area, exists = schafli_area(3, 3)
-        assert area == Fraction(-1, 4)
-        assert not exists
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            schafli_area(2, 5)

@@ -697,6 +697,25 @@ def test_stopping_tolerances_must_be_nonnegative(name, call):
     call(0.0)
 
 
+ITERATION_CAPS = [  # (entry point, least max_iters, the call with it set; tol = inf stops at once)
+    ("gradient_flow", 0, lambda v: gradient_flow(2, 1.0, RngStream(seed=1), max_iters=v, tol=math.inf,
+                                                 quad=_QUAD)),
+    ("fixed_point_solve", 1, lambda v: fixed_point_solve(FockPolynomial((1.0,)), 0.5, v, math.inf)),
+]
+
+
+@pytest.mark.parametrize("least, call", [entry[1:] for entry in ITERATION_CAPS],
+                         ids=[entry[0] for entry in ITERATION_CAPS])
+def test_iteration_caps_are_bounded(least, call):
+    # Each iteration keeps a history or trace entry, so the cap is bounded like the trial count;
+    # the bound itself is accepted (and, at tol = inf, not run to).
+    call(numerics._MAX_ITERS)
+    for value in (least - 1, numerics._MAX_ITERS + 1, 10**12):
+        message = f"^{re.escape(f'max_iters must be in [{least}, {numerics._MAX_ITERS}], got {value}')}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
 @pytest.mark.parametrize("name, call", [entry[1:] for entry in POSITIVE_ARGUMENTS],
                          ids=[f"{entry}-{name}" for entry, name, _ in POSITIVE_ARGUMENTS])

@@ -19,7 +19,7 @@ import pytest
 
 import zeropack
 from conftest import checkout_env
-from zeropack import fock, hyperbolic, numerics, planar, reports, sphere, weierstrass
+from zeropack import fock, hyperbolic, numerics, planar, proof, reports, sphere, weierstrass
 
 PUBLIC_NAMES = [
     "DegenerateLatticeError", "DiscrepancyReport", "DiskFunction", "DivergenceError",
@@ -38,7 +38,7 @@ PUBLIC_NAMES = [
     "rho2_closed", "sample_complex_gaussians", "schafli_area", "schafli_solutions", "sigma",
     "sigma_parts", "stationary_residual", "tight_discrepancy", "weighted_square_mass",
 ]
-MODULES = (numerics, reports, weierstrass, planar, fock, sphere, hyperbolic)
+MODULES = (numerics, reports, weierstrass, planar, fock, sphere, hyperbolic, proof)
 
 
 class TestPublicApi:
@@ -68,6 +68,8 @@ class TestPublicApi:
         assert planar.TruncationError is hyperbolic.TruncationError is numerics.TruncationError
         assert planar.planar_gaf_expected is hyperbolic.hyperbolic_gaf_expected
         assert planar.planar_gaf_expected is numerics.gaf_expected
+        assert hyperbolic.proof_constants_report is proof.proof_constants_report
+        assert hyperbolic.schafli_solutions is proof.schafli_solutions
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -146,9 +148,9 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 SPECIALISTS = {"zeropack.hyperbolic", "zeropack.planar", "zeropack.weierstrass",
-               "zeropack.sphere", "zeropack.fock"}
+               "zeropack.sphere", "zeropack.fock", "zeropack.proof"}
 NEVER = {"concurrent.futures", "numpy.polynomial", "fractions"}
-PLANAR_ONLY = {"zeropack.hyperbolic", "zeropack.sphere", "zeropack.fock"} | NEVER
+PLANAR_ONLY = SPECIALISTS - {"zeropack.planar", "zeropack.weierstrass"} | NEVER
 LOADS = {  # id: (argv, modules it must not load, modules it must load)
     "import": ([], SPECIALISTS | NEVER | {"numpy", "zeropack.numerics", "zeropack.reports",
                                           "zeropack.cli"}, {"zeropack"}),
@@ -159,8 +161,8 @@ LOADS = {  # id: (argv, modules it must not load, modules it must load)
               {"zeropack.planar"}),
     "hyperbolic": (["hyperbolic", "--coeffs", "[1]", "--r", "0.5"],
                    SPECIALISTS - {"zeropack.hyperbolic"} | NEVER, {"zeropack.hyperbolic"}),
-    "verify": (["verify"], SPECIALISTS - {"zeropack.hyperbolic"} | NEVER - {"fractions"},
-               {"zeropack.hyperbolic", "fractions"}),
+    "verify": (["verify"], SPECIALISTS - {"zeropack.proof"} | NEVER - {"fractions"}
+               | {"numpy", "zeropack.numerics"}, {"zeropack.proof", "fractions"}),
     "sphere": (["sphere", "--n", "2", "--beta", "1", "--seed", "1"],
                SPECIALISTS - {"zeropack.sphere"} | NEVER, {"zeropack.sphere"}),
     "fock": (["fock", "--coeffs", "[1]", "--omega", "0.5"], SPECIALISTS - {"zeropack.fock"} | NEVER,
