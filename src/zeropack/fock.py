@@ -134,12 +134,10 @@ def fixed_point_solve(f0: FockPolynomial, omega: float, max_iters: int, tol: flo
     if not (math.isfinite(omega) and omega != 0.0):
         raise ValueError(f"omega must be finite and nonzero, got {omega}")
     # here: a projection alone loads no other module
-    from .numerics import _MAX_ITERS, _check_integers, _check_nonnegative
+    from .numerics import _MAX_ITERS, _check_counts, _check_nonnegative
 
-    _check_integers(max_iters=max_iters)
+    _check_counts(1, _MAX_ITERS, max_iters=max_iters)
     _check_nonnegative(tol=tol)
-    if not 1 <= max_iters <= _MAX_ITERS:
-        raise ValueError(f"max_iters must be in [1, {_MAX_ITERS}], got {max_iters}")
     norm0 = fock_norm(f0)
     if norm0 < _MIN_DIVISOR:
         raise ValueError(f"f0 must have a weighted norm of at least {_MIN_DIVISOR:g}, got {norm0:g}")

@@ -24,7 +24,7 @@ import numpy as np
 from .numerics import (
     RngStream,
     TruncationError,
-    _check_integers,
+    _check_counts,
     _check_positive,
     _gaf_mc,
     _polar_values,
@@ -202,9 +202,7 @@ def make_disk_quadrature(radius: float, n_radial: int = 2048, n_angular: int = 5
     halfdisk_identity_check, overrides the rule they otherwise build for each candidate
     (_panel_quadrature)."""
     span = _check_radius(radius)
-    _check_integers(n_radial=n_radial, n_angular=n_angular)
-    if n_radial < 4 or n_angular < 4:
-        raise ValueError("need at least 4 radial and 4 angular nodes")
+    _check_counts(4, None, n_radial=n_radial, n_angular=n_angular)
     rule = gauss_legendre(n_radial, 0.0, span)
     u = -np.expm1(-rule.nodes)
     u.setflags(write=False)
@@ -345,9 +343,7 @@ def hyperbolic_gaf_tail(r: float, N: int) -> float:
           = r^{2(N+1)} (N + 2 - (N+1) r^2), evaluated at |z| = r.
     """
     _check_radius(r)
-    _check_integers(N=N)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    _check_counts(1, None, N=N)
     x = r * r
     return x ** (N + 1) * (N + 2 - (N + 1) * x)
 
@@ -401,7 +397,7 @@ def hyperbolic_gaf_mc(
         r      0.3 / 0.5   0.8     0.9     0.95    0.99    0.995   0.999
         ratio  1.0000      1.0060  1.0040  1.0024  1.0010  1.0019  1.0073
     """
-    _check_integers(truncation_N=truncation_N, trials=trials, threads=threads)
+    _check_counts(1, None, truncation_N=truncation_N)
     tail = hyperbolic_gaf_tail(r, truncation_N)  # checks r
     if not (tail < 1e-6):
         raise TruncationError(
@@ -409,9 +405,7 @@ def hyperbolic_gaf_mc(
         )
     if n_angular is None:
         n_angular = _power_of_two_at_least(2.0 * math.pi * r / ((1.0 - r) * (1.0 + r)), 16, 128)
-    _check_integers(n_radial=n_radial, n_angular=n_angular)
-    if n_radial < 4 or n_angular < 4:
-        raise ValueError("need at least 4 radial and 4 angular nodes")
+    _check_counts(4, None, n_radial=n_radial, n_angular=n_angular)
     span = _check_radius(r)
     rule = gauss_legendre(n_radial, 0.0, span)
     u = -np.expm1(-rule.nodes)

@@ -104,12 +104,15 @@ def _legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _check_integers(**counts) -> None:
-    """ValueError naming the first argument that is not an integer: numpy integers pass, bool
-    does not."""
+def _check_counts(low=None, high=None, /, **counts) -> None:
+    """ValueError naming the first argument that is not an integer in [low, high]: numpy
+    integers pass, bool does not.  low=None checks the type alone, high=None sets no upper bound."""
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if low is not None and not (low <= value and (high is None or value <= high)):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
 def _check_positive(**values) -> None:
@@ -132,9 +135,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     Exact for polynomials of degree <= 2n-1.  The rule on [-1, 1] is built in O(n) by Newton
     iteration in the angle (_legendre_unit), cached per n, and mapped affinely.
     """
-    _check_integers(n=n)
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    _check_counts(1, None, n=n)
     if not (a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = _legendre_unit(n)
@@ -201,6 +202,12 @@ def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
 def _polynomial_zeros(coeffs) -> np.ndarray:
     """The zeros of sum_k coeffs[k] z^k, coeffs[0] and coeffs[-1] nonzero, degree >= 1.
 
+    Divided by the largest modulus, a coefficient below the least normal double changes the
+    polynomial by less than its rounding on the closed unit disk.  Such coefficients at either
+    end are dropped, so the first and last kept are normal and every Newton polygon radius is a
+    finite double: k dropped leading ones give k zeros at 0, and the zeros the dropped trailing
+    ones carry lie outside the unit disk and are left out.
+
     Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from _newton_polygon_starts: each
     step moves every estimate z_i by N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i = p / p'
     at z_i.  p and p' come from the powers of z, or where |z| > 1 from the powers of 1/z with the
@@ -213,9 +220,12 @@ def _polynomial_zeros(coeffs) -> np.ndarray:
     """
     c = np.asarray(coeffs, dtype=complex)
     c = c / np.max(np.abs(c))
+    kept = np.flatnonzero(np.abs(c) >= np.finfo(float).tiny)
+    origin = np.zeros(kept[0], dtype=complex)
+    c = c[kept[0] : kept[-1] + 1]
     n = c.size - 1
-    if n == 1:
-        return np.array([-c[0] / c[1]])
+    if n <= 1:  # no zero left, or the one at -c[0] / c[1]
+        return np.concatenate([origin, -c[:n] / c[n:]])
     z = _newton_polygon_starts(c)
     # rows p and p' of the polynomial, then of its reverse z^n p(1/z), against the powers 0..n
     table = np.zeros((2, 2, n + 1), dtype=complex)
@@ -237,7 +247,7 @@ def _polynomial_zeros(coeffs) -> np.ndarray:
             z -= step
             if np.all((np.abs(step) <= _ZERO_STEP * np.abs(z)) | (np.abs(p) <= noise)):
                 break
-    return z
+    return np.concatenate([origin, z])
 
 
 def _term_scales(log_scales, radii, n_angular: int, log_offset=None):
@@ -289,11 +299,7 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        _check_integers(seed=self.seed, stream_index=self.stream_index)
-        for name in ("seed", "stream_index"):
-            v = getattr(self, name)
-            if not (0 <= int(v) < 2**64):
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+        _check_counts(0, 2**64 - 1, seed=self.seed, stream_index=self.stream_index)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
@@ -359,9 +365,7 @@ def resolve_threads(flag: int | None = None) -> int:
 
 def _checked_threads(threads: int) -> int:
     """threads, if it is a worker count in [1, _MAX_THREADS]; ValueError otherwise."""
-    _check_integers(threads=threads)
-    if not 1 <= threads <= _MAX_THREADS:
-        raise ValueError(f"thread count must be in [1, {_MAX_THREADS}], got {threads}")
+    _check_counts(1, _MAX_THREADS, threads=threads)
     return threads
 
 
@@ -381,8 +385,7 @@ def map_indexed(fn: Callable[[int], _T], count: int, threads: int = 1) -> list[_
     one pool task each.  Results are collected by index, so the output (and any reduction
     over it) is independent of the thread count.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _check_counts(0, None, count=count)
     if _checked_threads(threads) == 1 or count <= 1:
         return [fn(i) for i in range(count)]
     from concurrent.futures import ThreadPoolExecutor  # ~7 ms (logging, queue): only when threaded
@@ -444,12 +447,9 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
     estimate, is independent of the batch size and the thread count.
     """
     _check_positive(b=b)
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    if trials > _MAX_TRIALS:
-        raise ValueError(f"trial count must be at most {_MAX_TRIALS}, got {trials}")
-    if n_angular < 1:
-        raise ValueError(f"n_angular must be >= 1, got {n_angular}")
+    _check_counts(2, _MAX_TRIALS, trials=trials)
+    _check_counts(1, None, n_angular=n_angular)
+    _checked_threads(threads)
     c = b * (b - math.sqrt(math.pi) / 2.0)
     grid = (len(radii), n_angular)
     blocks = partial(_term_scales, log_scales, radii, n_angular, log_envelope)
@@ -473,7 +473,7 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
             out += [float(weights @ x[k]) - c * (float(weights @ a[k]) - mean_a) for k in range(rows)]
         return out
 
-    parts = _split(trials, min(_checked_threads(threads), trials))
+    parts = _split(trials, min(threads, trials))
     vals = np.array([v for part in map_indexed(lambda t: run(parts[t]), len(parts), threads) for v in part])
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (RngStream, TruncationError, _check_integers, _check_positive, _gaf_mc,
+from .numerics import (RngStream, TruncationError, _check_counts, _check_positive, _gaf_mc,
                        _power_of_two_at_least, gaf_expected, gauss_legendre, richardson)
 from .reports import DiscrepancyReport
 from .weierstrass import (
@@ -129,9 +129,7 @@ def planar_lattice_density(
     rho when the finest level is dropped, at least 4 ulps of 1 (rho cancels against 1).
     """
     _check_positive(beta=beta)
-    _check_integers(grid_m=grid_m)
-    if not (16 <= grid_m <= _MAX_GRID):
-        raise ValueError(f"grid_m must be in [16, {_MAX_GRID}], got {grid_m}")
+    _check_counts(16, _MAX_GRID, grid_m=grid_m)
     p = profile if profile is not None else _default_profile()
     both, steps = _ladder_means(p, beta, min(grid_m, _LADDER_TOP))
     moments = []
@@ -188,7 +186,7 @@ def planar_gaf_tail(R: float, N: int) -> float:
     """
     if not (0.0 < R < math.inf):
         raise ValueError(f"R must be positive and finite, got {R}")
-    _check_integers(N=N)
+    _check_counts(N=N)
     peak = 2.0 * R * R  # inf for R above 1e154: then every head term is 0 and the tail is 1
     if N + 1 > peak:
         return sum(_planar_gaf_terms(R, N + 1))
@@ -204,8 +202,7 @@ def planar_gaf_tail(R: float, N: int) -> float:
 def planar_gaf_truncation(R: float, tol: float = 1e-8) -> int:
     """Smallest degree N >= max(8, 2R^2) with planar_gaf_tail(R, N) < tol, in one pass: every
     candidate's tail is a suffix sum of the same terms, accumulated from the smallest up."""
-    if not (R > 0.0 and tol > 0.0):
-        raise ValueError(f"R and tol must be positive, got R = {R}, tol = {tol}")
+    _check_positive(R=R, tol=tol)
     if 2.0 * R * R > _MAX_TRUNCATION:  # N >= 2R^2; for R above 1e154 that is inf
         raise TruncationError(f"no admissible truncation degree up to {_MAX_TRUNCATION}, R = {R}")
     first = max(8, int(2.0 * R * R))
@@ -249,8 +246,8 @@ def planar_gaf_mc(
         n_radial = min(192, max(16, math.ceil(4.0 * R)))
     if n_angular is None:
         n_angular = _power_of_two_at_least(8.0 * math.pi * R, 16, 256)
-    _check_integers(truncation_N=truncation_N, trials=trials, threads=threads, n_radial=n_radial,
-                    n_angular=n_angular)
+    _check_counts(0, None, truncation_N=truncation_N)
+    _check_counts(1, None, n_radial=n_radial)
     tail = planar_gaf_tail(R, truncation_N)
     if not (tail < 1e-8):
         raise TruncationError(

@@ -1,9 +1,10 @@
 """The explicit constants of the paper's lower-bound proof, and (p,q) tessellation arithmetic.
 
-Both need only math and fractions, so `zeropack verify` loads no numpy.
+Both need only math, numbers and fractions, so `zeropack verify` loads no numpy.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,6 +133,9 @@ def schafli_area(p: int, q: int) -> tuple[Fraction, bool]:
     q at a vertex exists in the hyperbolic plane iff the area is positive.
     Exact rational arithmetic throughout.
     """
+    for name, value in (("p", p), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if p < 3 or q < 3:
         raise ValueError(f"need p, q >= 3, got ({p}, {q})")
     area = Fraction(p - 2, 4) - Fraction(2 * p, 4 * q)

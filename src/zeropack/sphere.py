@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
-    _MAX_ITERS, RngStream, _check_integers, _check_nonnegative, _check_positive, gauss_legendre,
+    _MAX_ITERS, RngStream, _check_counts, _check_nonnegative, _check_positive, gauss_legendre,
 )
 from .reports import DiscrepancyReport
 
@@ -104,9 +104,7 @@ class SphereConfiguration:
 
 def random_configuration(n: int, rng: RngStream) -> SphereConfiguration:
     """n independent uniform points (normalized Gaussians) on the sphere."""
-    _check_integers(n=n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_counts(1, None, n=n)
     g = rng.generator()
     pts = g.normal(size=(n, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -135,9 +133,7 @@ class SphereQuadrature:
     sin_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_integers(n_polar=self.n_polar, n_azimuthal=self.n_azimuthal)
-        if self.n_polar < 2 or self.n_azimuthal < 2:
-            raise ValueError("need at least 2 nodes in each direction")
+        _check_counts(2, None, n_polar=self.n_polar, n_azimuthal=self.n_azimuthal)
         if self.frame not in ("anchored", "world"):
             raise ValueError(f"frame must be 'anchored' or 'world', got {self.frame!r}")
         rule = gauss_legendre(self.n_polar, -1.0, 1.0)
@@ -382,13 +378,10 @@ def gradient_flow(
 
     `rng` may be a stream (random start) or a configuration to start from.
     """
-    _check_integers(n=n, max_iters=max_iters)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_counts(1, None, n=n)
+    _check_counts(0, _MAX_ITERS, max_iters=max_iters)
     _check_positive(beta=beta, step=step)
     _check_nonnegative(tol=tol)
-    if not 0 <= max_iters <= _MAX_ITERS:
-        raise ValueError(f"max_iters must be in [0, {_MAX_ITERS}], got {max_iters}")
     quad = quad if quad is not None else SphereQuadrature()
     quad.check_points(n)
     if isinstance(rng, SphereConfiguration):

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import SRC, checkout_env
 from zeropack import cli, fock, numerics, proof, sphere
 from zeropack.fock import DivergenceError, FockPolynomial, stationary_residual
-from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy
+from zeropack.hyperbolic import DiskFunction, hyperbolic_discrepancy, tight_discrepancy
 from zeropack.planar import planar_gaf_truncation, planar_lattice_density
 from zeropack.sphere import SphereConfiguration, SphereQuadrature, StepCollapseError, discrepancy
 
@@ -318,7 +318,7 @@ class TestGafCommand:
         argv = ["gaf", "--mode", "planar", "--b", "1", "--R", "2", "--trials", "400", "--seed", "1"]
         code, out, err = run_cli(capsys, [*argv, "--threads", threads])
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and "thread count" in err
+        assert err == f"error: threads must be in [1, {numerics._MAX_THREADS}], got {threads}\n"
         monkeypatch.setenv("ZEROPACK_THREADS", threads)
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
@@ -338,7 +338,7 @@ class TestGafCommand:
                  "--threads", "2"],
             )
             assert (code, out) == (2, "")
-            assert err.startswith("error:") and "trial count" in err
+            assert err == f"error: trials must be in [2, {numerics._MAX_TRIALS}], got {trials}\n"
 
     def test_env_thread_override_wins(self, capsys, monkeypatch):
         monkeypatch.setenv("ZEROPACK_THREADS", "2")
@@ -576,6 +576,24 @@ class TestHyperbolicCommand:
         assert (code, out) == (2, "")
         r = argv[argv.index("--r") + 1]
         assert err.startswith("error: r must lie in (0, 1)") and f"r={r}" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--tight"]], ids=["plain", "tight"])
+    @pytest.mark.parametrize("coeffs, r, without", [
+        ("[1e30, 1, 1e-300]", "0.9", (1e30, 1.0)),
+        ("[1e-300, 1, 1e30]", "0.9", (0.0, 1.0, 1e30)),
+        ("[1e30, 1e-300]", "0.5", (1e30,)),
+        ("[1e30, 1e20, 3e-294]", "0.5", (1e30, 1e20)),
+    ], ids=["trailing", "leading", "linear", "subnormal"])
+    def test_coefficients_that_underflow_in_the_zero_search(self, capsys, coeffs, r, without, flags):
+        # Scaled by the largest, the smallest coefficient falls below the least normal double;
+        # the zero search drops it, so the value is that of the candidate without it.
+        code, out, err = run_cli(capsys, ["hyperbolic", "--coeffs", coeffs, "--r", r, *flags])
+        assert (code, err) == (0, "")
+        value = json.loads(out)["value"]
+        evaluate = tight_discrepancy if flags else hyperbolic_discrepancy
+        assert math.isfinite(value)
+        assert value == pytest.approx(evaluate(DiskFunction(coeffs=without), float(r)), rel=1e-12)
 
     @pytest.mark.parametrize("flags", [[], ["--tight"]], ids=["plain", "tight"])
     def test_report_is_independent_of_blas_threads(self, flags):

@@ -201,6 +201,11 @@ class TestRngStream:
                     assert row.tobytes() == sample_complex_gaussians(rng.substream(i), n).tobytes(), (i, n)
 
 
+def _threads_message(threads) -> str:
+    """The exact refusal of a worker count outside [1, _MAX_THREADS], as a pattern."""
+    return f"^{re.escape(f'threads must be in [1, {_MAX_THREADS}], got {threads}')}$"
+
+
 class TestResolveThreads:
     def test_env_overrides_flag(self, monkeypatch):
         monkeypatch.setenv("ZEROPACK_THREADS", "3")
@@ -230,7 +235,7 @@ class TestResolveThreads:
     @pytest.mark.parametrize("count", [_MAX_THREADS + 1, 1000000])
     def test_counts_above_cap_are_rejected(self, monkeypatch, count):
         assert resolve_threads(_MAX_THREADS) == _MAX_THREADS
-        with pytest.raises(ValueError, match="thread count"):
+        with pytest.raises(ValueError, match=_threads_message(count)):
             resolve_threads(count)
         monkeypatch.setenv("ZEROPACK_THREADS", str(count))
         with pytest.raises(ValueError, match="ZEROPACK_THREADS"):
@@ -238,7 +243,7 @@ class TestResolveThreads:
 
     def test_map_indexed_rejects_counts_above_cap(self):
         calls = []
-        with pytest.raises(ValueError, match="thread count"):
+        with pytest.raises(ValueError, match=_threads_message(_MAX_THREADS + 1)):
             map_indexed(calls.append, 4, threads=_MAX_THREADS + 1)
         assert calls == []
 
@@ -285,7 +290,7 @@ class TestMapIndexed:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_counts_below_one_are_rejected(self, threads):
         calls = []
-        with pytest.raises(ValueError, match="thread count"):
+        with pytest.raises(ValueError, match=_threads_message(threads)):
             map_indexed(calls.append, 4, threads=threads)
         assert calls == []
 
@@ -360,6 +365,19 @@ class TestPolynomialZeros:
         monkeypatch.undo()
         assert len(steps) < numerics._ZERO_STEPS
         assert np.max(np.abs(zeros - root)) <= 4.0 * np.finfo(float).eps ** (1.0 / power)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs, zeros", [
+        ((1e30, 1.0, 1e-300), [-1e30]),  # the term below the least normal double is dropped
+        ((1e-300, 1.0, 1e30), [0.0, -1e-30]),  # a dropped leading term leaves a zero at 0
+        ((1e30, 1e-300), []),
+        ((1e-300, 1e-300, 1e30), [0.0, 0.0]),
+        ((1e30, 1e20, 3e-294), [-1e10]),  # a subnormal end would put a start at exp(721)
+    ])
+    def test_coefficients_below_the_normal_range_are_dropped(self, coeffs, zeros):
+        got = _polynomial_zeros(coeffs)
+        assert got.shape == (len(zeros),)
+        assert np.allclose(got, zeros, rtol=1e-12, atol=0.0)
 
     def test_no_lapack_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -611,45 +629,58 @@ def _flow(n=2, max_iters=1):
     return gradient_flow(n, 1.0, RngStream(seed=1), max_iters=max_iters, quad=SphereQuadrature(8, 16))
 
 
-INTEGER_ARGUMENTS = [  # (entry point, argument, a valid value, the call with that argument set)
-    ("gauss_legendre", "n", 10, lambda v: gauss_legendre(v, 0.0, 1.0)),
-    ("SphereQuadrature", "n_polar", 16, lambda v: SphereQuadrature(v, 32)),
-    ("SphereQuadrature", "n_azimuthal", 32, lambda v: SphereQuadrature(16, v)),
-    ("make_disk_quadrature", "n_radial", 16, lambda v: make_disk_quadrature(0.5, v, 16)),
-    ("make_disk_quadrature", "n_angular", 16, lambda v: make_disk_quadrature(0.5, 16, v)),
-    ("planar_gaf_mc", "truncation_N", 14, lambda v: planar_gaf_mc(1.0, 1.0, v, 2, RngStream(seed=1))),
-    ("planar_gaf_mc", "trials", 2, lambda v: planar_gaf_mc(1.0, 1.0, 14, v, RngStream(seed=1))),
-    ("planar_gaf_mc", "threads", 2,
+_TOP_SEED = 2**64 - 1
+
+INTEGER_ARGUMENTS = [  # (entry point, argument, low, high, values the call accepts, the call)
+    # The accepted values include a bound where a call at it is cheap and valid; the first one
+    # is also passed as a numpy integer.
+    ("gauss_legendre", "n", 1, None, (10, 1), lambda v: gauss_legendre(v, 0.0, 1.0)),
+    ("SphereQuadrature", "n_polar", 2, None, (16, 2), lambda v: SphereQuadrature(v, 32)),
+    ("SphereQuadrature", "n_azimuthal", 2, None, (32, 2), lambda v: SphereQuadrature(16, v)),
+    ("make_disk_quadrature", "n_radial", 4, None, (16, 4), lambda v: make_disk_quadrature(0.5, v, 16)),
+    ("make_disk_quadrature", "n_angular", 4, None, (16, 4), lambda v: make_disk_quadrature(0.5, 16, v)),
+    ("planar_gaf_mc", "truncation_N", 0, None, (14,),
+     lambda v: planar_gaf_mc(1.0, 1.0, v, 2, RngStream(seed=1))),
+    ("planar_gaf_mc", "trials", 2, numerics._MAX_TRIALS, (2,),
+     lambda v: planar_gaf_mc(1.0, 1.0, 14, v, RngStream(seed=1))),
+    ("planar_gaf_mc", "threads", 1, _MAX_THREADS, (2, 1, _MAX_THREADS),
      lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), threads=v)),
-    ("planar_gaf_mc", "n_radial", 8,
+    ("planar_gaf_mc", "n_radial", 1, None, (8, 1),
      lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), n_radial=v)),
-    ("planar_gaf_mc", "n_angular", 8,
+    ("planar_gaf_mc", "n_angular", 1, None, (8, 1),
      lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), n_angular=v)),
-    ("hyperbolic_gaf_mc", "truncation_N", 11,
+    ("hyperbolic_gaf_mc", "truncation_N", 1, None, (11,),
      lambda v: hyperbolic_gaf_mc(0.5, 1.0, v, 2, RngStream(seed=1))),
-    ("hyperbolic_gaf_mc", "trials", 2, lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, v, RngStream(seed=1))),
-    ("hyperbolic_gaf_mc", "threads", 2,
+    ("hyperbolic_gaf_mc", "trials", 2, numerics._MAX_TRIALS, (2,),
+     lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, v, RngStream(seed=1))),
+    ("hyperbolic_gaf_mc", "threads", 1, _MAX_THREADS, (2, 1, _MAX_THREADS),
      lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, 2, RngStream(seed=1), threads=v)),
-    ("hyperbolic_gaf_mc", "n_radial", 8,
+    ("hyperbolic_gaf_mc", "n_radial", 4, None, (8, 4),
      lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, 2, RngStream(seed=1), n_radial=v)),
-    ("hyperbolic_gaf_mc", "n_angular", 16,
+    ("hyperbolic_gaf_mc", "n_angular", 4, None, (16, 4),
      lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, 2, RngStream(seed=1), n_angular=v)),
-    ("map_indexed", "threads", 2, lambda v: map_indexed(int, 3, threads=v)),
-    ("random_configuration", "n", 3, lambda v: random_configuration(v, RngStream(seed=1))),
-    ("gradient_flow", "n", 2, lambda v: _flow(n=v)),
-    ("gradient_flow", "max_iters", 1, lambda v: _flow(max_iters=v)),
-    ("fixed_point_solve", "max_iters", 2,
+    ("map_indexed", "count", 0, None, (3, 0), lambda v: map_indexed(int, v)),
+    ("map_indexed", "threads", 1, _MAX_THREADS, (2, 1, _MAX_THREADS),
+     lambda v: map_indexed(int, 3, threads=v)),
+    ("random_configuration", "n", 1, None, (3, 1), lambda v: random_configuration(v, RngStream(seed=1))),
+    ("gradient_flow", "n", 1, None, (2, 1), lambda v: _flow(n=v)),
+    ("gradient_flow", "max_iters", 0, numerics._MAX_ITERS, (1, 0), lambda v: _flow(max_iters=v)),
+    ("fixed_point_solve", "max_iters", 1, numerics._MAX_ITERS, (2, 1),
      lambda v: fixed_point_solve(FockPolynomial((1.0, 0.5)), 0.5, v, 1e-12)),
-    ("RngStream", "seed", 1, lambda v: RngStream(seed=v)),
-    ("RngStream", "stream_index", 0, lambda v: RngStream(seed=1, stream_index=v)),
-    ("planar_gaf_tail", "N", 10, lambda v: planar.planar_gaf_tail(1.0, v)),
-    ("hyperbolic_gaf_tail", "N", 2, lambda v: hyperbolic.hyperbolic_gaf_tail(0.5, v)),
+    ("RngStream", "seed", 0, _TOP_SEED, (1, 0, _TOP_SEED), lambda v: RngStream(seed=v)),
+    ("RngStream", "stream_index", 0, _TOP_SEED, (0, _TOP_SEED),
+     lambda v: RngStream(seed=1, stream_index=v)),
+    ("planar_lattice_density", "grid_m", 16, planar._MAX_GRID, (16, planar._MAX_GRID),
+     lambda v: planar.planar_lattice_density(1.0, v)),
+    ("planar_gaf_tail", "N", None, None, (10,), lambda v: planar.planar_gaf_tail(1.0, v)),
+    ("hyperbolic_gaf_tail", "N", 1, None, (2, 1), lambda v: hyperbolic.hyperbolic_gaf_tail(0.5, v)),
 ]
 
 
 @pytest.mark.parametrize("value", [10.5, True, np.int64], ids=["float", "bool", "int64"])
-@pytest.mark.parametrize("name, valid, call", [entry[1:] for entry in INTEGER_ARGUMENTS],
-                         ids=[f"{entry}-{name}" for entry, name, _, _ in INTEGER_ARGUMENTS])
+@pytest.mark.parametrize("name, valid, call", [(name, valid[0], call)
+                                               for _, name, _, _, valid, call in INTEGER_ARGUMENTS],
+                         ids=[f"{entry}-{name}" for entry, name, *_ in INTEGER_ARGUMENTS])
 def test_count_arguments_must_be_integers(name, valid, call, value):
     # A float or a bool count is refused with a ValueError naming it; numpy integers pass.
     if value is np.int64:
@@ -657,6 +688,21 @@ def test_count_arguments_must_be_integers(name, valid, call, value):
     else:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             call(value)
+
+
+_BOUNDED = [entry for entry in INTEGER_ARGUMENTS if entry[2] is not None]
+
+
+@pytest.mark.parametrize("name, low, high, valid, call", [entry[1:] for entry in _BOUNDED],
+                         ids=[f"{entry}-{name}" for entry, name, *_ in _BOUNDED])
+def test_count_arguments_out_of_range_name_the_value(name, low, high, valid, call):
+    # One message for every integer range: "in [low, high]", or ">= low" with no upper bound.
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    for value in (low - 1,) if high is None else (low - 1, high + 1):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {bounds}, got {value}')}$"):
+            call(value)
+    for value in valid:
+        call(value)
 
 
 _CONFIG, _QUAD = random_configuration(2, RngStream(seed=1)), SphereQuadrature(8, 16)
@@ -671,6 +717,8 @@ POSITIVE_ARGUMENTS = [  # (entry point, argument, the call with that argument se
     ("make_triangular_profile", "weight_scale", planar.make_triangular_profile),
     ("planar_lattice_density", "beta", lambda v: planar.planar_lattice_density(v, 16)),
     ("planar_gaf_mc", "R", lambda v: planar_gaf_mc(v, 1.0, 14, 2, RngStream(seed=1))),
+    ("planar_gaf_truncation", "R", planar_gaf_truncation),
+    ("planar_gaf_truncation", "tol", lambda v: planar_gaf_truncation(1.0, v)),
     ("hyperbolic_discrepancy", "alpha", lambda v: hyperbolic_discrepancy(DiskFunction((1.0,)), 0.5, alpha=v)),
     ("hyperbolic_discrepancy", "beta", lambda v: hyperbolic_discrepancy(DiskFunction((1.0,)), 0.5, beta=v)),
     ("hyperbolic_gaf_truncation", "tol", lambda v: hyperbolic_gaf_truncation(0.5, v)),

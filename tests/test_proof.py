@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,3 +72,10 @@ class TestTessellations:
     def test_validation(self):
         with pytest.raises(ValueError):
             schafli_area(2, 5)
+
+    @pytest.mark.parametrize("p, q, name, value", [(3.5, 6, "p", 3.5), (7, 3.0, "q", 3.0),
+                                                   (True, 6, "p", True), (7, False, "q", False)])
+    def test_non_integer_sides_are_refused_by_name(self, p, q, name, value):
+        # A ValueError (exit code 2 in the CLI contract), not the TypeError of Fraction.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            schafli_area(p, q)
