@@ -42,6 +42,7 @@ _ZERO_SEARCH_MAX = 128  # highest degree whose zero moduli split the disk rule's
 _UNIFORM_PANELS = 16  # panels of a disk rule above that degree: 2048 circles
 _EDGE_GAP = 1e-9  # least gap between panel edges, as a share of log(1/(1-r^2))
 _SETTLED = 1e-13  # relative move of a circle mean below which its angle count stops doubling
+_MAX_TRUNCATION = 199_999  # largest disk GAF series degree
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,11 @@ def weighted_square_mass(f: DiskFunction, radius: float) -> float:
     if not (0.0 < radius <= 1.0):
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
     s = radius * radius
-    c2 = np.abs(f.array()) ** 2
-    k1 = np.arange(1, len(c2) + 1, dtype=float)
-    moments = s**k1 * (1.0 + k1 * (1.0 - s)) / (k1 * (k1 + 1.0))
-    return float(np.sum(c2 * moments))
+    with np.errstate(over="ignore", invalid="ignore"):  # |c|^2 = inf, or inf * 0: OverflowError
+        c2 = np.abs(f.array()) ** 2
+        k1 = np.arange(1, len(c2) + 1, dtype=float)
+        moments = s**k1 * (1.0 + k1 * (1.0 - s)) / (k1 * (k1 + 1.0))
+        return _finite_or_overflow(float(np.sum(c2 * moments)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def _disk_rule(f: DiskFunction, radius: float, quad: _DiskRule | None) -> _DiskR
 
 def _finite_or_overflow(value: float) -> float:
     if not math.isfinite(value):
-        raise OverflowError(f"candidate overflows double precision on the quadrature grid ({value})")
+        raise OverflowError(f"candidate overflows double precision ({value})")
     return value
 
 
@@ -356,9 +358,9 @@ def hyperbolic_gaf_truncation(r: float, tol: float = 1e-6) -> int:
     tol is found in at most 19 evaluations.
     """
     _check_positive(tol=tol)
-    low, high = 0, 199_999  # tail(low) >= tol unless low = 0; tail(high) < tol
+    low, high = 0, _MAX_TRUNCATION  # tail(low) >= tol unless low = 0; tail(high) < tol
     if not hyperbolic_gaf_tail(r, high) < tol:
-        raise TruncationError(f"no admissible truncation below 200000 for r={r}")
+        raise TruncationError(f"no admissible truncation up to {_MAX_TRUNCATION} for r={r}")
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (low, mid) if hyperbolic_gaf_tail(r, mid) < tol else (mid, high)
@@ -397,7 +399,7 @@ def hyperbolic_gaf_mc(
         r      0.3 / 0.5   0.8     0.9     0.95    0.99    0.995   0.999
         ratio  1.0000      1.0060  1.0040  1.0024  1.0010  1.0019  1.0073
     """
-    _check_counts(1, None, truncation_N=truncation_N)
+    _check_counts(1, _MAX_TRUNCATION, truncation_N=truncation_N)
     tail = hyperbolic_gaf_tail(r, truncation_N)  # checks r
     if not (tail < 1e-6):
         raise TruncationError(
@@ -446,7 +448,7 @@ def halfdisk_identity_check(
         raise ValueError("candidate must be nonzero")
     quad = _disk_rule(f, 0.5, quad)
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = _finite_or_overflow(weighted_square_mass(f, 0.5))
+        mass = weighted_square_mass(f, 0.5)
         means = _circle_means(f, quad.u_nodes, quad.n_angular, _modulus_and_weighted_square)
     area_weights = quad.hyperbolic_weights * (1.0 - quad.u_nodes)
     b_f = float(area_weights @ means[0]) / math.sqrt(mass)

@@ -410,7 +410,10 @@ def gaf_expected(b: float) -> float:
     planar.planar_gaf_expected and hyperbolic.hyperbolic_gaf_expected are this function.
     """
     _check_positive(b=b)
-    return b * b - b * math.sqrt(math.pi) + 1.0
+    value = b * b - b * math.sqrt(math.pi) + 1.0
+    if not math.isfinite(value):
+        raise OverflowError(f"the expected discrepancy overflows double precision at b = {b}")
+    return value
 
 
 def _power_of_two_at_least(x: float, low: int, high: int) -> int:

@@ -246,7 +246,7 @@ def planar_gaf_mc(
         n_radial = min(192, max(16, math.ceil(4.0 * R)))
     if n_angular is None:
         n_angular = _power_of_two_at_least(8.0 * math.pi * R, 16, 256)
-    _check_counts(0, None, truncation_N=truncation_N)
+    _check_counts(0, _MAX_TRUNCATION, truncation_N=truncation_N)
     _check_counts(1, None, n_radial=n_radial)
     tail = planar_gaf_tail(R, truncation_N)
     if not (tail < 1e-8):

@@ -22,15 +22,17 @@ mode where the analytic gradient is exactly the gradient of the discrete
 objective (used by the finite-difference check).
 
 The grid is rings times uniform azimuths, and a pass over it works on that
-structure: squared distances come from per-ring and per-azimuth factors (one
-multiply and one subtract per node and point), the log potential takes one log
-per group of _LOG_GROUP points, and moments take one reciprocal 1/d^2 per node
-and point and sum w / d^2 over each ring's azimuths, plain and against cos phi
-and sin phi, before the ring factors rho and z enter.  Passes take whole rings,
-about _NODE_BLOCK nodes at a time, and sum in a fixed order without BLAS, so no
-result depends on the thread count: Z-only passes serve partition_function and
-discrepancy, moment passes the residual and the flow.  The grid keeps only its
-factors.
+structure: squared half-chords q = d^2 / 4 come from per-ring and per-azimuth
+factors (one multiply and one subtract per node and point), the weight
+e^{beta sum_j U} = (prod_j q_j)^{beta / 2} takes one scalar power per node and
+the 2 beta weight is its square, and moments take one reciprocal 1/q per node
+and point and sum e / q over each ring's azimuths, plain and against cos phi and
+sin phi.  Passes take whole rings, about _NODE_BLOCK node-point elements at a
+time, into per-ring sums; the ring weights and the ring factors rho and z enter
+once per ring sum.  Every sum runs in a fixed order without BLAS and none crosses
+a block, so no result depends on the thread count or the block size: Z-only
+passes serve partition_function and discrepancy, moment passes the residual and
+the flow.  The grid keeps only its factors.
 """
 from __future__ import annotations
 
@@ -48,10 +50,11 @@ from .reports import DiscrepancyReport
 _MIN_PAIR_DIST = 1e-9
 _MAX_GRID_ELEMENTS = 1 << 23  # node x point work bound of one pass: n <= 64 on the default grid
 _PAIR_BLOCK = 1 << 16  # point pairs per block of _min_pair_distance: 1.5 MB of differences
-_NODE_BLOCK = 8192  # nodes per block of whole rings in a pass: 4 MB per (n, block) array at n = 64
-_LOG_GROUP = 8  # points whose d^2 multiply before one log (see _node_blocks for the underflow bound)
+_NODE_BLOCK = 1 << 17  # node x point elements per block of whole rings (n read as >= 8): 1 MB per array
+_POWER_GROUP = 8  # points per factor of a weight whose product underflows (see _node_blocks for the bound)
 _ASCENT_SLACK = 1e-15  # relative slack of the flow's ascent and stall tests
 _STALL_STEPS = 5  # accepted flow steps in a row that leave the best objective where it was
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 class StepCollapseError(ArithmeticError):
@@ -194,127 +197,118 @@ def _frame_points(config: SphereConfiguration, quad: SphereQuadrature):
     return pts, np.eye(3)
 
 
-def _node_blocks(pts_f: np.ndarray, quad: SphereQuadrature, gammas):
-    """Yield (ring slice, d2, s, w, scratch) for each block of whole rings, about _NODE_BLOCK nodes.
+def _node_blocks(pts_f: np.ndarray, quad: SphereQuadrature, beta: float):
+    """Yield (ring slice, q, e, scratch) for each block of whole rings, about _NODE_BLOCK elements.
 
-    d2 holds the (n, block) squared distances 2 - 2 p.x, node by node within each ring.  With the
-    point p_j = (x_j, y_j, z_j) and the node x on ring i at azimuth k,
+    q holds the (n, block) squared half-chords q = d^2 / 4 = (1 - p.x) / 2, node by node within each
+    ring.  With the point p_j = (x_j, y_j, z_j) and the node x on ring i at azimuth k,
 
-        d^2 = A_ij - rho_i C_jk,  A_ij = 2 - 2 z_i z_j,  C_jk = 2 (x_j cos phi_k + y_j sin phi_k),
+        q = A_ij - rho_i C_jk,  A_ij = (1 - z_i z_j) / 2,  C_jk = (x_j cos phi_k + y_j sin phi_k) / 2,
 
-    C_jk being 2 rho_j cos(phi_k - phi_j): one multiply and one subtract per node and point, then
-    the clip to [0, 4].  s = sum_j log(d_j / 2) takes one log of the product of d^2 over each
-    group of _LOG_GROUP points and adds the groups in order.  No product underflows: a nonzero d^2,
-    the difference of A_ij and rho_i C_jk, is at least half an ulp of A_ij >= 2 (1 - |z_1|), z_1
-    on the polar ring, which is about 7e-21 on the default grid, so a product of 8 factors is at
-    least about 1e-164; a zero factor makes it 0 and s = -inf.  Row i of w is the ring's weight
-    times e^{gamma_i s}, and as s <= 0, gamma s overflowing to -inf means 0.  d2 and the
-    free (n, block) scratch array are reused by the next block.
+    then negative roundoff raised to 0.  Row 0 of the (2, block) array e is the weight
+    (prod_j q_j)^{beta / 2} without the ring weight, row 1 its square, the 2 beta weight.  A q is at
+    most 1 up to an ulp.  Where the product leaves the normal range (some q = 0, or points crowd
+    about the node) the power is taken over _POWER_GROUP points at a time and the groups multiply.
+    No group product underflows: a nonzero q, the difference of A_ij and rho_i C_jk, is at least
+    half an ulp of A_ij >= (1 - |z_1|) / 2, z_1 on the polar ring, about 1.7e-21 on the default
+    grid, so a product of 8 factors is at least about 1e-166.  So a weight is 0 only where some
+    q = 0 or the true weight underflows; in a block with such nodes q is then raised to the
+    smallest normal float, so 1/q stays finite.  q, e and the free scratch are reused by the next block.
     """
     n, n_az = pts_f.shape[0], quad.n_azimuthal
-    rings = max(1, _NODE_BLOCK // n_az)
-    A = 2.0 - 2.0 * np.multiply.outer(pts_f[:, 2], quad.ring_z)
-    C = 2.0 * (np.multiply.outer(pts_f[:, 0], quad.cos_phi)
+    rings = min(max(1, _NODE_BLOCK // (max(n, 8) * n_az)), quad.n_polar)
+    A = 0.5 - 0.5 * np.multiply.outer(pts_f[:, 2], quad.ring_z)
+    C = 0.5 * (np.multiply.outer(pts_f[:, 0], quad.cos_phi)
                + np.multiply.outer(pts_f[:, 1], quad.sin_phi))
-    groups = range(0, n, _LOG_GROUP)
-    offset = n * math.log(2.0)
-    buffers = np.empty((2, n * min(rings, quad.n_polar) * n_az))
+    b = 0.5 * beta
+    buffers = np.empty((2 * n + 2) * rings * n_az)
     for lo in range(0, quad.n_polar, rings):
         ring = slice(lo, min(lo + rings, quad.n_polar))
-        d2, scratch = buffers[:, :n * (ring.stop - lo) * n_az].reshape(2, n, -1)
-        grid = d2.reshape(n, -1, n_az)
+        block = buffers[:(2 * n + 2) * (ring.stop - lo) * n_az].reshape(2 * n + 2, -1)
+        q, scratch, e = block[:n], block[n:2 * n], block[2 * n:]
+        grid = q.reshape(n, -1, n_az)
         np.einsum("i,jk->jik", quad.ring_rho[ring], C, out=grid)  # rho_i C_jk, faster than broadcasting
-        np.clip(np.subtract(A[:, ring, None], grid, out=grid), 0.0, 4.0, out=grid)
-        logs = scratch[:len(groups)]
-        for g, j in enumerate(groups):
-            np.multiply.reduce(d2[j:j + _LOG_GROUP], axis=0, out=logs[g])
-        with np.errstate(divide="ignore", over="ignore"):
-            s = 0.5 * np.log(logs, out=logs).sum(axis=0) - offset
-            w = np.exp(np.multiply.outer(gammas, s))
-        by_ring = w.reshape(len(gammas), -1, n_az)  # a view: the ring weight times e^{gamma s}
-        by_ring *= quad.ring_weights[ring, None]
-        yield ring, d2, s, w, scratch
+        np.maximum(np.subtract(A[:, ring, None], grid, out=grid), 0.0, out=grid)
+        power = np.multiply.reduce(q, axis=0, out=e[0])
+        if b * _EPS > 1.0:  # a q that rounds above 1 would overflow its power
+            np.minimum(power, 1.0, out=power)
+        low = power < _TINY
+        power **= b  # in place, numpy's scalar power: a sqrt at beta = 1, nothing at beta = 2
+        if low.any():
+            power[low] = np.prod([np.multiply.reduce(q[j:j + _POWER_GROUP, low]) ** b
+                                  for j in range(0, n, _POWER_GROUP)], axis=0)
+            np.maximum(q, _TINY, out=q)
+        np.multiply(power, power, out=e[1])
+        yield ring, q, e, scratch
 
 
-def _tree_sum(parts: list):
-    """Add arrays pairwise as a balanced tree: over 2^k equal node blocks this is
-    numpy's pairwise sum over all the nodes, which halves at the same boundaries."""
-    while len(parts) > 1:
-        parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
-    return parts[0]
-
-
-def _z_total(parts: list, gammas) -> list:
-    """Z_gamma for each gamma from its node-block sums; Z = 0 is a numeric failure."""
-    Z = _tree_sum(parts)
+def _z_total(ring_sums: np.ndarray, quad: SphereQuadrature, beta: float) -> list:
+    """[Z_beta, Z_{2 beta}] from the per-ring sums of e; Z = 0 is a numeric failure."""
+    Z = (ring_sums * quad.ring_weights).sum(axis=1)
     if not np.all(Z > 0.0):
-        raise ArithmeticError(f"Z underflows to 0 at gamma in {list(gammas)}: e^(gamma s) is 0 at every node")
+        raise ArithmeticError(f"Z underflows to 0 at gamma in {[beta, 2 * beta]}: every weight is 0")
     return Z.tolist()
 
 
-def _z_values(config: SphereConfiguration, gammas, quad: SphereQuadrature) -> list:
-    """Z_gamma for each gamma from one pass over the node blocks (1 for an empty configuration)."""
+def _z_values(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> list:
+    """[Z_beta, Z_{2 beta}] from one pass over the node blocks ([1, 1] for an empty configuration)."""
     if config.n == 0:
-        return [1.0] * len(gammas)
+        return [1.0, 1.0]
     pts_f, _ = _frame_points(config, quad)
-    return _z_total([w.sum(axis=1) for _, _, _, w, _ in _node_blocks(pts_f, quad, gammas)], gammas)
+    ring_sums = np.empty((2, quad.n_polar))
+    for ring, _, e, _ in _node_blocks(pts_f, quad, beta):
+        e.reshape(2, -1, quad.n_azimuthal).sum(axis=2, out=ring_sums[:, ring])
+    return _z_total(ring_sums, quad, beta)
 
 
 def partition_function(config: SphereConfiguration, gamma: float, quad: SphereQuadrature) -> float:
     """Quadrature value of Z_gamma for the configuration (1 for an empty one)."""
     _check_positive(gamma=gamma)
-    return _z_values(config, (gamma,), quad)[0]
+    return _z_values(config, gamma, quad)[0]
 
 
-def _moments(config: SphereConfiguration, gammas, quad: SphereQuadrature):
-    """For each gamma: (Z_gamma, E^gamma[g_j] rows in world coordinates).
+def _moments(config: SphereConfiguration, beta: float, quad: SphereQuadrature):
+    """For gamma = beta and 2 beta: (Z_gamma, E^gamma[g_j] rows in world coordinates).
 
-    One pass over the node blocks serves every gamma, and its Z values are
-    bit for bit those of _z_values.  g_j is the tangential component at p_j
-    of (p_j - x) / d^2, d = ||p_j - x||, and 0 at x = p_j.
-    On the unit sphere the radial component of that vector is exactly 1/2
-    whenever d > 0, so g_j = (p_j - x) / d^2 - p_j / 2.  For gamma > 0 the
-    weight w = weights * e^{gamma s} vanishes wherever some d = 0 (s = -inf
-    there), so the p_j / 2 term averages to itself and
+    One pass over the node blocks serves both, and its Z values are bit for bit those of
+    _z_values.  g_j is the tangential component at p_j of (p_j - x) / d^2, d = ||p_j - x||, and 0
+    at x = p_j.  On the unit sphere the radial component of that vector is exactly 1/2 whenever
+    d > 0, so g_j = (p_j - x) / d^2 - p_j / 2.  For gamma > 0 the weight w e_gamma vanishes
+    wherever some d = 0, so the p_j / 2 term averages to itself and
 
         E^gamma[g_j] = (a_j p_j - A_j) / Z_gamma - p_j / 2,
-        a_j = sum w / d^2,  A_j = sum w x / d^2,
+        a_j = sum w e / d^2,  A_j = sum w e x / d^2,
 
-    sums over the nodes with 1/d^2 read as 0 where d = 0.  Each block replaces d^2 by 1/d^2 in
-    place, one reciprocal per node and point; where some d = 0 in the block, d^2 is first raised
-    to the smallest normal float, so 1/d^2 stays finite and w / d^2 is exactly 0 there.  With
-    u = w / d^2 at point j, ring i and azimuth k, each ring's azimuths sum first (pairwise, and
-    against cos phi_k and sin phi_k), then the block's rings:
+    sums over the nodes with 1/d^2 read as 0 where d = 0.  Each block replaces q = d^2 / 4 by 1/q
+    in place (finite where d = 0, and e = 0 there).  With u = e / q at point j, ring i and azimuth
+    k, each ring's azimuths sum first (pairwise, and against cos phi_k and sin phi_k), and the ring
+    weights w_i enter once per ring sum:
 
-        a_j = sum_i S_ji,  A_j = sum_i (rho_i Sc_ji, rho_i Ss_ji, z_i S_ji),
-        S_ji = sum_k u_jik,  Sc_ji = sum_k u_jik cos phi_k,  Ss_ji = sum_k u_jik sin phi_k,
+        a_j = sum_i w_i S_ji / 4,  A_j = sum_i w_i (rho_i Sc_ji, rho_i Ss_ji, z_i S_ji) / 4,
+        S_ji = sum_k u_jik,  Sc_ji = sum_k u_jik cos phi_k,  Ss_ji = sum_k u_jik sin phi_k.
 
-    and the block sums add as a tree.  Z sums w as _z_values does.  The small components of
-    E[g_j] are differences of terms up to max_j a_j / Z, so their error is stated against that
-    scale: against the same terms and sums in long double, each component is within 4 eps
-    max_j a_j / Z (float64 eps; up to 1.3 eps measured at n = 2 to 32), as is the plain
-    contraction that sums (w x) / d^2 pairwise over all the nodes (up to 1.1 eps).
+    The small components of E[g_j] are differences of terms up to max_j a_j / Z, so their error is
+    stated against that scale: against the same q and every later operation in long double, each
+    component is within 4 eps max_j a_j / Z (float64 eps).
     """
     pts_f, R = _frame_points(config, quad)
     n, n_az = config.n, quad.n_azimuthal
-    z_parts, sum_parts = [], []
-    for ring, d2, s, w, scratch in _node_blocks(pts_f, quad, gammas):
-        if s.min() == -math.inf:  # some d = 0 in the block; w = 0 there, so w / d^2 reads 0
-            np.maximum(d2, np.finfo(float).tiny, out=d2)
-        inv = np.divide(1.0, d2, out=d2).reshape(n, -1, n_az)
+    ring_sums = np.empty((2, quad.n_polar))
+    S = np.empty((2, 3, n, quad.n_polar))  # S, Sc and Ss by point and ring, for each gamma
+    for ring, q, e, scratch in _node_blocks(pts_f, quad, beta):
+        e.reshape(2, -1, n_az).sum(axis=2, out=ring_sums[:, ring])
+        inv = np.divide(1.0, q, out=q).reshape(n, -1, n_az)
         u = scratch.reshape(n, -1, n_az)
-        rho, z = quad.ring_rho[ring], quad.ring_z[ring]
-        part = np.empty((len(gammas), 4, n))  # a_j, then A_j by coordinate
-        for i, w_gamma in enumerate(w):
-            np.multiply(w_gamma.reshape(-1, n_az), inv, out=u)  # w / d^2 by point, ring and azimuth
-            S0 = u.sum(axis=2)
-            Sc = np.einsum("jik,k->ji", u, quad.cos_phi)
-            Ss = np.einsum("jik,k->ji", u, quad.sin_phi)
-            part[i] = S0.sum(axis=1), (Sc * rho).sum(axis=1), (Ss * rho).sum(axis=1), (S0 * z).sum(axis=1)
-        z_parts.append(w.sum(axis=1))
-        sum_parts.append(part)
+        for e_gamma, (S0, Sc, Ss) in zip(e, S):
+            np.multiply(e_gamma.reshape(-1, n_az), inv, out=u)  # e / q by point, ring and azimuth
+            u.sum(axis=2, out=S0[:, ring])
+            np.einsum("jik,k->ji", u, quad.cos_phi, out=Sc[:, ring])
+            np.einsum("jik,k->ji", u, quad.sin_phi, out=Ss[:, ring])
+    w = quad.ring_weights
+    factors = np.stack([w, w * quad.ring_rho, w * quad.ring_rho, w * quad.ring_z])[:, None]
+    sums = 0.25 * (S[:, [0, 1, 2, 0]] * factors).sum(axis=3)  # a_j, then A_j by coordinate
     return [(Z, ((a[:, None] * pts_f - np.column_stack(A)) / Z - 0.5 * pts_f) @ R)
-            for Z, (a, *A) in zip(_z_total(z_parts, gammas), _tree_sum(sum_parts))]
+            for Z, (a, *A) in zip(_z_total(ring_sums, quad, beta), sums)]
 
 
 def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> float:
@@ -322,17 +316,23 @@ def equilibrium_residual(config: SphereConfiguration, beta: float, quad: SphereQ
     _check_positive(beta=beta)
     if config.n < 1:
         raise ValueError("configuration must have at least one point")
-    (_, g1), (_, g2) = _moments(config, (beta, 2.0 * beta), quad)
+    (_, g1), (_, g2) = _moments(config, beta, quad)
     return float(np.max(np.linalg.norm(g1 - g2, axis=1)))
 
 
 def discrepancy(config: SphereConfiguration, beta: float, quad: SphereQuadrature) -> DiscrepancyReport:
-    """Amplitude-optimized discrepancy 1 - Z_beta^2 / Z_{2 beta} at this configuration."""
+    """Amplitude-optimized discrepancy 1 - Z_beta^2 / Z_{2 beta} at this configuration.
+
+    error_estimate is the change of rho against the half-resolution grid, but at least the rounding
+    floor r (|W - 1| + 8 eps), r = Z_beta^2 / Z_{2 beta}: the grid's weights total W (1 + 17 eps on
+    the default grid), which scales both Z and r, and the weights and sums round by a few eps more.
+    """
     _check_positive(beta=beta)
-    zb, z2b = _z_values(config, (beta, 2.0 * beta), quad)
-    hb, h2b = _z_values(config, (beta, 2.0 * beta), quad.half_resolution)
-    rho_half = 1.0 - hb * hb / h2b
-    return DiscrepancyReport(m1=zb, m2=z2b, error_estimate=abs((1.0 - zb * zb / z2b) - rho_half))
+    zb, z2b = _z_values(config, beta, quad)
+    hb, h2b = _z_values(config, beta, quad.half_resolution)
+    r, r_half = zb * zb / z2b, hb * hb / h2b
+    floor = r * (abs(math.fsum(quad.ring_weights) * quad.n_azimuthal - 1.0) + 8.0 * _EPS) if config.n else 0.0
+    return DiscrepancyReport(m1=zb, m2=z2b, error_estimate=max(abs(r - r_half), floor))
 
 
 def rho1_closed(beta: float) -> float:
@@ -393,7 +393,7 @@ def gradient_flow(
 
     trace: list[tuple[int, float, float]] = []
     cur_step = step
-    (zb, g1), (z2b, g2) = _moments(config, (beta, 2.0 * beta), quad)
+    (zb, g1), (z2b, g2) = _moments(config, beta, quad)
     objective = best = 2.0 * math.log(zb) - math.log(z2b)
     since, iterates = 0, []  # `since`: the iteration that last raised `best`; iterates from it on
     for it in range(max_iters + 1):
@@ -421,7 +421,7 @@ def gradient_flow(
             if dmin < _MIN_PAIR_DIST:
                 raise StepCollapseError(f"points merged during flow (distance {dmin:.2e})")
             trial = SphereConfiguration(points=trial_pts)
-            (zb, trial_g1), (z2b, trial_g2) = _moments(trial, (beta, 2.0 * beta), quad)
+            (zb, trial_g1), (z2b, trial_g2) = _moments(trial, beta, quad)
             trial_obj = 2.0 * math.log(zb) - math.log(z2b)
             # Absolute slack: near the optimum the true increase per step falls
             # below fp resolution of the objective, and strict ascent would stall

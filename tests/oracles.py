@@ -371,3 +371,30 @@ def disk_gaf_trial_variance(r: float, N: int, n_radial: int, n_angular: int, b):
     b = np.asarray(b, dtype=float)
     a = b * math.sqrt(math.pi) / 2.0
     return a * a * t_square - 2.0 * a * b * t_cross + 4.0 * b * b * t_modulus
+
+
+# ---------------------------------------------------------------------------
+# Sphere discrepancies of the single point and the antipodal pair (Beta functions, mpmath)
+# ---------------------------------------------------------------------------
+
+def _sphere_rho_from_z(z, beta: float, dps: int) -> float:
+    with mp.workdps(dps):
+        b = mp.mpf(beta)
+        return float(1 - z(b) ** 2 / z(2 * b))
+
+
+def sphere_rho1_mp(beta: float, dps: int = 30) -> float:
+    """1 - Z_beta^2 / Z_{2 beta} for one point at `dps` digits.
+
+    With u = (1 - cos theta) / 2, uniform on [0, 1] under the normalized area, the weight
+    e^{gamma U} = (d / 2)^gamma is u^{gamma / 2}, so Z_gamma = B(gamma / 2 + 1, 1).
+    """
+    return _sphere_rho_from_z(lambda g: mp.beta(g / 2 + 1, 1), beta, dps)
+
+
+def sphere_rho2_mp(beta: float, dps: int = 30) -> float:
+    """1 - Z_beta^2 / Z_{2 beta} for an antipodal pair at `dps` digits.
+
+    The two half-chords squared are u and 1 - u, so Z_gamma = B(gamma / 2 + 1, gamma / 2 + 1).
+    """
+    return _sphere_rho_from_z(lambda g: mp.beta(g / 2 + 1, g / 2 + 1), beta, dps)

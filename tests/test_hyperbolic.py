@@ -37,7 +37,7 @@ from zeropack.hyperbolic import (
     weighted_square_mass,
 )
 from zeropack.numerics import RngStream, _polar_values, _term_scales, sample_complex_gaussians
-from zeropack.planar import TruncationError
+from zeropack.planar import TruncationError, planar_gaf_expected
 
 
 def disk(*coeffs) -> DiskFunction:
@@ -108,6 +108,13 @@ class TestWeightedSquareMass:
             weighted_square_mass(disk(1.0), 0.0)
         with pytest.raises(ValueError):
             weighted_square_mass(disk(1.0), 1.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_magnitudes_overflow_without_a_warning(self):
+        # |c|^2 overflows while s^k underflows, and inf * 0 would read nan.
+        with pytest.raises(OverflowError):
+            weighted_square_mass(disk(0.0, 1e300), 1e-300)
+        assert weighted_square_mass(disk(0.0, 1e150), 1e-75) == pytest.approx(1e300 * (1e-300 / 2.0), rel=1e-14)
 
 
 class TestDiskQuadrature:
@@ -507,6 +514,13 @@ class TestGafClosedForms:
         assert hyperbolic_gaf_expected(1.0) == pytest.approx(
             2.0 - math.sqrt(math.pi), rel=1e-15
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_expected_discrepancy_overflow_is_an_arithmetic_error(self):
+        assert math.isfinite(hyperbolic_gaf_expected(1e154))
+        for front in (hyperbolic_gaf_expected, planar_gaf_expected):
+            with pytest.raises(OverflowError, match="overflows"):
+                front(1e300)
 
     def test_tail_formula_matches_brute_sum(self):
         r, N = 0.9, 40

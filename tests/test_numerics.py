@@ -639,7 +639,7 @@ INTEGER_ARGUMENTS = [  # (entry point, argument, low, high, values the call acce
     ("SphereQuadrature", "n_azimuthal", 2, None, (32, 2), lambda v: SphereQuadrature(16, v)),
     ("make_disk_quadrature", "n_radial", 4, None, (16, 4), lambda v: make_disk_quadrature(0.5, v, 16)),
     ("make_disk_quadrature", "n_angular", 4, None, (16, 4), lambda v: make_disk_quadrature(0.5, 16, v)),
-    ("planar_gaf_mc", "truncation_N", 0, None, (14,),
+    ("planar_gaf_mc", "truncation_N", 0, planar._MAX_TRUNCATION, (14,),
      lambda v: planar_gaf_mc(1.0, 1.0, v, 2, RngStream(seed=1))),
     ("planar_gaf_mc", "trials", 2, numerics._MAX_TRIALS, (2,),
      lambda v: planar_gaf_mc(1.0, 1.0, 14, v, RngStream(seed=1))),
@@ -649,7 +649,7 @@ INTEGER_ARGUMENTS = [  # (entry point, argument, low, high, values the call acce
      lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), n_radial=v)),
     ("planar_gaf_mc", "n_angular", 1, None, (8, 1),
      lambda v: planar_gaf_mc(1.0, 1.0, 14, 2, RngStream(seed=1), n_angular=v)),
-    ("hyperbolic_gaf_mc", "truncation_N", 1, None, (11,),
+    ("hyperbolic_gaf_mc", "truncation_N", 1, hyperbolic._MAX_TRUNCATION, (11,),
      lambda v: hyperbolic_gaf_mc(0.5, 1.0, v, 2, RngStream(seed=1))),
     ("hyperbolic_gaf_mc", "trials", 2, numerics._MAX_TRIALS, (2,),
      lambda v: hyperbolic_gaf_mc(0.5, 1.0, 11, v, RngStream(seed=1))),
@@ -703,6 +703,22 @@ def test_count_arguments_out_of_range_name_the_value(name, low, high, valid, cal
             call(value)
     for value in valid:
         call(value)
+
+
+@pytest.mark.parametrize("module, call", [
+    (planar, lambda: planar_gaf_mc(1.0, 1.0, 10**9, 2, RngStream(seed=1))),
+    (hyperbolic, lambda: hyperbolic_gaf_mc(0.5, 1.0, 10**9, 2, RngStream(seed=1))),
+], ids=["planar", "disk"])
+def test_a_huge_truncation_degree_is_refused_before_any_work(monkeypatch, module, call):
+    # The planar front would build one lgamma value per degree before the Monte Carlo.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the truncation_N check")
+
+    for name in ("planar_gaf_tail", "hyperbolic_gaf_tail", "gauss_legendre", "_gaf_mc"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(ValueError, match=r"^truncation_N must be in \[\d, \d+\], got 1000000000$"):
+        call()
 
 
 _CONFIG, _QUAD = random_configuration(2, RngStream(seed=1)), SphereQuadrature(8, 16)

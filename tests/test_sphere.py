@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import checkout_env, grid_nodes
+from oracles import sphere_rho1_mp, sphere_rho2_mp
 from zeropack import sphere
 from zeropack.numerics import RngStream
 from zeropack.sphere import (
@@ -260,10 +261,10 @@ def test_moment_gradient_matches_finite_differences(world_quad):
 
     def objective(points: np.ndarray) -> float:
         c = SphereConfiguration(points=points)
-        (zb, _), (z2b, _) = _moments(c, (beta, 2.0 * beta), world_quad)
+        (zb, _), (z2b, _) = _moments(c, beta, world_quad)
         return 2.0 * math.log(zb) - math.log(z2b)
 
-    (_, g1), (_, g2) = _moments(config, (beta, 2.0 * beta), world_quad)
+    (_, g1), (_, g2) = _moments(config, beta, world_quad)
     grad = 2.0 * beta * (g1 - g2)
 
     h = 1e-5
@@ -291,7 +292,7 @@ def test_moments_with_a_point_on_a_quadrature_node(world_quad):
     assert d2[k, 0] == 0.0
     with np.errstate(divide="ignore"):
         s = 0.5 * np.log(d2).sum(axis=1) - 2.0 * math.log(2.0)
-    for gamma, (Z, G) in zip((1.0, 2.0), _moments(config, (1.0, 2.0), world_quad)):
+    for gamma, (Z, G) in zip((1.0, 2.0), _moments(config, 1.0, world_quad)):
         w = weights * np.exp(gamma * s)
         ref = np.empty((2, 3))
         for j, p in enumerate(points):
@@ -326,13 +327,13 @@ def _direct_tangential_moments(quad, points, gammas):
 
 
 def test_a_point_on_a_node_raises_no_floating_point_error(world_quad, monkeypatch):
-    # Blocks of one ring and the point on a node of ring 6, so d^2 = 0 falls in a later block:
-    # no operation of the pass may overflow, divide by 0 or be invalid.
-    monkeypatch.setattr(sphere, "_NODE_BLOCK", world_quad.n_azimuthal)
+    # Blocks of one ring (two points count as 8) and the point on a node of ring 6, so d^2 = 0
+    # falls in a later block: no operation of the pass may overflow, divide by 0 or be invalid.
+    monkeypatch.setattr(sphere, "_NODE_BLOCK", 8 * world_quad.n_azimuthal)
     k = 6 * world_quad.n_azimuthal + 9
     points = np.vstack([grid_nodes(world_quad)[0][k], random_configuration(1, RngStream(seed=5)).points])
     with np.errstate(all="raise"):
-        got = _moments(SphereConfiguration(points=points), (1.0, 2.0), world_quad)
+        got = _moments(SphereConfiguration(points=points), 1.0, world_quad)
     for (_, G), ref in zip(got, _direct_tangential_moments(world_quad, points, (1.0, 2.0))):
         assert np.all(np.isfinite(G))
         np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-12)
@@ -345,131 +346,112 @@ def _one_pass_distances(quad, pts_f):
     A = np.repeat(2.0 - 2.0 * np.outer(quad.ring_z, pts_f[:, 2]), quad.n_azimuthal, axis=0)
     C = 2.0 * (np.outer(quad.cos_phi, pts_f[:, 0]) + np.outer(quad.sin_phi, pts_f[:, 1]))
     rho = np.repeat(quad.ring_rho, quad.n_azimuthal)[:, None]
-    return np.clip(A - rho * np.tile(C, (quad.n_polar, 1)), 0.0, 4.0)
+    return np.maximum(A - rho * np.tile(C, (quad.n_polar, 1)), 0.0)
 
 
-def _one_pass_log_potential(d2):
-    """s = sum_j log(d_j / 2) from an (M, n) distance array: one log of the product of d^2 over
-    each group of 8 points, multiplied and summed in point order."""
-    n = d2.shape[1]
-    logs = []
-    for lo in range(0, n, 8):
-        product = d2[:, lo]
-        for j in range(lo + 1, min(lo + 8, n)):
-            product = product * d2[:, j]
-        with np.errstate(divide="ignore"):
-            logs.append(np.log(product))
-    return 0.5 * sum(logs) - n * math.log(2.0)
-
-
-def _three_operand_moments(config, gammas, quad):
-    """The moments contracted from w, 1/d^2 and x over one (M, n) array w / d^2.
-
-    Each of a_j and A_j is one pairwise numpy sum over all M nodes.
-    """
+def _pass_half_chords(config, quad, beta=1.0):
+    """The (M, n) half-chords q and (M, 2) weights e of one pass, ring by ring, and the frame."""
     pts_f, R = sphere._frame_points(config, quad)
-    d2 = _one_pass_distances(quad, pts_f)
-    s = _one_pass_log_potential(d2)
-    nodes, weights = grid_nodes(quad)
-    out = []
-    for gamma in gammas:
-        w = weights * np.exp(gamma * s)
-        # w / d^2 and w x / d^2 with 1/d^2 read as 0 where d = 0, summed over the nodes per point
-        a, *A = (
-            np.divide(wx[:, None], d2, out=np.zeros_like(d2), where=d2 > 0.0).T.copy().sum(axis=1)
-            for wx in (w, *(w * nodes.T))
-        )
-        A = np.column_stack(A)
-        out.append((float(w.sum()), ((a[:, None] * pts_f - A) / w.sum() - 0.5 * pts_f) @ R))
-    return out
+    blocks = [(q.T.copy(), e.T.copy()) for _, q, e, _ in sphere._node_blocks(pts_f, quad, beta)]
+    return np.vstack([q for q, _ in blocks]), np.vstack([e for _, e in blocks]), pts_f, R
 
 
-def _per_node_moments(config, gammas, quad, dtype, total):
-    """(G, max_j a_j / Z) for each gamma from the terms w / d^2 and w x / d^2, formed node by node
-    in dtype (1/d^2 read as 0 where d = 0) and added over all the nodes by total, point by point.
+def _moments_from_half_chords(q, quad, beta, pts_f, R, dtype, total):
+    """(Z, G, max_j a_j / Z) for gamma = beta and 2 beta from the float64 half-chords q of a pass.
 
-    d^2 and s are the one-pass float64 values and w = weights e^{gamma s} is rounded to float64,
-    as in the library; every later product, quotient and sum is in dtype.
+    The weights w (prod_j q_j)^{gamma / 2}, the node coordinates from the ring and azimuth factors,
+    the terms w / d^2 and w x / d^2 with d^2 = 4 q, and G are formed node by node in dtype, and
+    total adds the terms over all the nodes, point by point: the distances are the library's, the
+    weight arithmetic and the sums are not.
     """
-    pts_f, R = sphere._frame_points(config, quad)
-    d2 = _one_pass_distances(quad, pts_f)
-    s = _one_pass_log_potential(d2)
-    nodes, weights = grid_nodes(quad)
-    x, p = nodes.astype(dtype), pts_f.astype(dtype)
+    ring, azimuth = np.divmod(np.arange(q.shape[0]), quad.n_azimuthal)
+    rho, z = quad.ring_rho.astype(dtype)[ring], quad.ring_z.astype(dtype)[ring]
+    x = np.column_stack([rho * quad.cos_phi.astype(dtype)[azimuth],
+                         rho * quad.sin_phi.astype(dtype)[azimuth], z])
+    product = np.ones(q.shape[0], dtype)
+    for column in q.T:
+        product *= column.astype(dtype)
+    p = pts_f.astype(dtype)
     out = []
-    for gamma in gammas:
-        w = (weights * np.exp(gamma * s)).astype(dtype)
+    for gamma in (beta, 2.0 * beta):
+        w = quad.ring_weights.astype(dtype)[ring] * product ** dtype(0.5 * gamma)
         terms = np.column_stack([w, w[:, None] * x])  # w and w x by node
-        sums = np.empty((config.n, 4), dtype)  # a_j, then A_j by coordinate
-        for j in range(config.n):
-            hit = d2[:, j] > 0.0
-            sums[j] = total(terms[hit] / d2[hit, j, None].astype(dtype))
-        a, A, Z = sums[:, 0], sums[:, 1:], w.sum()
-        out.append((((a[:, None] * p - A) / Z - 0.5 * p) @ R.astype(dtype), float(a.max() / Z)))
+        sums = np.array([total(terms / (4 * column.astype(dtype))[:, None]) for column in q.T])
+        a, A, Z = sums[:, 0], sums[:, 1:], total(w)
+        out.append((Z, ((a[:, None] * p - A) / Z - 0.5 * p) @ R.astype(dtype), a.max() / Z))
     return out
 
 
 @pytest.mark.parametrize("n", [2, 8, 32])
-def test_moments_match_the_three_operand_contraction(sphere_quad, n):
+def test_moments_match_a_long_double_reference_on_the_same_half_chords(sphere_quad, n):
     config = random_configuration(n, RngStream(seed=n))
-    got = _moments(config, (1.0, 2.0), sphere_quad)
-    plain = _three_operand_moments(config, (1.0, 2.0), sphere_quad)
-    for (Z, _), (Z_ref, _) in zip(got, plain):
-        assert Z == Z_ref
+    got = _moments(config, 1.0, sphere_quad)
     # The moment pass and the Z-only pass give the same Z, bit for bit.
-    zb, z2b = sphere._z_values(config, (1.0, 2.0), sphere_quad)
-    assert (zb, z2b) == (got[0][0], got[1][0])
+    assert sphere._z_values(config, 1.0, sphere_quad) == [Z for Z, _ in got]
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         pytest.skip("np.longdouble is no wider than float64 on this platform")
-    # The small components of G are differences of terms up to max_j a_j / Z.  Against terms and
-    # sums in long double, the pass and the plain contraction are both within 4 eps of that scale;
-    # a left-to-right float64 sum over the nodes is not.
-    reference = _per_node_moments(config, (1.0, 2.0), sphere_quad, np.longdouble,
-                                  lambda terms: terms.sum(axis=0))
-    left_to_right = _per_node_moments(config, (1.0, 2.0), sphere_quad, np.float64,
-                                      lambda terms: np.cumsum(terms, axis=0)[-1])
-    for (_, G), (_, G_plain), (G_ref, scale), (G_seq, _) in zip(got, plain, reference, left_to_right):
-        bound = 4.0 * np.finfo(float).eps * scale
-        assert np.max(np.abs(G - G_ref)) <= bound
-        assert np.max(np.abs(G_plain - G_ref)) <= bound
-        assert np.max(np.abs(G_seq - G_ref)) > bound
+    q, _, pts_f, R = _pass_half_chords(config, sphere_quad)
+    reference = _moments_from_half_chords(q, sphere_quad, 1.0, pts_f, R, np.longdouble,
+                                          lambda terms: terms.sum(axis=0))
+    left_to_right = _moments_from_half_chords(q, sphere_quad, 1.0, pts_f, R, np.float64,
+                                              lambda terms: np.cumsum(terms, axis=0)[-1])
+    # Z is within 4 eps of the reference, relative.  The small components of G are differences of
+    # terms up to max_j a_j / Z: the pass is within 4 eps of that scale, a left-to-right float64
+    # sum over the nodes is not.
+    eps = np.finfo(float).eps
+    for (Z, G), (Z_ref, G_ref, scale), (_, G_seq, _) in zip(got, reference, left_to_right):
+        assert abs(Z - Z_ref) <= 4.0 * eps * Z_ref
+        assert np.max(np.abs(G - G_ref)) <= 4.0 * eps * scale
+        assert np.max(np.abs(G_seq - G_ref)) > 4.0 * eps * scale
 
 
-def test_geometry_logs_in_blocks_match_one_pass(monkeypatch):
+def test_blocks_hold_the_half_chords_and_their_weights():
     quad = SphereQuadrature(16, 32, "world")  # the first point stays on node 5
     config = SphereConfiguration(
         points=np.vstack([grid_nodes(quad)[0][5], random_configuration(4, RngStream(seed=6)).points])
     )
-    pts_f, _ = sphere._frame_points(config, quad)
-    d2_ref = _one_pass_distances(quad, pts_f)
-    ref = _one_pass_log_potential(d2_ref)
-    assert np.isneginf(ref[5])
-    blocks = [(d2.T.copy(), s) for _, d2, s, _, _ in sphere._node_blocks(pts_f, quad, (1.0,))]
-    d2 = np.vstack([d2 for d2, _ in blocks])
-    s = np.concatenate([s for _, s in blocks])
-    assert np.array_equal(d2, d2_ref) and np.array_equal(s, ref)
-    one_block = _moments(config, (1.0, 2.0), quad)
-    # Blocks of one ring (16 blocks), and of three rings, where the last block holds one ring
-    # and takes the reused buffers at a third of their length.
-    for rings, sizes in ((1, [1] * 16), (3, [3, 3, 3, 3, 3, 1])):
-        monkeypatch.setattr(sphere, "_NODE_BLOCK", rings * quad.n_azimuthal)
-        blocks = [(ring, d2.T.copy(), s) for ring, d2, s, _, _ in sphere._node_blocks(pts_f, quad, (1.0,))]
-        assert [ring.stop - ring.start for ring, _, _ in blocks] == sizes
-        assert np.array_equal(np.vstack([d2 for _, d2, _ in blocks]), d2_ref)
-        assert np.array_equal(np.concatenate([s for _, _, s in blocks]), ref)
-        # Moments summed over these blocks match those of one block to roundoff.
-        for (Z, G), (Z_ref, G_ref) in zip(_moments(config, (1.0, 2.0), quad), one_block):
-            assert Z == pytest.approx(Z_ref, rel=1e-15)
-            np.testing.assert_allclose(G, G_ref, rtol=1e-13, atol=1e-16)
+    q, e, pts_f, _ = _pass_half_chords(config, quad, beta=1.5)
+    d2 = _one_pass_distances(quad, pts_f)
+    assert d2[5, 0] == 0.0 and np.count_nonzero(d2 == 0.0) == 1
+    # q is d^2 / 4, raised to the smallest normal float in the block where some d = 0 (one block
+    # holds this grid), and the weight is 0 where d = 0.
+    assert np.array_equal(q, np.maximum(0.25 * d2, np.finfo(float).tiny))
+    assert e[5].tolist() == [0.0, 0.0]
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float64 on this platform")
+    # Elsewhere e is (prod_j q_j)^{gamma / 2}.  The product of 5 factors is within 4 half-ulps (2 eps),
+    # so the beta weight is within (beta / 2) 2 eps + eps and its square, the 2 beta weight, within
+    # twice that plus a half-ulp: both rows are within (gamma + 2.5) eps of the long double value.
+    product = np.prod(q.astype(np.longdouble), axis=1)
+    for gamma, row in zip((1.5, 3.0), e.T):
+        ref = product ** np.longdouble(0.5 * gamma)
+        hit = np.arange(len(row)) != 5
+        assert np.max(np.abs(row[hit] - ref[hit]) / ref[hit]) <= (gamma + 2.5) * np.finfo(float).eps
 
 
-def test_block_weights_are_the_ring_weights_times_the_exponentials():
+@pytest.mark.parametrize("n", [1, 8, 9])
+def test_passes_do_not_depend_on_the_block_size(monkeypatch, n):
+    # Every sum runs over one ring's azimuths or over all the rings, never over a block, so blocks
+    # of one ring, of three rings (the last holding one, in the reused buffers at a third of their
+    # length) and of the whole grid give the same Z and G, bit for bit.  A point on node 5 makes
+    # the weights there go point group by point group, across the group edge at n = 9.
     quad = SphereQuadrature(16, 32, "world")
-    pts_f, _ = sphere._frame_points(random_configuration(3, RngStream(seed=4)), quad)
-    gammas = (1.0, 2.0)
-    for ring, _, s, w, _ in sphere._node_blocks(pts_f, quad, gammas):
-        weights = np.repeat(quad.ring_weights[ring], quad.n_azimuthal)
-        assert np.array_equal(w, weights * np.exp(np.multiply.outer(gammas, s)))
+    points = [grid_nodes(quad)[0][5]]
+    if n > 1:
+        points.extend(random_configuration(n - 1, RngStream(seed=n)).points)
+    config = SphereConfiguration(points=np.array(points))
+    pts_f, _ = sphere._frame_points(config, quad)
+    results = []
+    for rings, sizes in ((1, [1] * 16), (3, [3, 3, 3, 3, 3, 1]), (16, [16])):
+        monkeypatch.setattr(sphere, "_NODE_BLOCK", rings * quad.n_azimuthal * max(n, 8))
+        assert [ring.stop - ring.start for ring, *_ in sphere._node_blocks(pts_f, quad, 1.5)] == sizes
+        moments = _moments(config, 1.5, quad)
+        results.append((sphere._z_values(config, 1.5, quad), [Z for Z, _ in moments],
+                        np.concatenate([G for _, G in moments])))
+    assert results[0][0] == results[0][1]
+    for z, z_moments, G in results[1:]:
+        assert z == results[0][0] and z_moments == results[0][1]
+        assert np.array_equal(G, results[0][2])
 
 
 class TestGradientFlow:
@@ -554,7 +536,7 @@ class TestGradientFlow:
         it, objective, residual = trace[-1]
         assert it < 500 and residual >= 1e-9
         assert [i for i, _, _ in trace] == list(range(it + 1))
-        zb, z2b = sphere._z_values(final, (1.0, 2.0), sphere_quad)
+        zb, z2b = sphere._z_values(final, 1.0, sphere_quad)
         assert objective == 2.0 * math.log(zb) - math.log(z2b)
         assert residual == equilibrium_residual(final, 1.0, sphere_quad)
         # The same path without the stall rule goes on past the returned iterate.
@@ -617,6 +599,17 @@ def test_discrepancy_error_estimate_reflects_resolution(sphere_quad):
     assert rep.b_opt == pytest.approx(rep.m1 / rep.m2, rel=1e-15)
 
 
+@pytest.mark.parametrize("n, reference", [(1, sphere_rho1_mp), (2, sphere_rho2_mp)], ids=["point", "pair"])
+def test_error_estimate_bounds_the_error_against_30_digits(sphere_quad, n, reference):
+    # At even beta and at large beta the grid is all but exact and what is left is rounding, which
+    # the floor covers: the half-grid difference alone falls below the error at beta = 2, 5, 8, 12,
+    # 20 and 30.
+    config = config_of(*(NORTH, SOUTH)[:n])
+    for beta in (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0):
+        rep = discrepancy(config, beta, sphere_quad)
+        assert abs(rep.rho - reference(beta)) <= rep.error_estimate, beta
+
+
 @pytest.mark.parametrize("beta", [0.0, -1.0])
 def test_discrepancy_rejects_nonpositive_beta(sphere_quad, beta):
     with pytest.raises(ValueError):
@@ -637,6 +630,18 @@ def test_underflowing_z_raises_before_dividing(sphere_quad):
             call(config, 1e300, sphere_quad)
     with pytest.raises(ArithmeticError, match="underflows to 0"):
         gradient_flow(2, 1e300, config, quad=sphere_quad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_node_antipodal_to_the_point_keeps_weight_1_at_a_huge_beta():
+    # There q rounds to 1 + 1 ulp, whose power would overflow at beta = 1e300; the true weight is 1.
+    quad = SphereQuadrature(128, 128, "world")
+    k = 6531
+    p = -grid_nodes(quad)[0][k]
+    config = SphereConfiguration(points=(p / np.linalg.norm(p))[None])
+    pts_f, _ = sphere._frame_points(config, quad)
+    assert np.max(_one_pass_distances(quad, pts_f)) > 4.0
+    assert partition_function(config, 1e300, quad) == quad.ring_weights[k // quad.n_azimuthal]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
