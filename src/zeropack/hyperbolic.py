@@ -100,8 +100,8 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
     n new angles 2 pi (k + 1/2) / n, as the series twisted by e^{i pi j / n}, and averages
     their mean with the old one, so a circle that reaches the cap has seen all n_angular angles
     of the full grid.  Below the cap the term scales r^j fit one block at every level, so they
-    are formed once per call.  Circles go _DISK_POINTS points at a time through one buffer
-    allocated per call; the integrand may overwrite it."""
+    are formed once per call.  Circles go _DISK_POINTS points at a time through buffers
+    allocated once per call; the integrand may overwrite the moduli."""
     c = f.array()
     n = n_angular
     if n_angular // (n_angular & -n_angular) <= 3:  # the odd part of n_angular
@@ -114,6 +114,7 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
     else:
         scales = lambda b: _term_scales(zeros, radii[b], n)
     values = np.empty(min(u.size * n_angular, max(_DISK_POINTS, n_angular)), dtype=complex)
+    products = np.empty_like(values)
     modulus = np.empty(values.size)
 
     def level(coeffs, circles):
@@ -121,10 +122,11 @@ def _circle_means(f: DiskFunction, u: np.ndarray, n_angular: int, integrand) -> 
         for i in range(0, circles.size, rows):
             b = circles[i : i + rows]
             out = values[: b.size * n].reshape(b.size, n)
+            work = products[: out.size].reshape(out.shape)
             m = modulus[: out.size].reshape(out.shape)
             if b[-1] - b[0] == b.size - 1:  # circles ascend: a run of them is a slice, not a copy
                 b = slice(b[0], b[-1] + 1)
-            np.abs(_polar_values(coeffs, scales(b), out), out=m)
+            np.abs(_polar_values(coeffs, scales(b), out, work), out=m)
             means.append(integrand(u[b, None], m))
         return np.concatenate(means, axis=-1)
 
@@ -298,10 +300,15 @@ def hyperbolic_discrepancy(
     _check_radius(r)
     _check_positive(alpha=alpha, beta=beta)
     quad = _disk_rule(f, r, quad)
+
+    def mismatch(u, modulus):  # in the buffer _circle_means lets it overwrite
+        modulus **= beta  # in place: keeps numpy's sqrt/square fast paths
+        modulus *= (1.0 - u) ** alpha
+        modulus -= 1.0
+        return np.square(modulus, out=modulus).mean(-1)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        means = _circle_means(
-            f, quad.u_nodes, quad.n_angular,
-            lambda u, modulus: (((1.0 - u) ** alpha * modulus**beta - 1.0) ** 2).mean(-1))
+        means = _circle_means(f, quad.u_nodes, quad.n_angular, mismatch)
         value = float(quad.hyperbolic_weights @ means) / quad.normalization
     return _finite_or_overflow(value)
 

@@ -162,15 +162,13 @@ def richardson(values, steps, powers) -> tuple[float, float]:
     e = [float(v) for v in values]
     g = [[(h / steps[0]) ** p for h in steps] for p in powers]
     coarser = e[-2]
-    while g:
-        gk, g = g[0], g[1:]
+    for k, gk in enumerate(g):  # each stage overwrites the later rows in place, one entry shorter
         d = [gk[i + 1] - gk[i] for i in range(len(e) - 1)]
-
-        def eliminate(row):
-            return [(row[i] * gk[i + 1] - row[i + 1] * gk[i]) / d[i] for i in range(len(d))]
-
-        g = [eliminate(row) for row in g]
-        coarser, e = e[0], eliminate(e)
+        coarser = e[0]
+        for row in g[k + 1:] + [e]:
+            for i in range(len(d)):
+                row[i] = (row[i] * gk[i + 1] - row[i + 1] * gk[i]) / d[i]
+            row.pop()
     return e[-1], e[-1] - coarser
 
 
@@ -270,20 +268,23 @@ def _radial_variance(scales) -> np.ndarray:
     return sum((block * block).sum(axis=1) for block in scales)
 
 
-def _polar_values(coeffs, scales, out) -> np.ndarray:
+def _polar_values(coeffs, scales, out, work) -> np.ndarray:
     """F = sum_j coeffs[..., j] scales[i, j] e^{2 pi i jk/n} into out, of shape (..., radii, n).
 
     coeffs is one series or a stack of them, and scales are the blocks of _term_scales on the
     same n: with scales[i, j] = e^{log_scales[j]} radii[i]^j, F is the series at z = radii[i]
     e^{2 pi i k/n}.  z^j depends on j mod n on the circle, so the terms fold mod n into t and F
-    is the unnormalized inverse FFT of t at k (norm="forward"); t holds min(n, len(coeffs))
-    columns, which the FFT zero-pads into the caller's buffer out.
+    is the unnormalized inverse FFT of t at k (norm="forward").  t is folded into the caller's
+    buffer out, zeroed first, and transformed in place; each block's products go through work,
+    a complex buffer shaped like out, so the call allocates no grid array.
     """
-    n_radii, n_angular = out.shape[-2:]
-    folded = np.zeros((*coeffs.shape[:-1], n_radii, min(n_angular, coeffs.shape[-1])), dtype=complex)
+    n_angular = out.shape[-1]
+    out.fill(0.0)
     for start, block in zip(range(0, coeffs.shape[-1], n_angular), scales):
-        folded[..., : block.shape[1]] += coeffs[..., None, start : start + block.shape[1]] * block
-    return np.fft.ifft(folded, n=n_angular, axis=-1, norm="forward", out=out)
+        width = block.shape[1]
+        out[..., :width] += np.multiply(coeffs[..., None, start : start + width], block,
+                                        out=work[..., :width])
+    return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
 @dataclass(frozen=True)
@@ -464,12 +465,14 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
         draw = _substream_draws(rng, len(log_scales), batch)
         eta = np.empty((batch, len(log_scales)), dtype=complex)
         values = np.empty((batch, *grid), dtype=complex)
+        products = np.empty((batch, *grid), dtype=complex)
         modulus = np.empty((batch, *grid))
         out = []
         for start in range(part.start, part.stop, batch):
             rows = min(batch, part.stop - start)
             draw(range(start, start + rows), eta)
-            m = np.abs(_polar_values(eta[:rows], table or blocks(), values[:rows]), out=modulus[:rows])
+            m = np.abs(_polar_values(eta[:rows], table or blocks(), values[:rows], products[:rows]),
+                       out=modulus[:rows])
             with np.errstate(over="ignore"):  # a huge b: reported below as an OverflowError
                 x = ((b * m - 1.0) ** 2).mean(axis=-1)
             a = (m * m).mean(axis=-1)

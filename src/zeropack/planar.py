@@ -35,6 +35,7 @@ from .weierstrass import (
 
 _MAX_GRID = 8192  # largest accepted grid_m
 _LADDER_TOP = 128  # finest extrapolation level: past it a finer grid buys no accuracy
+_ORBIT_TOL = 1e-10  # largest spread of log P over a grid symmetry orbit (2.2e-14 at m = 128)
 _MAX_TRUNCATION = 100_000  # largest planar GAF series degree
 
 
@@ -42,7 +43,9 @@ _MAX_TRUNCATION = 100_000  # largest planar GAF series degree
 class TriangularProfile:
     """Equilateral-lattice profile: the lattice's Weierstrass context, whose half-periods are
     omega1 = alpha and alpha e^{i pi/3}, the periodizing quadratic twist eta and the weight
-    scale c."""
+    scale c.  Build it with make_triangular_profile: the density folds the rhombus grid by the
+    symmetries of this lattice, and refuses (ValueError) a hand-built profile whose log P does
+    not have them."""
 
     ctx: WeierstrassContext
     eta: complex
@@ -83,32 +86,58 @@ def _log_profile_rows(p: TriangularProfile, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _log_profile_ladder(p: TriangularProfile, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """log P on the midpoint grids m = top/8, top/4, top/2, top as one flat array, and the m.
+def _log_profile_ladder(
+    p: TriangularProfile, top: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """log P on the midpoint grids m = top/8, top/4, top/2, top, one value per symmetry orbit.
 
-    Built once per (profile, top), read-only, one log_abs_sigma_grid call per level: 21,760
-    points at top = 128.
+    Returns (logs, counts, bounds, sizes): level k holds logs[bounds[k]:bounds[k + 1]] with
+    orbit sizes counts[bounds[k]:bounds[k + 1]], which sum to m^2, m = sizes[k].  The grid
+    (s, t) = ((i + 1/2)/m, (j + 1/2)/m) maps onto itself under the swap (s, t) -> (t, s),
+    the reflection across the bisector of omega1 and omega2, and under (s, t) -> (1 - s, 1 - t),
+    as P is even and periodic.  An orbit has 4 points, 2 on i = j or on i + j = m - 1, and 1
+    at the centre of an odd m; its representative has i <= j and i + j <= m - 1 (5,560 of the
+    21,760 points at top = 128).  Each level comes from one log_abs_sigma_grid call on the full
+    grid, and a representative holds the mean of its orbit's four partner values.  ValueError
+    if two partners differ by more than _ORBIT_TOL, as they do for a lattice without these
+    symmetries.  Built once per (profile, top), read-only.
     """
     sizes = (top >> 3, top >> 2, top >> 1, top)
-    flat = np.concatenate([_log_profile_rows(p, m).ravel() for m in sizes])
-    flat.setflags(write=False)
-    return flat, sizes
+    logs, counts, bounds = [], [], [0]
+    for m in sizes:
+        k = np.arange(m)
+        f = np.flatnonzero((k[:, None] <= k) & (k[:, None] + k <= m - 1))  # (i, j) at i m + j
+        i, j = np.divmod(f, m)
+        g = j * m + i  # the swap; the half-turn reverses the flat grid
+        partners = _log_profile_rows(p, m).ravel()[np.stack([f, g, m * m - 1 - f, m * m - 1 - g])]
+        spread = float(np.max(np.abs(partners - partners[0])))
+        if not spread <= _ORBIT_TOL:  # every grid point is a partner of some representative
+            raise ValueError(f"log P is not symmetric on the {m} x {m} rhombus grid (partners "
+                             f"differ by {spread:.3g}): not an equilateral-lattice profile")
+        logs.append(partners.mean(axis=0))
+        counts.append(4.0 / ((1.0 + (i == j)) * (1.0 + (i + j == m - 1))))
+        bounds.append(bounds[-1] + i.size)
+    logs, counts = np.concatenate(logs), np.concatenate(counts)
+    logs.setflags(write=False)
+    counts.setflags(write=False)
+    return logs, counts, tuple(bounds), sizes
 
 
 def _ladder_means(
     p: TriangularProfile, beta: float, top: int
 ) -> tuple[tuple[list[float], list[float]], list[float]]:
     """Midpoint means of P^beta and of P^(2 beta) on the _log_profile_ladder levels, coarsest
-    first, and their steps: one exponential per point, its square as the second row, and one
-    row-wise pairwise sum per level for both."""
-    flat, sizes = _log_profile_ladder(p, top)
-    bounds = np.cumsum([0] + [m * m for m in sizes])
-    vals = np.empty((2, flat.size))
+    first, and their steps: one exponential per orbit, its square as the second row, both
+    weighted by the orbit sizes (1, 2 or 4, so exactly), and one pairwise sum per level and
+    row (np.add.reduceat), divided by m^2."""
+    logs, counts, bounds, sizes = _log_profile_ladder(p, top)
+    vals = np.empty((2, logs.size))
     with np.errstate(over="ignore"):  # a huge beta: planar_lattice_density raises on the inf mean
-        np.exp(beta * flat, out=vals[0])
+        np.exp(np.multiply(logs, beta, out=vals[0]), out=vals[0])
         np.square(vals[0], out=vals[1])
-        sums = [vals[:, a:b].sum(axis=1) / (b - a) for a, b in zip(bounds, bounds[1:])]
-    return ([float(s[0]) for s in sums], [float(s[1]) for s in sums]), [1.0 / m for m in sizes]
+        vals *= counts
+        sums = np.add.reduceat(vals, bounds[:-1], axis=1).tolist()
+    return tuple([x / (m * m) for x, m in zip(row, sizes)] for row in sums), [1.0 / m for m in sizes]
 
 
 def planar_lattice_density(
@@ -121,7 +150,8 @@ def planar_lattice_density(
     Each moment, the mean of P^e over the rhombus (e = beta, 2 beta), is extrapolated from
     midpoint means on the (s, t) |-> 2*omega1*s + 2*omega2*t grids top/8, ..., top, with
     top = min(grid_m, 128): every grid_m >= 128 shares the cached 128 ladder.  Both come from
-    one exponential per point, P^(2 beta) being the square of P^beta.  P^e behaves
+    one exponential per symmetry orbit of the grid (5,560 at top = 128, a quarter of the
+    points), P^(2 beta) being the square of P^beta.  P^e behaves
     like |z - z0|^e at the lattice zeros, so the midpoint error on the periodic rhombus is a
     series in h^{2+e+2k} (generalized Euler-Maclaurin: Navot 1962, Lyness 1976).  For an even
     integer e those terms vanish and the mean converges spectrally; from e = 51 on, halving h

@@ -54,7 +54,7 @@ def _abs_on_circles(f: DiskFunction, radii, n_angular: int) -> np.ndarray:
     """|f| at n_angular uniform angles on every circle |z| = radii[i], in one pass."""
     c = f.array()
     scales = _term_scales(np.zeros(c.size), radii, n_angular)
-    return np.abs(_polar_values(c, scales, np.empty((len(radii), n_angular), dtype=complex)))
+    return np.abs(_polar_values(c, scales, *np.empty((2, len(radii), n_angular), dtype=complex)))
 
 
 class TestDiskFunction:
@@ -345,7 +345,7 @@ class TestAnglesPerCircle:
         """Grid points _polar_values evaluates during call()."""
         counted, polar_values = [], hyperbolic._polar_values
         monkeypatch.setattr(hyperbolic, "_polar_values",
-                            lambda c, s, out: counted.append(out.size) or polar_values(c, s, out))
+                            lambda c, s, out, work: counted.append(out.size) or polar_values(c, s, out, work))
         call()
         return sum(counted)
 

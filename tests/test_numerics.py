@@ -399,7 +399,7 @@ class TestPolarValues:
         grid = np.sqrt(quad.u_nodes)[:, None] * np.exp(1j * angles)[None, :]
         want = np.polynomial.polynomial.polyval(grid, coeffs)
         scales = _term_scales(np.zeros(degree + 1), np.sqrt(quad.u_nodes), 64)
-        got = _polar_values(coeffs, scales, np.empty((256, 64), dtype=complex))
+        got = _polar_values(coeffs, scales, *np.empty((2, 256, 64), dtype=complex))
         assert got.shape == (256, 64)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -408,7 +408,7 @@ class TestPolarValues:
         log_scales = np.array([0.0, -1.0, 2.0, 0.5, -0.3, 1.1])
         radii = np.array([0.2, 0.7, 1.3])
         got = _polar_values(coeffs, _term_scales(log_scales, radii, 4),  # degree 5 folds mod 4
-                            np.empty((3, 4), dtype=complex))
+                            *np.empty((2, 3, 4), dtype=complex))
         z = radii[:, None] * np.exp(0.5j * np.pi * np.arange(4))[None, :]
         want = np.polynomial.polynomial.polyval(z, coeffs * np.exp(log_scales))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
@@ -423,10 +423,14 @@ class TestPolarValues:
         stack = parts[0] + 1j * parts[1]
         scales = list(_term_scales(log_scales, radii, 32, log_offset))
         out = np.empty((5, 9, 32), dtype=complex)
-        assert _polar_values(stack, scales, out) is out
+        assert _polar_values(stack, scales, out, np.empty_like(out)) is out
         for row, values in zip(stack, out):
-            one = _polar_values(row, scales, np.empty((9, 32), dtype=complex))
+            one = _polar_values(row, scales, *np.empty((2, 9, 32), dtype=complex))
             assert values.tobytes() == one.tobytes()
+        # The terms fold into out itself through work, so what either held before does not
+        # leak into F.
+        again, work = np.full((2, 5, 9, 32), complex(np.nan, np.inf))
+        assert _polar_values(stack, scales, again, work).tobytes() == out.tobytes()
 
 
 _GAF = {  # mode -> (module, Monte Carlo, truncation degree)
@@ -460,7 +464,7 @@ def _per_trial_reference(args, trials):
     vals = []
     for i in range(trials):
         eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
-        modulus = np.abs(_polar_values(eta, scales, np.empty((len(radii), n_angular), dtype=complex)))
+        modulus = np.abs(_polar_values(eta, scales, *np.empty((2, len(radii), n_angular), dtype=complex)))
         x = float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1))
         a = float(weights @ (modulus * modulus).mean(axis=1))
         vals.append(x - c * (a - mean_a))
@@ -483,7 +487,7 @@ class TestGafMonteCarlo:
         vals = []
         for i in range(trials):
             eta = sample_complex_gaussians(rng.substream(i), len(log_scales))
-            modulus = np.abs(_polar_values(eta, scales, np.empty((len(radii), n_angular), dtype=complex)))
+            modulus = np.abs(_polar_values(eta, scales, *np.empty((2, len(radii), n_angular), dtype=complex)))
             vals.append(float(weights @ ((b * modulus - 1.0) ** 2).mean(axis=1)))
         vals = np.array(vals)
         plain = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)))

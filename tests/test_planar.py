@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -13,8 +14,10 @@ from scipy.stats import poisson
 
 from zeropack import planar
 from zeropack.numerics import RngStream, _polar_values, _term_scales, sample_complex_gaussians
+from zeropack.weierstrass import make_context
 from zeropack.planar import (
     _MAX_GRID,
+    TriangularProfile,
     TruncationError,
     _ladder_means,
     density_curve,
@@ -85,12 +88,12 @@ class TestLatticeDensity:
             )
             assert other.rho == pytest.approx(base.rho, abs=1e-10)
 
-    def test_constant_profile_extrapolates_to_zero_density(self, monkeypatch):
+    def test_constant_profile_extrapolates_to_zero_density(self, profile, monkeypatch):
         # A constant profile P = 2.5 has the same midpoint mean on every ladder level; the
         # extrapolation of a constant sequence returns it, so rho = 0.
-        sizes = (8, 16, 32, 64)
-        flat = np.full(sum(m * m for m in sizes), math.log(2.5))
-        monkeypatch.setattr(planar, "_log_profile_ladder", lambda p, top: (flat, sizes))
+        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, 64)
+        flat = np.full(logs.size, math.log(2.5))
+        monkeypatch.setattr(planar, "_log_profile_ladder", lambda p, top: (flat, counts, bounds, sizes))
         rep = planar_lattice_density(1.0, 64)
         assert abs(rep.rho) < 1e-14
         assert rep.b_opt == pytest.approx(1.0 / 2.5, rel=1e-12)
@@ -112,21 +115,73 @@ class TestLatticeDensity:
 
     # Even 2 beta (1, 2), 2 beta >= 51 (26, 60.5) and small beta (1e-3, 0.01) among the rest.
     @pytest.mark.parametrize("beta", [1e-3, 0.01, 0.25, 0.7, 1.0, 2.0, 3.3, 26.0, 60.5, 200.0])
-    @pytest.mark.parametrize("top", [16, 128])
+    @pytest.mark.parametrize("top", [16, 17, 128])
     def test_one_exponential_gives_both_level_means(self, profile, beta, top):
-        # P^beta is the same exponential and the same pairwise sum per level as a direct
-        # np.exp(beta * flat), so its means are bitwise those; P^(2 beta) is its square, not
-        # a second exponential, and stays within 4 ulp of np.exp(2 * beta * flat).
-        flat, sizes = planar._log_profile_ladder(profile, top)
-        bounds = np.cumsum([0] + [m * m for m in sizes])
-        levels = list(zip(bounds, bounds[1:]))
-        direct1 = [float(np.sum(np.exp(beta * flat[a:b]))) / (b - a) for a, b in levels]
-        direct2 = [float(np.sum(np.exp(2.0 * beta * flat[a:b]))) / (b - a) for a, b in levels]
+        # P^beta is the same exponential, orbit weighting and pairwise sum per level as a direct
+        # np.exp(beta * logs) * counts, so its means are bitwise those; P^(2 beta) is its
+        # square, not a second exponential, and stays within 4 ulp of np.exp(2 * beta * logs).
+        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, top)
+        areas = [m * m for m in sizes]
+        direct1 = (np.add.reduceat(np.exp(beta * logs) * counts, bounds[:-1]) / areas).tolist()
+        direct2 = (np.add.reduceat(np.exp(2.0 * beta * logs) * counts, bounds[:-1]) / areas).tolist()
         (means1, means2), steps = _ladder_means(profile, beta, top)
         assert steps == [1.0 / m for m in sizes]
         assert means1 == direct1
         for got, want in zip(means2, direct2):
             assert abs(got - want) <= 4.0 * math.ulp(want)
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 3.3, 26.0, 200.0])
+    @pytest.mark.parametrize("top", [16, 17, 100, 128])
+    def test_folded_means_match_the_full_grid(self, profile, beta, top):
+        # Against np.mean(np.exp(e * log P)) over all m^2 points of each level.  The orbit
+        # mean of log P rounds to an ulp of its largest value, which the exponential scales
+        # by e; the sums add a few ulps.
+        (means1, means2), _ = _ladder_means(profile, beta, top)
+        for k, m in enumerate(planar._log_profile_ladder(profile, top)[3]):
+            rows = planar._log_profile_rows(profile, m)
+            for e, got in ((beta, means1[k]), (2.0 * beta, means2[k])):
+                want = float(np.mean(np.exp(e * rows)))
+                bound = 4.0 * np.finfo(float).eps * (1.0 + e * float(np.max(np.abs(rows))))
+                assert abs(got - want) <= bound * want
+
+    @pytest.mark.parametrize("top", [16, 17, 100, 128])
+    def test_orbit_sizes_cover_each_level(self, profile, top):
+        # 4 points in general, 2 on either diagonal, 1 at the centre of an odd m (17, 25).
+        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, top)
+        assert sizes == (top >> 3, top >> 2, top >> 1, top)
+        assert bounds[0] == 0 and bounds[-1] == logs.size == counts.size
+        assert not logs.flags.writeable and not counts.flags.writeable
+        for a, b, m in zip(bounds, bounds[1:], sizes):
+            level = counts[a:b]
+            assert set(level.tolist()) <= {1.0, 2.0, 4.0}
+            assert level.sum() == m * m
+            assert np.count_nonzero(level == 1.0) == m % 2
+            assert np.count_nonzero(level == 2.0) == 2 * (m // 2)
+
+    @pytest.mark.parametrize("top", [17, 100, 128])
+    def test_each_representative_matches_its_partners(self, profile, top):
+        # Representative (i, j), i <= j and i + j <= m - 1, in row-major order, against
+        # log_profile at (i, j), (j, i), (m-1-i, m-1-j) and (m-1-j, m-1-i).
+        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, top)
+        p1, p2 = 2.0 * profile.ctx.omega1, 2.0 * profile.ctx.omega2
+        for a, b, m in zip(bounds, bounds[1:], sizes):
+            reps = [(i, j) for i in range(m) for j in range(i, m) if i + j <= m - 1]
+            assert len(reps) == b - a
+            i, j = np.array(reps).T
+            covered = set()
+            for u, v in ((i, j), (j, i), (m - 1 - i, m - 1 - j), (m - 1 - j, m - 1 - i)):
+                covered.update(zip(u.tolist(), v.tolist()))
+                z = p1 * (u + 0.5) / m + p2 * (v + 0.5) / m
+                assert np.max(np.abs(log_profile(profile, z) - logs[a:b])) <= planar._ORBIT_TOL
+            assert len(covered) == m * m
+
+    def test_profile_without_the_grid_symmetry_is_refused(self):
+        # A hand-built profile on a lattice that is not equilateral: folding its grid into
+        # orbits would be wrong, so the ladder raises.
+        ctx = make_context(0.9, 1.1 * cmath.exp(1.2j))
+        bad = TriangularProfile(ctx=ctx, eta=1.0 - ctx.eta1 / (2.0 * ctx.omega1), weight_scale=1.0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            planar_lattice_density(1.0, 64, profile=bad)
 
     @pytest.mark.filterwarnings("error")
     def test_underflow_threshold(self, profile):
@@ -183,13 +238,16 @@ RHO_DIGITS = {
 
 
 class TestExtrapolatedDensity:
-    @pytest.mark.parametrize("grid", [256, 512, 1024])
+    # 17 and 100 have coarse levels that are not powers of two (2, 4, 8, 17 and 12, 25, 50, 100),
+    # two of them odd; the 2-17 ladder reaches about 2e-7 relative.
+    @pytest.mark.parametrize("grid, rel", [(17, 1e-6), (100, 1e-12), (256, 1e-12), (512, 1e-12),
+                                           (1024, 1e-12)], ids=["17", "100", "256", "512", "1024"])
     @pytest.mark.parametrize("beta", sorted(RHO_DIGITS))
-    def test_matches_reference_within_its_estimate(self, profile, beta, grid):
+    def test_matches_reference_within_its_estimate(self, profile, beta, grid, rel):
         rep = planar_lattice_density(beta, grid, profile=profile)
         ref = mpmath.mpf(RHO_DIGITS[beta])
         error = abs(float(mpmath.mpf(rep.rho) - ref))
-        assert error <= 1e-12 * float(ref)
+        assert error <= rel * float(ref)
         assert rep.error_estimate >= error
 
     def test_grids_above_the_ladder_top_share_its_result(self, profile):
@@ -353,7 +411,7 @@ class TestPlanarGafLargeRadius:
         log_scales = 0.5 * (j * math.log(2.0) - np.array([math.lgamma(k + 1.0) for k in j]))
         radii = np.array([0.5, R / 2.0, R - 0.5, R - 0.03])
         F = _polar_values(eta, _term_scales(log_scales, radii, 256, log_offset=-radii**2),
-                          np.empty((len(radii), 256), dtype=complex))
+                          *np.empty((2, len(radii), 256), dtype=complex))
         coeffs = _mp_planar_gaf_coeffs(eta)
         for i, k in [(0, 3), (1, 100), (2, 12), (3, 0), (3, 201)]:
             z = radii[i] * complex(math.cos(2 * math.pi * k / 256), math.sin(2 * math.pi * k / 256))

@@ -179,18 +179,17 @@ class TestSigmaGrid:
 
     @pytest.mark.parametrize("weight_scale", [1.0, 0.5, 7.3])
     def test_planar_ladder_matches_pointwise_log_profile(self, weight_scale):
-        # Every level of the cached 16-128 extrapolation ladder, read-only.
+        # Every level of the cached 16-128 extrapolation ladder, read-only: one value per
+        # symmetry orbit, at the representatives i <= j, i + j <= m - 1 in row-major order.
         p = make_triangular_profile(weight_scale)
-        flat, sizes = _log_profile_ladder(p, 128)
-        assert sizes == (16, 32, 64, 128) and flat.size == 21760
-        assert not flat.flags.writeable
-        start = 0
-        for m in sizes:
-            s = (np.arange(m) + 0.5) / m
-            Z = 2.0 * p.ctx.omega1 * s[None, :] + 2.0 * p.ctx.omega2 * s[:, None]
-            got = flat[start:start + m * m].reshape(m, m)
-            np.testing.assert_allclose(got, log_profile(p, Z), rtol=0.0, atol=1e-12)
-            start += m * m
+        logs, counts, bounds, sizes = _log_profile_ladder(p, 128)
+        assert sizes == (16, 32, 64, 128) and logs.size == 5560
+        assert not logs.flags.writeable
+        for a, b, m in zip(bounds, bounds[1:], sizes):
+            i, j = np.array([(i, j) for i in range(m) for j in range(i, m) if i + j <= m - 1]).T
+            Z = 2.0 * p.ctx.omega1 * (i + 0.5) / m + 2.0 * p.ctx.omega2 * (j + 0.5) / m
+            np.testing.assert_allclose(logs[a:b], log_profile(p, Z), rtol=0.0, atol=1e-12)
+            assert counts[a:b].sum() == m * m
 
 
 def test_sigma_scaling_between_contexts():
