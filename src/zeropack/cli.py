@@ -28,7 +28,8 @@ import sys
 from . import __version__
 
 _DENSITY_FIELDS = ("rho", "m1", "m2", "b_opt", "error_estimate")
-_GRID_HELP = "finest midpoint grid of the extrapolation ladder, 16-8192; 128 and up give one report"
+_GRID_HELP = ("finest midpoint grid of the extrapolation ladder, 16-8192, rounded up to a "
+              "multiple of 8; 128 and up give one report")
 _COEFFS_HELP = "JSON array: numbers or [re, im] pairs"
 
 

@@ -146,32 +146,6 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule1D:
     return QuadratureRule1D(nodes=nodes, weights=weights)
 
 
-def richardson(values, steps, powers) -> tuple[float, float]:
-    """Limit c0 of values[i] = c0 + sum_k c_k steps[i]**powers[k] + ..., and c0 - c0'.
-
-    values run from the coarsest step to the finest; powers holds len(values) - 1 exponents,
-    or none when there is nothing to eliminate (the finest value is the limit).  c0' drops the
-    finest value and the last power.  Generalized Richardson elimination of neighbouring pairs
-    (the E-algorithm: Havie 1979, Brezinski 1980) in plain floats in a fixed order, no BLAS;
-    the terms are scaled by steps[0]**p, which the elimination does not see, to stay in range.
-    """
-    n = len(values)
-    if n < 2 or len(steps) != n or len(powers) not in (0, n - 1):
-        raise ValueError(f"need n >= 2 values, n steps and n - 1 or no powers, got "
-                         f"{n}, {len(steps)}, {len(powers)}")
-    e = [float(v) for v in values]
-    g = [[(h / steps[0]) ** p for h in steps] for p in powers]
-    coarser = e[-2]
-    for k, gk in enumerate(g):  # each stage overwrites the later rows in place, one entry shorter
-        d = [gk[i + 1] - gk[i] for i in range(len(e) - 1)]
-        coarser = e[0]
-        for row in g[k + 1:] + [e]:
-            for i in range(len(d)):
-                row[i] = (row[i] * gk[i + 1] - row[i + 1] * gk[i]) / d[i]
-            row.pop()
-    return e[-1], e[-1] - coarser
-
-
 def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
     """Starting points for the zeros of sum_k coeffs[k] z^k, coeffs[0] and coeffs[-1] nonzero.
 

@@ -15,6 +15,7 @@ amplitude collapses in closed form: rho = 1 - M_1^2 / M_2.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (RngStream, TruncationError, _check_counts, _check_positive, _gaf_mc,
-                       _power_of_two_at_least, gaf_expected, gauss_legendre, richardson)
+                       _power_of_two_at_least, gaf_expected, gauss_legendre)
 from .reports import DiscrepancyReport
 from .weierstrass import (
     WeierstrassContext,
@@ -35,7 +36,9 @@ from .weierstrass import (
 
 _MAX_GRID = 8192  # largest accepted grid_m
 _LADDER_TOP = 128  # finest extrapolation level: past it a finer grid buys no accuracy
-_ORBIT_TOL = 1e-10  # largest spread of log P over a grid symmetry orbit (2.2e-14 at m = 128)
+_TINY = np.finfo(float).tiny  # smallest normal double
+_SAFE_LOG = 345.0  # beta max|log P| below which a sum of m^2 <= 128^2 P^(2 beta) stays finite
+_ORBIT_TOL = 1e-10  # largest distance of log P from its grid orbit's mean (1.2e-14 at m = 128)
 _MAX_TRUNCATION = 100_000  # largest planar GAF series degree
 
 
@@ -88,56 +91,75 @@ def _log_profile_rows(p: TriangularProfile, m: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _log_profile_ladder(
     p: TriangularProfile, top: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """log P on the midpoint grids m = top/8, top/4, top/2, top, one value per symmetry orbit.
 
-    Returns (logs, counts, bounds, sizes): level k holds logs[bounds[k]:bounds[k + 1]] with
-    orbit sizes counts[bounds[k]:bounds[k + 1]], which sum to m^2, m = sizes[k].  The grid
-    (s, t) = ((i + 1/2)/m, (j + 1/2)/m) maps onto itself under the swap (s, t) -> (t, s),
-    the reflection across the bisector of omega1 and omega2, and under (s, t) -> (1 - s, 1 - t),
-    as P is even and periodic.  An orbit has 4 points, 2 on i = j or on i + j = m - 1, and 1
-    at the centre of an odd m; its representative has i <= j and i + j <= m - 1 (5,560 of the
-    21,760 points at top = 128).  Each level comes from one log_abs_sigma_grid call on the full
-    grid, and a representative holds the mean of its orbit's four partner values.  ValueError
-    if two partners differ by more than _ORBIT_TOL, as they do for a lattice without these
-    symmetries.  Built once per (profile, top), read-only.
+    Returns (logs, counts, bounds, sizes, reach): level k holds logs[bounds[k]:bounds[k + 1]]
+    with orbit sizes counts[bounds[k]:bounds[k + 1]], which sum to m^2, m = sizes[k], and
+    reach is the largest |log P|.  The grid (s, t) = ((i + 1/2)/m, (j + 1/2)/m) maps onto itself
+    under the swap (s, t) -> (t, s), the reflection across the bisector of omega1 and omega2,
+    and under (s, t) -> (1 - s, 1 - t), as P is even and periodic.  An orbit has 4 points, 2
+    on i = j or on i + j = m - 1, and 1 at the centre of an odd m; its representative has
+    i <= j and i + j <= m - 1 (5,560 of the 21,760 points at top = 128).  Each level comes
+    from one log_abs_sigma_grid call on the full grid, and a representative holds the mean of
+    its orbit's four partner values, summed in the order (i, j), (j, i), (m-1-i, m-1-j),
+    (m-1-j, m-1-i).  ValueError if a value lies more than _ORBIT_TOL from its orbit's mean,
+    as on a lattice without these symmetries.  Built once per (profile, top), read-only.
     """
-    sizes = (top >> 3, top >> 2, top >> 1, top)
+    sizes = np.array([top >> 3, top >> 2, top >> 1, top])
     logs, counts, bounds = [], [], [0]
-    for m in sizes:
-        k = np.arange(m)
-        f = np.flatnonzero((k[:, None] <= k) & (k[:, None] + k <= m - 1))  # (i, j) at i m + j
-        i, j = np.divmod(f, m)
-        g = j * m + i  # the swap; the half-turn reverses the flat grid
-        partners = _log_profile_rows(p, m).ravel()[np.stack([f, g, m * m - 1 - f, m * m - 1 - g])]
-        spread = float(np.max(np.abs(partners - partners[0])))
-        if not spread <= _ORBIT_TOL:  # every grid point is a partner of some representative
-            raise ValueError(f"log P is not symmetric on the {m} x {m} rhombus grid (partners "
-                             f"differ by {spread:.3g}): not an equilateral-lattice profile")
-        logs.append(partners.mean(axis=0))
-        counts.append(4.0 / ((1.0 + (i == j)) * (1.0 + (i + j == m - 1))))
-        bounds.append(bounds[-1] + i.size)
-    logs, counts = np.concatenate(logs), np.concatenate(counts)
-    logs.setflags(write=False)
-    counts.setflags(write=False)
-    return logs, counts, tuple(bounds), sizes
+    for m in sizes.tolist():
+        rows = _log_profile_rows(p, m)
+        mean = rows + rows.T  # then in place: each large temporary costs page faults
+        mean += rows[::-1, ::-1]
+        mean += rows.T[::-1, ::-1]
+        mean /= 4.0
+        spread = float(np.max(np.abs(np.subtract(rows, mean, out=rows), out=rows)))
+        if not spread <= _ORBIT_TOL:  # nan included
+            raise ValueError(f"log P is not symmetric on the {m} x {m} rhombus grid (a value is "
+                             f"{spread:.3g} from its orbit mean): not an equilateral-lattice profile")
+        tri = np.tri(m, dtype=bool)  # j <= i
+        rep, eye = tri.T & tri[::-1], np.eye(m, dtype=bool)  # i <= j and i + j <= m - 1
+        logs.append(mean[rep])  # row-major
+        counts.append(4.0 / ((1.0 + eye[rep]) * (1.0 + eye[::-1][rep])))  # halved per diagonal
+        bounds.append(bounds[-1] + counts[-1].size)
+    logs, counts, bounds = np.concatenate(logs), np.concatenate(counts), np.array(bounds)
+    for a in (logs, counts, bounds, sizes):
+        a.setflags(write=False)
+    return logs, counts, bounds, sizes, float(np.max(np.abs(logs)))
 
 
-def _ladder_means(
-    p: TriangularProfile, beta: float, top: int
-) -> tuple[tuple[list[float], list[float]], list[float]]:
+def _ladder_means(p: TriangularProfile, beta: float, top: int) -> list[list[float]]:
     """Midpoint means of P^beta and of P^(2 beta) on the _log_profile_ladder levels, coarsest
-    first, and their steps: one exponential per orbit, its square as the second row, both
-    weighted by the orbit sizes (1, 2 or 4, so exactly), and one pairwise sum per level and
-    row (np.add.reduceat), divided by m^2."""
-    logs, counts, bounds, sizes = _log_profile_ladder(p, top)
+    first: one exponential per orbit, its square as the second row, both weighted by the orbit
+    sizes (1, 2 or 4, so exactly), and one pairwise sum per level and row (np.add.reduceat),
+    divided by m^2."""
+    logs, counts, bounds, sizes, reach = _log_profile_ladder(p, top)
+    # np.errstate took about a tenth of a warm request, so only a beta past _SAFE_LOG enters
+    # it; an overflow there leaves an inf mean, on which planar_lattice_density raises.
+    quiet = np.errstate(over="ignore") if beta * reach > _SAFE_LOG else contextlib.nullcontext()
     vals = np.empty((2, logs.size))
-    with np.errstate(over="ignore"):  # a huge beta: planar_lattice_density raises on the inf mean
+    with quiet:
         np.exp(np.multiply(logs, beta, out=vals[0]), out=vals[0])
         np.square(vals[0], out=vals[1])
         vals *= counts
-        sums = np.add.reduceat(vals, bounds[:-1], axis=1).tolist()
-    return tuple([x / (m * m) for x, m in zip(row, sizes)] for row in sums), [1.0 / m for m in sizes]
+        means = np.add.reduceat(vals, bounds[:-1], axis=1)
+    means /= np.square(sizes)
+    return means.tolist()
+
+
+def _halving_richardson(values, powers) -> tuple[float, float]:
+    """Limit c0 of values[i] = c0 + sum_k c_k (h / 2^i)^powers[k] + ..., coarsest h first, and
+    c0 - c0', c0' being the limit without the finest value and the last power.  The classical
+    Richardson table on halving steps (Richardson 1927; Brezinski and Redivo Zaglia 1991,
+    ch. 2): the power p turns neighbours a, b into b + (b - a) / (2^p - 1).  With no powers
+    the finest value is the limit and the next one c0'."""
+    row, coarser = list(values), values[-2]
+    for k, p in enumerate(powers):  # row[k + 1:] holds the table's column k + 1
+        coarser, d = row[-2], 2.0**p - 1.0
+        for i in range(len(row) - 1, k, -1):
+            row[i] += (row[i] - row[i - 1]) / d
+    return row[-1], row[-1] - coarser
 
 
 def planar_lattice_density(
@@ -148,28 +170,28 @@ def planar_lattice_density(
     """Discrepancy density of the lattice profile at exponent beta.
 
     Each moment, the mean of P^e over the rhombus (e = beta, 2 beta), is extrapolated from
-    midpoint means on the (s, t) |-> 2*omega1*s + 2*omega2*t grids top/8, ..., top, with
-    top = min(grid_m, 128): every grid_m >= 128 shares the cached 128 ladder.  Both come from
-    one exponential per symmetry orbit of the grid (5,560 at top = 128, a quarter of the
-    points), P^(2 beta) being the square of P^beta.  P^e behaves
-    like |z - z0|^e at the lattice zeros, so the midpoint error on the periodic rhombus is a
-    series in h^{2+e+2k} (generalized Euler-Maclaurin: Navot 1962, Lyness 1976).  For an even
-    integer e those terms vanish and the mean converges spectrally; from e = 51 on, halving h
-    shrinks them below rounding.  Neither case is fit.  The error estimate is the change in
-    rho when the finest level is dropped, at least 4 ulps of 1 (rho cancels against 1).
+    midpoint means on the (s, t) |-> 2*omega1*s + 2*omega2*t grids top/8, top/4, top/2 and
+    top, with top = grid_m rounded up to a multiple of 8 and capped at 128 (grids 121 and up
+    share the cached 128 ladder).  Both come from one exponential per symmetry orbit of the
+    grid, P^(2 beta) being the square of P^beta.  P^e behaves like |z - z0|^e at the lattice
+    zeros, so the midpoint error on the periodic rhombus is a series in h^{2+e+2k} (Navot 1962,
+    Lyness 1976), whose first three terms the Richardson table on the halving levels removes.
+    For an even integer e those terms vanish and the mean converges spectrally; from e = 51 on,
+    halving h shrinks them below rounding.  Neither case is fit.  The error estimate is the
+    change in rho when the finest level is dropped, at least 4 ulps of 1 (rho cancels).
     """
     _check_positive(beta=beta)
     _check_counts(16, _MAX_GRID, grid_m=grid_m)
     p = profile if profile is not None else _default_profile()
-    both, steps = _ladder_means(p, beta, min(grid_m, _LADDER_TOP))
+    top = min(8 * math.ceil(grid_m / 8), _LADDER_TOP)
     moments = []
-    for e, means in zip((beta, 2.0 * beta), both):
-        if min(means) < np.finfo(float).tiny:  # a subnormal or zero mean has lost its digits
+    for e, means in zip((beta, 2.0 * beta), _ladder_means(p, beta, top)):
+        if min(means) < _TINY:  # a subnormal or zero mean has lost its digits
             raise ArithmeticError(f"mean of P^{e:g} underflows ({min(means):.3g}) at beta = {beta:g}")
         if not math.isfinite(max(means)):
             raise OverflowError(f"mean of P^{e:g} overflows double precision at beta = {beta:g}")
         powers = (e + 2.0, e + 4.0, e + 6.0) if e % 2.0 != 0.0 and e < 51.0 else ()
-        moments.append(richardson(means, steps, powers))
+        moments.append(_halving_richardson(means, powers))
     (m1, d1), (m2, d2) = moments
     rho_coarser = 1.0 - (m1 - d1) * (m1 - d1) / (m2 - d2)
     rho = 1.0 - m1 * m1 / m2

@@ -140,6 +140,20 @@ class TestPlanarCommand:
         # no randomness, no parallelism: the block must not claim either
         assert "seed" not in prov and "threads" not in prov
 
+    def test_grids_17_and_24_give_one_report(self, capsys, tmp_path):
+        # --grid rounds up to a multiple of 8, so both run the 3-24 ladder: stdout differs
+        # only in the two echoes of the grid, and the curve CSV, which has none, not at all.
+        outs = {}
+        for grid in (17, 24):
+            code, outs[grid], err = run_cli(capsys, ["planar", "--beta", "1.0", "--grid", str(grid)])
+            assert code == 0 and err == ""
+            code, _, _ = run_cli(capsys, ["curve", "--betas", "0.5,1.0", "--grid", str(grid),
+                                          "--out", str(tmp_path / f"{grid}.csv")])
+            assert code == 0
+        assert outs[17].count('"grid": 17') == 2
+        assert outs[17].replace('"grid": 17', '"grid": 24').encode() == outs[24].encode()
+        assert (tmp_path / "17.csv").read_bytes() == (tmp_path / "24.csv").read_bytes()
+
     def test_out_file_matches_stdout_and_is_reproducible(self, capsys, tmp_path):
         path_a = tmp_path / "a.json"
         path_b = tmp_path / "b.json"

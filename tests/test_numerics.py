@@ -40,7 +40,6 @@ from zeropack.numerics import (
     gauss_legendre,
     map_indexed,
     resolve_threads,
-    richardson,
     sample_complex_gaussians,
 )
 from zeropack.planar import planar_gaf_mc, planar_gaf_truncation
@@ -295,40 +294,42 @@ class TestMapIndexed:
         assert calls == []
 
 
-class TestRichardson:
-    @pytest.mark.parametrize(
-        "steps",
-        [[1 / 16, 1 / 32, 1 / 64, 1 / 128], [1 / 12, 1 / 25, 1 / 50, 1 / 100]],
-        ids=["halving", "uneven"],
-    )
-    @pytest.mark.parametrize("e", [0.25, 1.0, 3.7])
-    def test_recovers_the_limit_of_a_power_series(self, steps, e):
+class TestHalvingRichardson:
+    """planar._halving_richardson: the classical Richardson table on halving steps."""
+
+    @staticmethod
+    def _series(e):
+        # c0 + sum_k c_k h^{e + 2k} on the halving steps h = 1/16, ..., 1/128.
         powers = [e + 2.0, e + 4.0, e + 6.0]
         c0, coeffs = 0.7, [1.3, -2.1, 0.9]
-        values = [c0 + sum(c * h**p for c, p in zip(coeffs, powers)) for h in steps]
-        limit, gap = richardson(values, steps, powers)
-        assert limit == pytest.approx(c0, abs=1e-14)
-        # Without the finest value and the last power, the h^{e+6} term is left in.
-        coarser = richardson(values[:-1], steps[:-1], powers[:-1])[0]
-        assert limit - gap == pytest.approx(coarser, abs=1e-15)
+        values = [c0 + sum(c * h**p for c, p in zip(coeffs, powers))
+                  for h in (1 / 16, 1 / 32, 1 / 64, 1 / 128)]
+        return c0, values, powers
+
+    @pytest.mark.parametrize("e", [0.25, 1.0, 3.7])
+    def test_recovers_the_limit_of_a_power_series(self, e):
+        c0, values, powers = self._series(e)
+        limit, _ = planar._halving_richardson(values, powers)
+        assert limit == pytest.approx(c0, abs=1e-15)
+
+    @pytest.mark.parametrize("e", [0.25, 1.0, 3.7])
+    def test_coarser_value_drops_the_finest_level_and_the_last_power(self, e):
+        # The table without the finest value and the h^{e+6} power is the same arithmetic on
+        # the first three values, so limit - gap is its limit exactly (Sterbenz: the two are
+        # within a factor 2, so neither subtraction rounds).
+        _, values, powers = self._series(e)
+        limit, gap = planar._halving_richardson(values, powers)
+        assert limit - gap == planar._halving_richardson(values[:-1], powers[:-1])[0]
+
+    def test_one_power_is_the_correction_form(self):
+        # b + (b - a) / (2^p - 1) with a = 1, b = 2, p = 1.
+        assert planar._halving_richardson([1.0, 2.0], [1.0]) == (3.0, 2.0)
 
     def test_constant_sequence_is_its_own_limit(self):
-        limit, gap = richardson([2.5] * 4, [1 / 8, 1 / 16, 1 / 32, 1 / 64], [3.0, 5.0, 7.0])
-        assert limit == pytest.approx(2.5, abs=1e-14)
-        assert abs(gap) <= 1e-14
+        assert planar._halving_richardson([2.5] * 4, [3.0, 5.0, 7.0]) == (2.5, 0.0)
 
     def test_no_powers_returns_the_finest_value(self):
-        assert richardson([1.0, 3.0, 2.0], [0.5, 0.25, 0.125], []) == (2.0, -1.0)
-
-    @pytest.mark.parametrize(
-        "values, steps, powers",
-        [([1.0, 2.0], [0.5], [1.0]), ([1.0, 2.0, 3.0], [0.5, 0.25, 0.125], [1.0]),
-         ([1.0], [0.5], []), ([1.0, 2.0], [0.5, 0.25], [1.0, 2.0])],
-        ids=["steps", "too-few-powers", "one-value", "too-many-powers"],
-    )
-    def test_mismatched_lengths_are_rejected(self, values, steps, powers):
-        with pytest.raises(ValueError):
-            richardson(values, steps, powers)
+        assert planar._halving_richardson([1.0, 3.0, 2.0], ()) == (2.0, -1.0)
 
 
 class TestPolynomialZeros:

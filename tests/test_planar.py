@@ -91,9 +91,10 @@ class TestLatticeDensity:
     def test_constant_profile_extrapolates_to_zero_density(self, profile, monkeypatch):
         # A constant profile P = 2.5 has the same midpoint mean on every ladder level; the
         # extrapolation of a constant sequence returns it, so rho = 0.
-        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, 64)
+        logs, counts, bounds, sizes, _ = planar._log_profile_ladder(profile, 64)
         flat = np.full(logs.size, math.log(2.5))
-        monkeypatch.setattr(planar, "_log_profile_ladder", lambda p, top: (flat, counts, bounds, sizes))
+        ladder = (flat, counts, bounds, sizes, math.log(2.5))
+        monkeypatch.setattr(planar, "_log_profile_ladder", lambda p, top: ladder)
         rep = planar_lattice_density(1.0, 64)
         assert abs(rep.rho) < 1e-14
         assert rep.b_opt == pytest.approx(1.0 / 2.5, rel=1e-12)
@@ -106,8 +107,8 @@ class TestLatticeDensity:
         s = (np.arange(64) + 0.5) / 64
         Z = p1 * s[None, :] + p2 * s[:, None]
         lp = log_profile(profile, Z)
-        (means1, means2), steps = _ladder_means(profile, 2.0, 64)
-        assert steps[-1] == 1.0 / 64
+        means1, means2 = _ladder_means(profile, 2.0, 64)
+        assert planar._log_profile_ladder(profile, 64)[3][-1] == 64
         m1 = float(np.mean(np.exp(2.0 * lp)))
         m2 = float(np.mean(np.exp(4.0 * lp)))
         assert means1[-1] == pytest.approx(m1, rel=1e-13)
@@ -115,42 +116,43 @@ class TestLatticeDensity:
 
     # Even 2 beta (1, 2), 2 beta >= 51 (26, 60.5) and small beta (1e-3, 0.01) among the rest.
     @pytest.mark.parametrize("beta", [1e-3, 0.01, 0.25, 0.7, 1.0, 2.0, 3.3, 26.0, 60.5, 200.0])
-    @pytest.mark.parametrize("top", [16, 17, 128])
+    @pytest.mark.parametrize("top", [16, 24, 128])
     def test_one_exponential_gives_both_level_means(self, profile, beta, top):
         # P^beta is the same exponential, orbit weighting and pairwise sum per level as a direct
         # np.exp(beta * logs) * counts, so its means are bitwise those; P^(2 beta) is its
         # square, not a second exponential, and stays within 4 ulp of np.exp(2 * beta * logs).
-        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, top)
-        areas = [m * m for m in sizes]
+        logs, counts, bounds, sizes, _ = planar._log_profile_ladder(profile, top)
+        areas = [m * m for m in sizes.tolist()]
         direct1 = (np.add.reduceat(np.exp(beta * logs) * counts, bounds[:-1]) / areas).tolist()
         direct2 = (np.add.reduceat(np.exp(2.0 * beta * logs) * counts, bounds[:-1]) / areas).tolist()
-        (means1, means2), steps = _ladder_means(profile, beta, top)
-        assert steps == [1.0 / m for m in sizes]
+        means1, means2 = _ladder_means(profile, beta, top)
+        assert sizes.tolist() == [top >> 3, top >> 2, top >> 1, top]  # halving levels
         assert means1 == direct1
         for got, want in zip(means2, direct2):
             assert abs(got - want) <= 4.0 * math.ulp(want)
 
     @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 3.3, 26.0, 200.0])
-    @pytest.mark.parametrize("top", [16, 17, 100, 128])
+    @pytest.mark.parametrize("top", [16, 24, 104, 128])
     def test_folded_means_match_the_full_grid(self, profile, beta, top):
         # Against np.mean(np.exp(e * log P)) over all m^2 points of each level.  The orbit
         # mean of log P rounds to an ulp of its largest value, which the exponential scales
         # by e; the sums add a few ulps.
-        (means1, means2), _ = _ladder_means(profile, beta, top)
-        for k, m in enumerate(planar._log_profile_ladder(profile, top)[3]):
+        means1, means2 = _ladder_means(profile, beta, top)
+        for k, m in enumerate(planar._log_profile_ladder(profile, top)[3].tolist()):
             rows = planar._log_profile_rows(profile, m)
             for e, got in ((beta, means1[k]), (2.0 * beta, means2[k])):
                 want = float(np.mean(np.exp(e * rows)))
                 bound = 4.0 * np.finfo(float).eps * (1.0 + e * float(np.max(np.abs(rows))))
                 assert abs(got - want) <= bound * want
 
-    @pytest.mark.parametrize("top", [16, 17, 100, 128])
+    @pytest.mark.parametrize("top", [16, 24, 104, 128])
     def test_orbit_sizes_cover_each_level(self, profile, top):
-        # 4 points in general, 2 on either diagonal, 1 at the centre of an odd m (17, 25).
-        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, top)
-        assert sizes == (top >> 3, top >> 2, top >> 1, top)
+        # 4 points in general, 2 on either diagonal, 1 at the centre of an odd m (3, 13).
+        logs, counts, bounds, sizes, reach = planar._log_profile_ladder(profile, top)
+        assert sizes.tolist() == [top >> 3, top >> 2, top >> 1, top]
         assert bounds[0] == 0 and bounds[-1] == logs.size == counts.size
-        assert not logs.flags.writeable and not counts.flags.writeable
+        assert not any(a.flags.writeable for a in (logs, counts, bounds, sizes))
+        assert reach == np.max(np.abs(logs))
         for a, b, m in zip(bounds, bounds[1:], sizes):
             level = counts[a:b]
             assert set(level.tolist()) <= {1.0, 2.0, 4.0}
@@ -158,13 +160,13 @@ class TestLatticeDensity:
             assert np.count_nonzero(level == 1.0) == m % 2
             assert np.count_nonzero(level == 2.0) == 2 * (m // 2)
 
-    @pytest.mark.parametrize("top", [17, 100, 128])
+    @pytest.mark.parametrize("top", [24, 104, 128])
     def test_each_representative_matches_its_partners(self, profile, top):
         # Representative (i, j), i <= j and i + j <= m - 1, in row-major order, against
         # log_profile at (i, j), (j, i), (m-1-i, m-1-j) and (m-1-j, m-1-i).
-        logs, counts, bounds, sizes = planar._log_profile_ladder(profile, top)
+        logs, counts, bounds, sizes, _ = planar._log_profile_ladder(profile, top)
         p1, p2 = 2.0 * profile.ctx.omega1, 2.0 * profile.ctx.omega2
-        for a, b, m in zip(bounds, bounds[1:], sizes):
+        for a, b, m in zip(bounds.tolist(), bounds[1:].tolist(), sizes.tolist()):
             reps = [(i, j) for i in range(m) for j in range(i, m) if i + j <= m - 1]
             assert len(reps) == b - a
             i, j = np.array(reps).T
@@ -174,6 +176,23 @@ class TestLatticeDensity:
                 z = p1 * (u + 0.5) / m + p2 * (v + 0.5) / m
                 assert np.max(np.abs(log_profile(profile, z) - logs[a:b])) <= planar._ORBIT_TOL
             assert len(covered) == m * m
+
+    @pytest.mark.parametrize("top", [24, 128])
+    def test_view_fold_equals_a_gather_fold_bitwise(self, profile, top):
+        # The four partners gathered by flat index and averaged by np.mean, which adds them in
+        # the order (i, j), (j, i), (m-1-i, m-1-j), (m-1-j, m-1-i), against the ladder's sums
+        # of transposed and reversed views.
+        logs, counts, bounds, sizes, _ = planar._log_profile_ladder(profile, top)
+        for a, b, m in zip(bounds.tolist(), bounds[1:].tolist(), sizes.tolist()):
+            k = np.arange(m)
+            f = np.flatnonzero((k[:, None] <= k) & (k[:, None] + k <= m - 1))
+            i, j = np.divmod(f, m)
+            g = j * m + i
+            flat = planar._log_profile_rows(profile, m).ravel()
+            partners = flat[np.stack([f, g, m * m - 1 - f, m * m - 1 - g])]
+            assert logs[a:b].tobytes() == partners.mean(axis=0).tobytes()
+            weights = 4.0 / ((1.0 + (i == j)) * (1.0 + (i + j == m - 1)))
+            assert counts[a:b].tobytes() == weights.tobytes()
 
     def test_profile_without_the_grid_symmetry_is_refused(self):
         # A hand-built profile on a lattice that is not equilateral: folding its grid into
@@ -217,6 +236,25 @@ class TestLatticeDensity:
         with pytest.raises(ArithmeticError, match=error):
             planar_lattice_density(beta, 16, profile=profile)
 
+    @pytest.mark.parametrize("grid, top", [(17, 24), (100, 104), (121, 128)])
+    def test_grid_rounds_up_to_a_multiple_of_8(self, profile, grid, top):
+        for beta in (0.5, 1.0, 3.0):
+            rep = planar_lattice_density(beta, grid, profile=profile)
+            assert rep == planar_lattice_density(beta, top, profile=profile)
+            assert rep != planar_lattice_density(beta, top - 8, profile=profile)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("top", [16, 128])
+    def test_overflow_is_only_silenced_past_the_safe_log(self, top):
+        # On the wide lattice of weight scale 1e-4, log P reaches 3.78.  Up to
+        # beta * max|log P| = _SAFE_LOG no product or level sum overflows, and the call runs
+        # with numpy's overflow warnings live; 5% further the mean of P^(2 beta) is inf.
+        profile = make_triangular_profile(1e-4)
+        beta = planar._SAFE_LOG / planar._log_profile_ladder(profile, top)[4]
+        assert math.isfinite(planar_lattice_density(beta, top, profile=profile).rho)
+        with pytest.raises(OverflowError, match="overflows"):
+            planar_lattice_density(1.05 * beta, top, profile=profile)
+
     def test_grid_above_cap_is_rejected_before_any_work(self, monkeypatch):
         calls = []
         monkeypatch.setattr(planar, "_log_profile_ladder", lambda *args: calls.append(args))
@@ -238,8 +276,8 @@ RHO_DIGITS = {
 
 
 class TestExtrapolatedDensity:
-    # 17 and 100 have coarse levels that are not powers of two (2, 4, 8, 17 and 12, 25, 50, 100),
-    # two of them odd; the 2-17 ladder reaches about 2e-7 relative.
+    # 17 and 100 round up to the ladders 3, 6, 12, 24 and 13, 26, 52, 104, whose levels are not
+    # powers of two and whose coarsest is odd; the 3-24 ladder reaches about 1e-8 relative.
     @pytest.mark.parametrize("grid, rel", [(17, 1e-6), (100, 1e-12), (256, 1e-12), (512, 1e-12),
                                            (1024, 1e-12)], ids=["17", "100", "256", "512", "1024"])
     @pytest.mark.parametrize("beta", sorted(RHO_DIGITS))

@@ -182,10 +182,10 @@ class TestSigmaGrid:
         # Every level of the cached 16-128 extrapolation ladder, read-only: one value per
         # symmetry orbit, at the representatives i <= j, i + j <= m - 1 in row-major order.
         p = make_triangular_profile(weight_scale)
-        logs, counts, bounds, sizes = _log_profile_ladder(p, 128)
-        assert sizes == (16, 32, 64, 128) and logs.size == 5560
+        logs, counts, bounds, sizes, _ = _log_profile_ladder(p, 128)
+        assert sizes.tolist() == [16, 32, 64, 128] and logs.size == 5560
         assert not logs.flags.writeable
-        for a, b, m in zip(bounds, bounds[1:], sizes):
+        for a, b, m in zip(bounds.tolist(), bounds[1:].tolist(), sizes.tolist()):
             i, j = np.array([(i, j) for i in range(m) for j in range(i, m) if i + j <= m - 1]).T
             Z = 2.0 * p.ctx.omega1 * (i + 0.5) / m + 2.0 * p.ctx.omega2 * (j + 0.5) / m
             np.testing.assert_allclose(logs[a:b], log_profile(p, Z), rtol=0.0, atol=1e-12)
