@@ -304,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_finite_float, help="hyperbolic radius")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="most worker threads (default 1); results never depend on it, and it acts "
+                        "only on trial grids of at least 20480 points (radii x angles)")
 
     p = _subcommand(sub, "sphere", _cmd_sphere, "monopole configuration discrepancy")
     p.add_argument("--n", type=int, required=True)

@@ -19,6 +19,7 @@ _MAX_THREADS = 256  # largest worker count accepted from a flag, the environment
 _MAX_TRIALS = 100_000  # largest Monte Carlo trial count: one float per trial is kept until the end
 _MAX_ITERS = 100_000  # largest solver iteration cap: a history or trace entry is kept per iteration
 _BATCH_POINTS = 8192  # grid points (trials x radii x angles) a GAF batch sums at once
+_THREAD_POINTS = 20480  # grid points (radii x angles) of one GAF trial from which threads pay
 _SCALES_MAX = 2**20  # largest term-scale table (radii x terms) a GAF call keeps; larger ones go per batch
 _STIELTJES_MIN = 20.0  # n sin(theta) above which P_n(cos theta) comes from the Stieltjes expansion
 _STIELTJES_TERMS = 20  # terms of that expansion
@@ -320,10 +321,11 @@ def _substream_draws(rng: RngStream, n: int, batch: int):
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: ZEROPACK_THREADS overrides the flag; the default is 1.
+    """Most workers a GAF call uses: ZEROPACK_THREADS overrides the flag; the default is 1.
 
-    One thread is the default because the per-trial numpy calls are small: two threads were
-    slower at most GAF sizes on a 2-core machine.  Counts above _MAX_THREADS are rejected, so
+    The count never changes a result.  One thread is the default because two pay only on trial
+    grids of at least _THREAD_POINTS points (the table in _gaf_mc), and a call on a smaller grid
+    runs on the calling thread whatever the count.  Counts above _MAX_THREADS are rejected, so
     a typo cannot start a huge thread pool.
     """
     env = os.environ.get("ZEROPACK_THREADS")
@@ -419,10 +421,25 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
 
     The scales (_term_scales, envelope included) are formed once per call into one table, or
     above _SCALES_MAX afresh for E A and for each batch.  The trials are cut into one contiguous
-    range per thread (map_indexed); a range is summed in batches of about _BATCH_POINTS grid
+    range per worker (map_indexed); a range is summed in batches of about _BATCH_POINTS grid
     points through buffers it allocates once, with its own re-keyed generator
     (_substream_draws).  Each trial is still reduced on its own, so every value, and the
     estimate, is independent of the batch size and the thread count.
+
+    `threads` is the most workers used.  A trial grid below _THREAD_POINTS points runs as one
+    range on the calling thread, since its many small numpy calls only contend for the GIL:
+    t(2 threads) / t(1 thread), planar default grids, one BLAS thread, 2 cores, medians of
+    alternating pairs at 64 trials (12 pairs) and at 0.1-0.3 s per call (16 pairs), with the
+    pairs in which 2 threads were faster:
+
+        R   grid points   64 trials      0.1-0.3 s
+        8      8192       1.19   3/12    1.36   0/16
+        12    12288       1.25   0/12    1.03   6/16
+        16    16384       1.03   3/12    0.91  12/16
+        20    20480       0.89  12/12    0.90  15/16
+        24    24576       0.72  12/12    0.68  16/16
+        32    32768       0.63  12/12    0.69  16/16
+        48    49152       0.55  12/12    0.57  16/16
     """
     _check_positive(b=b)
     _check_counts(2, _MAX_TRIALS, trials=trials)
@@ -453,8 +470,9 @@ def _gaf_mc(log_scales, radii, weights, log_envelope, b: float, n_angular: int, 
             out += [float(weights @ x[k]) - c * (float(weights @ a[k]) - mean_a) for k in range(rows)]
         return out
 
-    parts = _split(trials, min(threads, trials))
-    vals = np.array([v for part in map_indexed(lambda t: run(parts[t]), len(parts), threads) for v in part])
+    workers = min(threads, trials) if grid[0] * grid[1] >= _THREAD_POINTS else 1
+    parts = _split(trials, workers)
+    vals = np.array([v for part in map_indexed(lambda t: run(parts[t]), workers, workers) for v in part])
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
     if not (math.isfinite(mean) and math.isfinite(stderr)):

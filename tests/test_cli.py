@@ -326,6 +326,12 @@ class TestGafCommand:
             means.append(json.loads(out)["mean"])
         assert means[0] == means[1]
 
+    def test_threads_help_names_the_thread_floor(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["gaf", "--help"])
+        assert info.value.code == 0
+        assert f"at least {numerics._THREAD_POINTS} points" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("threads", ["257", "1000000"])
     def test_thread_count_above_cap_exits_2(self, capsys, monkeypatch, threads):
         # Rejected while the flags are resolved, before any worker starts.

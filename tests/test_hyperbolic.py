@@ -557,6 +557,14 @@ class TestGafMonteCarlo:
         b = hyperbolic_gaf_mc(0.8, 1.0, N, 6, RngStream(seed=9), threads=3)
         assert a == b
 
+    def test_thread_independent_above_the_thread_floor(self):
+        # 160 x 128 points: the trials do split across threads here.
+        N = hyperbolic_gaf_truncation(0.8, 1e-6)
+        grid = {"n_radial": 160, "n_angular": 128}
+        a = hyperbolic_gaf_mc(0.8, 1.0, N, 6, RngStream(seed=9), threads=1, **grid)
+        b = hyperbolic_gaf_mc(0.8, 1.0, N, 6, RngStream(seed=9), threads=3, **grid)
+        assert a == b
+
     def test_agrees_with_closed_form_expectation(self):
         r, b = 0.9, 1.0
         N = hyperbolic_gaf_truncation(r, 1e-6)

@@ -27,6 +27,7 @@ from zeropack.numerics import (
     QuadratureRule1D,
     RngStream,
     _STIELTJES_MIN,
+    _THREAD_POINTS,
     _legendre_cosines,
     _legendre_stieltjes,
     _legendre_unit,
@@ -440,7 +441,7 @@ _GAF = {  # mode -> (module, Monte Carlo, truncation degree)
 }
 
 
-def _gaf_args(mode, extent, b, trials, rng):
+def _gaf_args(mode, extent, b, trials, rng, **grid):
     """The arguments planar_gaf_mc / hyperbolic_gaf_mc hand to _gaf_mc, without running it."""
     seen = []
 
@@ -451,7 +452,7 @@ def _gaf_args(mode, extent, b, trials, rng):
     module, mc, truncation = _GAF[mode]
     with pytest.MonkeyPatch.context() as mp_:
         mp_.setattr(module, "_gaf_mc", record)
-        mc(extent, b, truncation(extent), trials, rng)
+        mc(extent, b, truncation(extent), trials, rng, **grid)
     (args,) = seen
     return args
 
@@ -536,14 +537,46 @@ class TestGafMonteCarlo:
         assert _grid_of(mode, extent) == grid
 
     def test_default_grid_never_exceeds_the_fixed_one(self):
-        # The CLI accepts R in (0.01, 4] and r in (0.01, 0.95]; the fixed grids were 192 x 256
-        # (plane) and 256 x 128 (disk).
+        # The CLI accepts any R whose truncation degree is admissible (R = 27 and 100 here) and
+        # any r in (0, 1); the fixed grids were 192 x 256 (plane) and 256 x 128 (disk).
         for R in [*np.geomspace(0.01, 4.0, 40), 1e-300, 27.0, 100.0]:
             n_radial, n_angular = _grid_of("planar", float(R))
             assert 16 <= n_radial <= 192 and 16 <= n_angular <= 256
         for r in [*np.linspace(0.01, 0.95, 40), 1e-3, 0.999]:
             n_radial, n_angular = _grid_of("hyperbolic", float(r))
             assert n_radial <= 256 and 16 <= n_angular <= 128
+
+    def test_bench_and_acceptance_grids_stay_below_the_thread_floor(self):
+        # Planar R <= 4 and disk r <= 0.95 are the default grids the benchmark and the acceptance
+        # runs time; a grid change that lifts one to _THREAD_POINTS brings back the threaded
+        # path, which is slower there.
+        for R in np.geomspace(0.01, 4.0, 40):
+            n_radial, n_angular = _grid_of("planar", float(R))
+            assert n_radial * n_angular < _THREAD_POINTS, R
+        for r in np.linspace(0.01, 0.95, 40):
+            n_radial, n_angular = _grid_of("hyperbolic", float(r))
+            assert n_radial * n_angular < _THREAD_POINTS, r
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    @pytest.mark.parametrize("n_radial, split", [
+        (_THREAD_POINTS // 256 - 1, False), (_THREAD_POINTS // 256, True),
+        (_THREAD_POINTS // 256 + 1, True),
+    ], ids=["below", "at", "above"])
+    def test_trials_split_across_threads_only_from_the_floor(self, monkeypatch, threads, n_radial,
+                                                             split):
+        # Below the floor the call is the threads=1 path: one range on the calling thread.
+        calls = []
+        monkeypatch.setattr(numerics, "map_indexed",
+                            lambda fn, count, threads=1: calls.append((count, threads))
+                            or map_indexed(fn, count, threads))
+        want = planar_gaf_mc(2.0, 1.3, planar_gaf_truncation(2.0), 5, RngStream(seed=3),
+                             n_radial=n_radial, n_angular=256)
+        assert calls == [(1, 1)]
+        got = planar_gaf_mc(2.0, 1.3, planar_gaf_truncation(2.0), 5, RngStream(seed=3),
+                            threads=threads, n_radial=n_radial, n_angular=256)
+        n = min(threads, 5) if split else 1
+        assert calls[1:] == [(n, n)]
+        assert got == want
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("mode, extent", [("planar", 2.0), ("hyperbolic", 0.9)])
@@ -556,6 +589,21 @@ class TestGafMonteCarlo:
         _, mc, truncation = _GAF[mode]
         for trials in sorted({2, batch - 1, batch, batch + 1, 2 * batch + 1}):
             got = mc(extent, b, truncation(extent), trials, rng, threads=threads)
+            assert [x.hex() for x in got] == [x.hex() for x in _per_trial_reference(args, trials)], trials
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("mode, extent, grid", [("planar", 2.0, (80, 256)),
+                                                    ("hyperbolic", 0.9, (160, 128))])
+    def test_split_ranges_equal_the_per_trial_reference_bitwise(self, mode, extent, grid, threads):
+        # The twin of the case above on a grid at the thread floor, where the trials run as
+        # min(threads, trials) ranges of one-trial batches.
+        assert grid[0] * grid[1] == _THREAD_POINTS
+        b, rng = 1.3, RngStream(seed=8)
+        args = _gaf_args(mode, extent, b, 2, rng, n_radial=grid[0], n_angular=grid[1])
+        _, mc, truncation = _GAF[mode]
+        for trials in (2, 5):
+            got = mc(extent, b, truncation(extent), trials, rng, threads=threads,
+                     n_radial=grid[0], n_angular=grid[1])
             assert [x.hex() for x in got] == [x.hex() for x in _per_trial_reference(args, trials)], trials
 
     @pytest.mark.parametrize("mode, extent", [("planar", 2.0), ("hyperbolic", 0.9)])
@@ -578,6 +626,20 @@ class TestGafMonteCarlo:
         sys.setswitchinterval(1e-6)
         try:
             got = planar_gaf_mc(R, b, N, 40, RngStream(seed=12), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_concurrent_tasks_share_no_generator_state_above_the_thread_floor(self):
+        # The case above on a grid past the floor, where eight ranges do run as pool tasks.
+        R, b, grid = 2.0, 1.3, {"n_radial": 128, "n_angular": 256}
+        assert grid["n_radial"] * grid["n_angular"] >= _THREAD_POINTS
+        N = planar_gaf_truncation(R)
+        want = planar_gaf_mc(R, b, N, 40, RngStream(seed=12), threads=1, **grid)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = planar_gaf_mc(R, b, N, 40, RngStream(seed=12), threads=8, **grid)
         finally:
             sys.setswitchinterval(interval)
         assert got == want

@@ -174,8 +174,12 @@ LOADS = {  # id: (argv, modules it must not load, modules it must load)
     "gaf-hyperbolic-default-threads": (
         ["gaf", "--mode", "hyperbolic", "--b", "1", "--r", "0.5", "--trials", "2", "--seed", "1"],
         SPECIALISTS - {"zeropack.hyperbolic"} | NEVER, {"zeropack.hyperbolic"}),
-    "gaf-planar-2-threads": (
+    "gaf-planar-2-threads": (  # 16 x 16 points: below the thread floor, one range, no pool
         ["gaf", "--mode", "planar", "--b", "1", "--R", "1", "--trials", "2", "--seed", "1",
+         "--threads", "2"],
+        PLANAR_ONLY, {"zeropack.planar"}),
+    "gaf-planar-2-threads-above-floor": (  # 96 x 256 points: two ranges on a pool
+        ["gaf", "--mode", "planar", "--b", "1", "--R", "24", "--trials", "2", "--seed", "1",
          "--threads", "2"],
         PLANAR_ONLY - {"concurrent.futures"}, {"zeropack.planar", "concurrent.futures"}),
 }

@@ -359,6 +359,17 @@ class TestPlanarGaf:
         m3, _ = planar_gaf_mc(R, b, N, 8, RngStream(seed=31), threads=2)
         assert m3 == m1
 
+    def test_mc_thread_independent_above_the_thread_floor(self):
+        # 80 x 256 points: the trials do split across threads here.
+        R, b, grid = 2.0, 1.0, {"n_radial": 80, "n_angular": 256}
+        N = planar_gaf_truncation(R)
+        rng = RngStream(seed=31)
+        m1, s1 = planar_gaf_mc(R, b, N, 8, rng, threads=1, **grid)
+        m2, s2 = planar_gaf_mc(R, b, N, 8, rng, threads=4, **grid)
+        assert (m1, s1) == (m2, s2)
+        m3, _ = planar_gaf_mc(R, b, N, 8, RngStream(seed=31), threads=2, **grid)
+        assert m3 == m1
+
     def test_mc_agrees_with_closed_form_expectation(self):
         R = 3.0
         b = math.sqrt(math.pi) / 2.0
